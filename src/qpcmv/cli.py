@@ -20,7 +20,6 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,7 @@ from .cmv import assemble, eigenvector_profile, spectrum
 from .dynamics import Rotation, SkewShift, TorusPoint, find_even_repetition, iterate
 from .errors import QpcmvError
 from .frequency import badly_approximable_score, parse_frequency
-from .pipeline import ExperimentConfig, _write_json, run
+from .pipeline import ExperimentConfig, _write_evidence_csv, _write_json, run
 from .sampling import (
     ConstantFunction,
     HarmonicFunction,
@@ -217,19 +216,13 @@ def _cmd_gordon(args) -> int:
         "all_passed": cert.all_passed,
     }
     if table is not None:
-        with open(out / "evidence.csv", "w", newline="") as fh:
-            fh.write(f"# seed={args.seed} q={table.q} source={table.source}\n")
-            w = csv.writer(fh)
-            w.writerow(["angle", "c", "norm_forward", "norm_double",
-                        "norm_backward"])
-            for r in table.rows:
-                w.writerow([repr(r.angle), repr(r.c), repr(r.norm_forward),
-                            repr(r.norm_double), repr(r.norm_backward)])
+        _write_evidence_csv(out / "evidence.csv", table, args.seed)
         doc["evidence"] = {
             "q": table.q,
             "min_c": table.min_c,
             "argmin_angle": table.argmin_angle,
             "verdict": table.verdict,
+            "nonfinite_rows": table.nonfinite_rows,
         }
     report_path = Path(args.report) if args.report else out / "gordon.json"
     _write_json(report_path, doc)

@@ -329,6 +329,16 @@ def _tube_stage(rep: _Report, cfg: ExperimentConfig, system, omega, reps):
     return sequences, constructions
 
 
+def _write_evidence_csv(path, table, seed) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# seed={seed} q={table.q} source={table.source}\n")
+        w = csv.writer(fh)
+        w.writerow(["angle", "c", "norm_forward", "norm_double", "norm_backward"])
+        for r in table.rows:
+            w.writerow([repr(r.angle), repr(r.c), repr(r.norm_forward),
+                        repr(r.norm_double), repr(r.norm_backward)])
+
+
 def _evidence_stage(rep: _Report, cfg: ExperimentConfig, seq, certificate=None,
                     q=None, extra_angles=(), expect_fail=False):
     with rep.stage("evidence") as st:
@@ -339,18 +349,8 @@ def _evidence_stage(rep: _Report, cfg: ExperimentConfig, seq, certificate=None,
             z_grid=cfg.z_grid,
             extra_angles=extra_angles,
         )
-        path = rep.artifact("evidence", "evidence.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# seed={cfg.seed} q={table.q} source={table.source}\n")
-            w = csv.writer(fh)
-            w.writerow(
-                ["angle", "c", "norm_forward", "norm_double", "norm_backward"]
-            )
-            for r in table.rows:
-                w.writerow(
-                    [repr(r.angle), repr(r.c), repr(r.norm_forward),
-                     repr(r.norm_double), repr(r.norm_backward)]
-                )
+        _write_evidence_csv(rep.artifact("evidence", "evidence.csv"), table,
+                           cfg.seed)
         _write_json(
             rep.artifact("evidence", "evidence.json"),
             {
@@ -361,9 +361,11 @@ def _evidence_stage(rep: _Report, cfg: ExperimentConfig, seq, certificate=None,
                 "argmin_angle": table.argmin_angle,
                 "threshold": table.threshold,
                 "verdict": table.verdict,
+                "nonfinite_rows": table.nonfinite_rows,
             },
         )
         st["min_c"] = table.min_c
+        st["nonfinite_rows"] = table.nonfinite_rows
         if expect_fail:
             st["expected"] = "FAIL"
             rep.verdicts["evidence"] = table.verdict

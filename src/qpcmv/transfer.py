@@ -15,14 +15,14 @@ All matrix work is float; exactness lives upstream in the dynamics.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, WindowError
+from .errors import DomainError
 
 EVIDENCE_PASS_THRESHOLD = 0.25  # half of the periodic-case floor 1/2
 _UNDERFLOW_LOG10 = -300.0
@@ -33,20 +33,12 @@ _UNDERFLOW_LOG10 = -300.0
 # ---------------------------------------------------------------------------
 
 
-def _rho(a) -> float:
-    m = abs(a)
-    return math.sqrt((1.0 - m) * (1.0 + m))
-
-
 def szego_matrix(alpha: complex, z: complex) -> np.ndarray:
     if abs(alpha) >= 1:
         raise DomainError("|alpha| must be < 1")
     if abs(abs(z) - 1.0) > 1e-9:
         raise DomainError("z must lie on the unit circle")
-    r = _rho(alpha)
-    return np.array(
-        [[z, -np.conj(alpha)], [-alpha * z, 1.0]], dtype=complex
-    ) / r
+    return szego_batch(alpha, z)
 
 
 def szego_batch(alpha: np.ndarray, z) -> np.ndarray:
@@ -64,15 +56,7 @@ def szego_batch(alpha: np.ndarray, z) -> np.ndarray:
 
 def block_product(seq, z: complex, n_from: int, n_to: int) -> np.ndarray:
     """Ordered product S(a(n_to-1), z) ... S(a(n_from), z); empty = identity."""
-    if n_to < n_from:
-        raise DomainError("n_to must be >= n_from")
-    if n_to == n_from:
-        return np.eye(2, dtype=complex)
-    seq.require(n_from, n_to - 1)
-    P = np.eye(2, dtype=complex)
-    for n in range(n_from, n_to):
-        P = szego_matrix(seq.alpha(n), z) @ P
-    return P
+    return block_product_grid(seq, np.array([z]), n_from, n_to)[0]
 
 
 def block_product_grid(seq, zs: np.ndarray, n_from: int, n_to: int) -> np.ndarray:
@@ -307,55 +291,101 @@ def certify_gordon(
 # ---------------------------------------------------------------------------
 
 
+def _unit(x: np.ndarray) -> np.ndarray:
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.einsum("bx,bx->b", x, y)[:, None]
+
+
+def _bloch_candidates(beta: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Candidate minimisers (B, C, 3) of max_k f_k(n) = beta_k + a_k . n
+    over |n| = 1, for beta (B, K) and a (B, K, 3).
+
+    One, two or three f_k are active at the minimiser, so it is one of:
+    -a_k/|a_k|; on each circle {f_i = f_j}, the minimiser of f_i, or any
+    point when f_i is constant there; the points where the line
+    {f_i = f_j = f_m} meets the sphere (these also end every arc of a
+    circle on which f_i is constant and a third f_m lies below it); an
+    axis, when every a_k vanishes.  Missing intersections come out as NaN.
+    """
+    B, K = beta.shape
+    out = [-a, np.broadcast_to(np.vstack([np.eye(3), -np.eye(3)]), (B, 6, 3))]
+    for i, j in combinations(range(K), 2):
+        d, h = a[:, i] - a[:, j], (beta[:, j] - beta[:, i])[:, None]
+        dd = _dot(d, d)
+        centre, radius = h / dd * d, np.sqrt(1.0 - h * h / dd)
+        axis = np.eye(3)[np.argmin(np.abs(d), axis=-1)]
+        for w in (a[:, i], np.cross(d, axis)):
+            u = _unit(w - _dot(w, d) / dd * d)
+            out.append((centre - radius * u)[:, None])
+    for i, j, m in combinations(range(K), 3):
+        d1, h1 = a[:, i] - a[:, j], (beta[:, j] - beta[:, i])[:, None]
+        d2, h2 = a[:, i] - a[:, m], (beta[:, m] - beta[:, i])[:, None]
+        e = np.cross(d1, d2)
+        ee = _dot(e, e)
+        foot = (h1 * np.cross(d2, e) + h2 * np.cross(e, d1)) / ee
+        s = np.sqrt((1.0 - _dot(foot, foot)) / ee)
+        out += [(foot + s * e)[:, None], (foot - s * e)[:, None]]
+    return np.concatenate(out, axis=1)
+
+
 def min_max_over_unit_vectors(
     mats: np.ndarray, grid: int = 32, rounds: int = 6
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """min over unit v in C^2 of max_i ||mats[..., i, :, :] v||.
+    """min over unit v in C^2 of max_k ||mats[..., k, :, :] v||, exactly.
 
-    Vectors are parameterized on the projective sphere as
-    (cos t, e^(i p) sin t); a grid*grid sweep (1024 points by default) is
-    followed by local zooms around the best cell.  Returns (value, t, p)
-    per batch element.
+    With H_k = M_k* M_k and v v* = (I + n.sigma)/2, ||M_k v||^2 =
+    beta_k + a_k . n for beta_k = tr H_k / 2 and a_k = (Re H_k[0,1],
+    -Im H_k[0,1], (H_k[0,0] - H_k[1,1]) / 2): a min over the Bloch sphere
+    of a max of affine functions, whose minimiser is among the candidates
+    of ``_bloch_candidates`` (a complete set for K <= 3 matrices).  The
+    value is evaluated on the matrices at each candidate spinor, so it is
+    attained and never undercuts the true minimum beyond rounding.  Rows
+    are scaled by their largest entry first, so finite input does not
+    overflow; a row with a non-finite entry gives inf and NaN angles.
+
+    Returns (value, t, p) per batch element, v = (cos t, e^(i p) sin t).
+    ``grid`` and ``rounds`` are accepted and ignored, for callers that still
+    pass or inspect them.
     """
     mats = np.asarray(mats, dtype=complex)
     single = mats.ndim == 3
     if single:
         mats = mats[None]
-    B = mats.shape[0]
-    H = np.einsum("bkji,bkjl->bkil", mats.conj(), mats)
-    tc = np.full(B, np.pi / 4)
-    pc = np.full(B, np.pi)
-    wt = np.full(B, np.pi / 4)
-    wp = np.full(B, np.pi)
-    best = np.full(B, np.inf)
-    bt = tc.copy()
-    bp = pc.copy()
-    offsets = np.linspace(-1.0, 1.0, grid)
-    for _ in range(rounds):
-        ths = tc[:, None] + wt[:, None] * offsets[None, :]
-        phs = pc[:, None] + wp[:, None] * offsets[None, :]
-        ct = np.cos(ths)
-        st = np.sin(ths)
-        ep = np.exp(1j * phs)
-        v0 = np.broadcast_to(ct[:, :, None], (B, grid, grid))
-        v1 = st[:, :, None] * ep[:, None, :]
-        V = np.stack([v0, v1], axis=-1)  # (B, grid, grid, 2)
-        f = np.einsum("btpi,bkij,btpj->bktp", V.conj(), H, V).real
-        m = np.sqrt(np.maximum(f.max(axis=1), 0.0))
-        flat = m.reshape(B, -1)
-        idx = flat.argmin(axis=1)
-        val = flat[np.arange(B), idx]
-        it, ip = np.unravel_index(idx, (grid, grid))
-        upd = val < best
-        best = np.where(upd, val, best)
-        bt = np.where(upd, ths[np.arange(B), it], bt)
-        bp = np.where(upd, phs[np.arange(B), ip], bp)
-        tc, pc = bt.copy(), bp.copy()
-        wt = wt * (4.0 / grid)
-        wp = wp * (4.0 / grid)
+    finite = np.isfinite(mats).all(axis=(1, 2, 3))
+    M = np.where(finite[:, None, None, None], mats, 0.0)
+    scale = np.abs(M).max(axis=(1, 2, 3))
+    scale = np.where(scale > 0, scale, 1.0)
+    M = M / scale[:, None, None, None]
+    H = np.einsum("bkji,bkjl->bkil", M.conj(), M)
+    h00, h01, h11 = H[..., 0, 0].real, H[..., 0, 1], H[..., 1, 1].real
+    a = np.stack([h01.real, -h01.imag, (h00 - h11) / 2], axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        n = _unit(_bloch_candidates((h00 + h11) / 2, a))
+        t = np.arccos(np.clip(n[..., 2], -1.0, 1.0)) / 2
+        p = np.arctan2(n[..., 1], n[..., 0])
+        v = np.stack([np.cos(t), np.exp(1j * p) * np.sin(t)], axis=-1)
+        Mv = np.einsum("bkij,bcj->bcki", M, v)
+        vals = np.sqrt((Mv.real**2 + Mv.imag**2).sum(axis=-1).max(axis=-1))
+    idx = np.where(np.isnan(vals), np.inf, vals).argmin(axis=1)
+    rows = np.arange(mats.shape[0])
+    best = np.where(finite, vals[rows, idx] * scale, np.inf)
+    bt = np.where(finite, t[rows, idx], np.nan)
+    bp = np.where(finite, p[rows, idx], np.nan)
     if single:
         return best[0], bt[0], bp[0]
     return best, bt, bp
+
+
+def _three_blocks(seq, zs: np.ndarray, q: int):
+    """(B+, B++, B-) per z as (len(zs), 3, 2, 2), and the product over
+    [-q, 0) that B- inverts."""
+    back = block_product_grid(seq, zs, -q, 0)
+    fwd = block_product_grid(seq, zs, 0, q)
+    dbl = block_product_grid(seq, zs, 0, 2 * q)
+    return np.stack([fwd, dbl, inv_2x2(back)], axis=1), back
 
 
 @dataclass(frozen=True)
@@ -365,13 +395,9 @@ class LowerBoundResult:
     norm_forward: float
     norm_double: float
     norm_backward: float
-    grid: int
-    rounds: int
 
 
-def gordon_lower_bound(
-    seq, q: int, z: complex, grid: int = 32, rounds: int = 6
-) -> LowerBoundResult:
+def gordon_lower_bound(seq, q: int, z: complex) -> LowerBoundResult:
     """c(z) = min over unit v of max(||B+ v||, ||B++ v||, ||B- v||).
 
     B+ propagates 0 -> q, B++ propagates 0 -> 2q and B- propagates
@@ -382,37 +408,21 @@ def gordon_lower_bound(
     if q < 2 or q % 2 != 0:
         raise DomainError("q must be even and >= 2")
     seq.require(-q, 2 * q)
-    fwd = block_product(seq, z, 0, q)
-    dbl = block_product(seq, z, 0, 2 * q)
-    bwd = np.linalg.inv(block_product(seq, z, -q, 0))
-    c, _, _ = min_max_over_unit_vectors(
-        np.stack([fwd, dbl, bwd]), grid=grid, rounds=rounds
-    )
-    return LowerBoundResult(
-        z=complex(z),
-        c=float(c),
-        norm_forward=float(spectral_norm_2x2(fwd)),
-        norm_double=float(spectral_norm_2x2(dbl)),
-        norm_backward=float(spectral_norm_2x2(bwd)),
-        grid=grid,
-        rounds=rounds,
-    )
+    mats, _ = _three_blocks(seq, np.array([z]), q)
+    c, _, _ = min_max_over_unit_vectors(mats[0])
+    nf, nd, nb = spectral_norm_2x2(mats[0])
+    return LowerBoundResult(complex(z), float(c), float(nf), float(nd), float(nb))
 
 
 def validate_periodic_floor(
-    samples: int = 10_000,
-    seed: int = 20240601,
-    grid: int = 32,
-    rounds: int = 4,
-    chunk: int = 512,
+    samples: int = 10_000, seed: int = 20240601, chunk: int = 512
 ) -> float:
     """Brute-force floor check: random 2x2 matrices with |det| = 1 give
     min over unit v of max(||A v||, ||A^2 v||, ||A^-1 v||) >= 1/2.
 
-    Returns the smallest value seen; it must not undercut 1/2 beyond
-    grid-search slack (the sampled minimum upper-bounds nothing and
-    lower-bounds the search, so a dip below 1/2 would expose an error in
-    either the bound or the solver).
+    Returns the smallest value seen.  The solver is exact and each value is
+    attained at a unit vector, so a dip below 1/2 beyond rounding would
+    expose an error in either the bound or the solver.
     """
     rng = np.random.default_rng(seed)
     worst = np.inf
@@ -427,7 +437,7 @@ def validate_periodic_floor(
         det[bad] = 1.0
         A = A / np.sqrt(np.abs(det))[:, None, None]
         mats = np.stack([A, A @ A, inv_2x2(A)], axis=1)
-        vals, _, _ = min_max_over_unit_vectors(mats, grid=grid, rounds=rounds)
+        vals, _, _ = min_max_over_unit_vectors(mats)
         worst = min(worst, float(vals.min()))
     return worst
 
@@ -447,7 +457,9 @@ class EvidenceTable:
 
     ``source`` records whether q came from a passing certificate or was
     supplied explicitly (the negative-control path for sequences that are
-    deliberately not Gordon).
+    deliberately not Gordon).  ``nonfinite_rows`` counts the rows whose
+    block products or block norms are not finite; a row whose products are
+    not finite has c = inf.
     """
 
     q: int
@@ -457,6 +469,7 @@ class EvidenceTable:
     argmin_angle: float
     threshold: float
     verdict: str
+    nonfinite_rows: int
 
     @property
     def passed(self) -> bool:
@@ -469,8 +482,6 @@ def no_point_spectrum_evidence(
     z_grid: int = 512,
     q: Optional[int] = None,
     extra_angles: Sequence[float] = (),
-    grid: int = 32,
-    rounds: int = 6,
 ) -> EvidenceTable:
     """Tabulate c(z) on a uniform unit-circle grid (plus optional extra
     angles) at the largest certified period, or at an explicit q.
@@ -497,22 +508,14 @@ def no_point_spectrum_evidence(
     angles = list(2.0 * math.pi * np.arange(z_grid) / z_grid)
     angles.extend(float(a) for a in extra_angles)
     zs = np.exp(1j * np.array(angles))
-    fwd = block_product_grid(seq, zs, 0, q_use)
-    dbl = block_product_grid(seq, zs, 0, 2 * q_use)
-    bwd = inv_2x2(block_product_grid(seq, zs, -q_use, 0))
-    mats = np.stack([fwd, dbl, bwd], axis=1)
-    cs, _, _ = min_max_over_unit_vectors(mats, grid=grid, rounds=rounds)
-    nf = spectral_norm_2x2(fwd)
-    nd = spectral_norm_2x2(dbl)
-    nb = spectral_norm_2x2(bwd)
+    mats, back = _three_blocks(seq, zs, q_use)
+    cs, _, _ = min_max_over_unit_vectors(mats)
+    nf, nd, nb = spectral_norm_2x2(mats).T
+    # a non-finite entry makes the norm non-finite; the norm of the product
+    # over [-q, 0) also catches a determinant overflow that zeroes bwd
+    finite = np.isfinite(nf + nd + nb + spectral_norm_2x2(back))
     rows = tuple(
-        EvidenceRow(
-            angle=float(a),
-            c=float(c),
-            norm_forward=float(f),
-            norm_double=float(d),
-            norm_backward=float(b),
-        )
+        EvidenceRow(float(a), float(c), float(f), float(d), float(b))
         for a, c, f, d, b in zip(angles, cs, nf, nd, nb)
     )
     imin = int(np.argmin(cs))
@@ -526,4 +529,5 @@ def no_point_spectrum_evidence(
         argmin_angle=float(angles[imin]),
         threshold=EVIDENCE_PASS_THRESHOLD,
         verdict=verdict,
+        nonfinite_rows=int((~finite).sum()),
     )

@@ -147,8 +147,7 @@ def test_criterion_3_lipschitz_certification():
 
 def test_criterion_4_periodic_case_floor():
     with Budget(30) as b:
-        worst = validate_periodic_floor(samples=10_000, seed=20240601,
-                                        grid=32, rounds=4)
+        worst = validate_periodic_floor(samples=10_000, seed=20240601)
         assert worst >= 0.5 - 1e-9
     report(4, f"min over 1e4 unit-determinant matrices of the three-block "
               f"min-max = {worst:.6f} >= 0.5 - 1e-9 ({b.elapsed:.2f}s)")

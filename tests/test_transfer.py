@@ -232,12 +232,140 @@ def test_certify_tube_sequence_end_to_end():
 # ---------------------------------------------------------------------------
 
 
+def grid_min_max(mats, grid=32, rounds=6):
+    """Reference: zooming grid search for min over unit v of
+    max_k ||mats[:, k] v|| on the projective sphere (cos t, e^(i p) sin t).
+    A grid minimum is attained at a unit vector, so it upper-bounds the
+    exact value."""
+    B = mats.shape[0]
+    H = np.einsum("bkji,bkjl->bkil", mats.conj(), mats)
+    tc = np.full(B, np.pi / 4)
+    pc = np.full(B, np.pi)
+    wt = np.full(B, np.pi / 4)
+    wp = np.full(B, np.pi)
+    best = np.full(B, np.inf)
+    offsets = np.linspace(-1.0, 1.0, grid)
+    rows = np.arange(B)
+    for _ in range(rounds):
+        ths = tc[:, None] + wt[:, None] * offsets[None, :]
+        phs = pc[:, None] + wp[:, None] * offsets[None, :]
+        v0 = np.broadcast_to(np.cos(ths)[:, :, None], (B, grid, grid))
+        v1 = np.sin(ths)[:, :, None] * np.exp(1j * phs)[:, None, :]
+        V = np.stack([v0, v1], axis=-1)
+        f = np.einsum("btpi,bkij,btpj->bktp", V.conj(), H, V).real
+        flat = np.sqrt(np.maximum(f.max(axis=1), 0.0)).reshape(B, -1)
+        idx = flat.argmin(axis=1)
+        val = flat[rows, idx]
+        it, ip = np.unravel_index(idx, (grid, grid))
+        upd = val < best
+        best = np.where(upd, val, best)
+        tc = np.where(upd, ths[rows, it], tc)
+        pc = np.where(upd, phs[rows, ip], pc)
+        wt = wt * (4.0 / grid)
+        wp = wp * (4.0 / grid)
+    return best
+
+
+def unit_det_triples(rng, n):
+    A = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    det = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
+    A = A / np.sqrt(np.abs(det))[:, None, None]
+    return np.stack([A, A @ A, np.linalg.inv(A)], axis=1)
+
+
+def certified_tube_sequence():
+    """Level-2 rotation tube window (golden frequency) with its certificate."""
+    golden = golden_mean()
+    rot = Rotation([golden.value])
+    center = TorusPoint([Fraction(0)])
+    from qpcmv.dynamics import find_even_repetition
+
+    k = 2
+    q = find_even_repetition(rot, center, Fraction(1, k), 4, 100).q
+    br = ball_radius(rot, center, q, Fraction(1, k))
+    f = tube_function(rot, center, q, br.radius, [0.5, -0.5j])
+    seq = verblunsky_window(f, rot, f.gordon_point(), -2 * q, 3 * q + 1)
+    return seq, certify_gordon(seq, [(k, q)])
+
+
+def test_min_max_exact_below_grid_oracle():
+    mats = unit_det_triples(np.random.default_rng(2024), 2000)
+    exact, _, _ = min_max_over_unit_vectors(mats)
+    for lo in range(0, len(mats), 500):
+        grid = grid_min_max(mats[lo:lo + 500])
+        assert np.all(exact[lo:lo + 500] <= grid + 1e-12)
+    assert exact.min() >= 0.5 - 1e-9
+
+
+def test_min_max_exact_below_grid_oracle_on_tube_triple():
+    seq, cert = certified_tube_sequence()
+    q = cert.levels[0].q
+    for th in (0.3, 1.7, 4.0):
+        z = cmath.exp(1j * th)
+        mats = np.stack([
+            block_product(seq, z, 0, q),
+            block_product(seq, z, 0, 2 * q),
+            np.linalg.inv(block_product(seq, z, -q, 0)),
+        ])
+        exact, _, _ = min_max_over_unit_vectors(mats)
+        assert exact <= grid_min_max(mats[None])[0] + 1e-12
+
+
+def test_min_max_value_attained_at_returned_angles():
+    mats = unit_det_triples(np.random.default_rng(7), 500)
+    val, t, p = min_max_over_unit_vectors(mats)
+    v = np.stack([np.cos(t), np.exp(1j * p) * np.sin(t)], axis=-1)
+    direct = np.linalg.norm(
+        np.einsum("bkij,bj->bki", mats, v), axis=-1
+    ).max(axis=-1)
+    assert np.all(np.abs(direct - val) <= 1e-12 * val)
+
+
 def test_min_max_unit_vectors_sanity():
     # single matrix: the min over unit v of ||Av|| is the smallest
     # singular value
     A = np.diag([2.0, 0.5]).astype(complex)
-    val, _, _ = min_max_over_unit_vectors(A[None, :, :][None][0])
-    assert val == pytest.approx(0.5, abs=1e-6)
+    val, _, _ = min_max_over_unit_vectors(A[None])
+    assert val == pytest.approx(0.5, abs=1e-12)
+    rng = np.random.default_rng(5)
+    mats = rng.normal(size=(300, 1, 2, 2)) + 1j * rng.normal(size=(300, 1, 2, 2))
+    vals, _, _ = min_max_over_unit_vectors(mats)
+    smin = np.linalg.svd(mats[:, 0], compute_uv=False)[:, -1]
+    scale = np.abs(mats).max(axis=(1, 2, 3))
+    assert np.all(np.abs(vals - smin) <= 1e-12 * scale)
+
+
+def test_min_max_on_circle_of_constant_value():
+    # the first two norms depend on n_z only and agree at n_z = 2/5 with
+    # squared value 2.875, their lowest common maximum; the third stays
+    # below it everywhere (identity) or on an arc of that circle
+    # (H = 3.375 I + sigma_x, below it where n_x <= -1/2)
+    sp, sm = np.sqrt(4.375), np.sqrt(2.375)
+    arc = np.array([[sp + sm, sp - sm], [sp - sm, sp + sm]]) / 2
+    for third in (np.eye(2), arc):
+        mats = np.array(
+            [np.diag([2.0, 0.5]), np.diag([0.5, 3.0]), third], dtype=complex
+        )
+        val, _, _ = min_max_over_unit_vectors(mats)
+        assert val == pytest.approx(np.sqrt(2.875), rel=1e-12)
+
+
+def test_min_max_unitary_triple_is_one():
+    rng = np.random.default_rng(9)
+    G = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+    U = np.linalg.qr(G)[0]
+    val, _, _ = min_max_over_unit_vectors(U)
+    assert val == pytest.approx(1.0, abs=1e-15)
+
+
+def test_min_max_non_finite_rows_are_inf():
+    mats = unit_det_triples(np.random.default_rng(1), 3)
+    mats[0, 0, 0, 0] = np.inf
+    mats[1, 2, 1, 1] = np.nan
+    mats[2] *= 1e300
+    vals, t, _ = min_max_over_unit_vectors(mats)
+    assert np.isinf(vals[:2]).all() and np.isnan(t[:2]).all()
+    assert np.isfinite(vals[2]) and vals[2] >= 0.5e300
 
 
 def test_lower_bound_free_case_is_one():
@@ -264,22 +392,12 @@ def test_periodic_floor_brute_force_small():
 
 
 def test_lower_bound_certified_sequence_reports_both_sides():
-    golden = golden_mean()
-    rot = Rotation([golden.value])
-    center = TorusPoint([Fraction(0)])
-    from qpcmv.dynamics import find_even_repetition
-
-    k = 2
-    q = find_even_repetition(rot, center, Fraction(1, k), 4, 100).q
-    br = ball_radius(rot, center, q, Fraction(1, k))
-    f = tube_function(rot, center, q, br.radius, [0.5, -0.5j])
-    seq = verblunsky_window(f, rot, f.gordon_point(), -2 * q, 3 * q + 1)
-    cert = certify_gordon(seq, [(k, q)])
+    seq, cert = certified_tube_sequence()
     assert cert.all_passed
     lev = cert.levels[0]
-    eta = float(k) ** -q * max(1.0, lev.r)
+    eta = float(lev.k) ** -lev.q * max(1.0, lev.r)
     for th in (0.3, 1.7):
-        res = gordon_lower_bound(seq, q, cmath.exp(1j * th))
+        res = gordon_lower_bound(seq, lev.q, cmath.exp(1j * th))
         assert res.c >= 0.5 - eta
 
 
@@ -346,3 +464,25 @@ def test_evidence_grid_refinement_stability():
     t1 = no_point_spectrum_evidence(seq, q=q, z_grid=128)
     t2 = no_point_spectrum_evidence(seq, q=q, z_grid=256)
     assert abs(t2.min_c - t1.min_c) < 0.1 * max(t1.min_c, 1e-12)
+
+
+@pytest.mark.parametrize("q", [256, 512])
+def test_evidence_counts_nonfinite_rows(q):
+    # exactly q-periodic, |alpha| = 0.5: hyperbolic products overflow the
+    # closed-form block norms at large q
+    rng = np.random.default_rng(q)
+    cell = 0.5 * np.exp(2j * np.pi * rng.random(q))
+    seq = VerblunskySequence(-q, 2 * q, np.tile(cell, 4)[: 3 * q + 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = no_point_spectrum_evidence(seq, q=q, z_grid=512)
+    c = np.array([r.c for r in table.rows])
+    norms = np.array(
+        [[r.norm_forward, r.norm_double, r.norm_backward] for r in table.rows]
+    )
+    assert not np.isnan(c).any()
+    # periodic window: the product over [-q, 0) equals the forward block,
+    # so the row norms see every non-finite product
+    assert table.nonfinite_rows == int((~np.isfinite(norms)).any(axis=1).sum())
+    assert table.verdict in ("PASS", "FAIL")
+    if q == 512:
+        assert table.nonfinite_rows > 0
