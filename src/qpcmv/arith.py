@@ -87,6 +87,21 @@ def dist_to_int(x):
     return f if f <= other else other
 
 
+def common_denominator(*values) -> int:
+    """Least common multiple of the denominators of exact rationals.
+
+    Over this D every value is an integer multiple of 1/D, so torus
+    arithmetic on them reduces to integer arithmetic modulo D.
+    """
+    return math.lcm(1, *(as_fraction(v).denominator for v in values))
+
+
+def circle_dist(x: int, d: int) -> int:
+    """Integer form of ``dist_to_int``: D * dist_to_int(x / D), for D = d."""
+    r = x % d
+    return min(r, d - r)
+
+
 def signed_frac(x):
     """Representative of x mod 1 in (-1/2, 1/2]."""
     f = mod1(x)

@@ -145,12 +145,62 @@ def _cmd_orbit(args) -> int:
     return 0
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_scalar(x) -> bool:
+    """A JSON string or number, as accepted for exact rationals."""
+    return isinstance(x, str) or _is_number(x)
+
+
+def _read_construct_spec(path) -> dict:
+    """The --construct-ck JSON object, checked before any field is used."""
+    with open(path) as fh:
+        spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise QpcmvError("construct spec must be a JSON object")
+    required = ["freq", "center", "period", "radius", "values"]
+    if spec.get("radius") == "auto":
+        required.append("epsilon")
+    missing = [k for k in required if k not in spec]
+    if missing:
+        raise QpcmvError(f"construct spec lacks {', '.join(missing)}")
+    system = spec.get("system", "rotation")
+    if system not in ("rotation", "skew"):
+        raise QpcmvError(f"construct spec system must be rotation or skew, "
+                         f"got {system!r}")
+    center = spec["center"]
+    if not (isinstance(center, list) and center
+            and all(_is_scalar(c) for c in center)):
+        raise QpcmvError("construct spec center must be a non-empty list of "
+                         "numbers or strings")
+    if system == "skew" and len(center) != 2:
+        raise QpcmvError(f"skew-shift center needs 2 coordinates, "
+                         f"got {len(center)}")
+    period = spec["period"]
+    if not (isinstance(period, int) and not isinstance(period, bool)
+            and period >= 1):
+        raise QpcmvError(f"construct spec period must be an integer >= 1, "
+                         f"got {period!r}")
+    values = spec["values"]
+    if not (isinstance(values, list) and all(
+            isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))
+            for v in values)):
+        raise QpcmvError("construct spec values must be [re, im] pairs of "
+                         "numbers")
+    for key in ("freq", "radius", "epsilon"):
+        if key in spec and not _is_scalar(spec[key]):
+            raise QpcmvError(f"construct spec {key} must be a number or a "
+                             f"string, got {spec[key]!r}")
+    return spec
+
+
 def _cmd_sample(args) -> int:
     out = _out_dir(args)
     n_min, n_max = (int(x) for x in args.window.split(":"))
     if args.construct_ck:
-        with open(args.construct_ck) as fh:
-            spec = json.load(fh)
+        spec = _read_construct_spec(args.construct_ck)
         freq = parse_frequency(str(spec["freq"]), bits=args.precision_bits)
         center = TorusPoint([as_fraction(str(c)) for c in spec["center"]])
         if spec.get("system", "rotation") == "rotation":

@@ -326,6 +326,9 @@ def _tube_stage(rep: _Report, cfg: ExperimentConfig, system, omega, reps):
         path = rep.artifact("sampling", "verblunsky.csv")
         sequences[k_top].to_csv(path, seed=cfg.seed)
         st["levels"] = sorted(sequences)
+        st["denominator_bits"] = {
+            str(k): br.denominator_bits for k, (_, br) in constructions.items()
+        }
     return sequences, constructions
 
 

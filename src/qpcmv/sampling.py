@@ -15,11 +15,12 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import as_fraction, dist_to_int
+from .arith import as_fraction, circle_dist, common_denominator
 from .dynamics import Rotation, TorusDynamics, TorusPoint, iterate
 from .errors import (
     ConstructionError,
@@ -123,12 +124,57 @@ class BallRadiusReport:
     disjoint_bound: Fraction
     containment_bound: Fraction
     verified: bool
+    denominator_bits: int
 
 
-def _pair_separations_rotation(system: Rotation, q: int):
-    """Center separations for a rotation depend only on the index gap."""
-    for m in range(1, 5 * q):
-        yield m, tuple(dist_to_int(m * s) for s in system.shift)
+# The exact tube checks run on integers: every coordinate involved is a
+# multiple of 1/D for one shared denominator D, so a torus point is a tuple
+# of residues mod D, equality on the torus is equality of residues and
+# D * dist_to_int(x / D) is circle_dist(x, D).  Results go back to Fraction
+# only at the return boundary.
+
+
+def _denominator(system: TorusDynamics, center: TorusPoint, *extra) -> int:
+    freq = system.shift if isinstance(system, Rotation) else (system.a,)
+    return common_denominator(*center.coords, *freq, *extra)
+
+
+def _scaled(x, d: int) -> int:
+    """x * d for a rational x whose denominator divides d."""
+    x = as_fraction(x)
+    return x.numerator * (d // x.denominator)
+
+
+def _integer_map(system: TorusDynamics, d: int):
+    """Closed-form T^n on integer coordinates over d."""
+    if isinstance(system, Rotation):
+        shift = [_scaled(s, d) for s in system.shift]
+
+        def image(p, n):
+            return tuple((c + n * s) % d for c, s in zip(p, shift))
+
+        return image
+    a = _scaled(system.a, d)
+
+    def image(p, n):
+        p1, p2 = p
+        return ((p1 + 2 * n * a) % d, (p2 + n * p1 + n * (n - 1) * a) % d)
+
+    return image
+
+
+def _cheb(p, r, d: int) -> int:
+    """d * (torus distance of p / d and r / d)."""
+    return max(circle_dist(x - y, d) for x, y in zip(p, r))
+
+
+def _kernel(system: TorusDynamics, center: TorusPoint, *extra):
+    """(d, centre over d, T^n over d) for d the common denominator of the
+    system, the centre and ``extra``."""
+    if not isinstance(system, Rotation) and center.dim != 2:
+        raise DomainError("skew-shift needs a T^2 point")
+    d = _denominator(system, center, *extra)
+    return d, tuple(_scaled(c, d) for c in center.coords), _integer_map(system, d)
 
 
 def ball_radius(
@@ -145,7 +191,12 @@ def ball_radius(
     Disjointness and containment are derived from exact center separations
     plus the bounding-box growth of the dynamics (rotations are isometries;
     the skew-shift shears the second coordinate by the iteration count),
-    then re-verified on a boundary grid of the ball.
+    then re-verified on a boundary grid of the ball by :func:`verify_ball`.
+    Every separation and bound is computed on integers over one common
+    denominator D (of the centre, the frequency and 10 epsilon) and
+    returned as an exact Fraction; ``denominator_bits`` is the bit length
+    of the D the verification ran on (which also covers the radius and
+    the boundary grid).
     """
     epsilon = as_fraction(epsilon)
     if q < 1:
@@ -153,29 +204,32 @@ def ball_radius(
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
 
-    disjoint_bound: Optional[Fraction] = None
-    min_gap: Optional[Fraction] = None
+    rotation = isinstance(system, Rotation)
+    d, c, image = _kernel(system, center, 10 * epsilon)
+    orbit = [image(c, n) for n in range(0, 5 * q + 1)]
+    min_gap: Optional[int] = None
 
-    if isinstance(system, Rotation):
-        for m, seps in _pair_separations_rotation(system, q):
-            cheb = max(seps)
+    if rotation:
+        # separations of a rotation orbit depend only on the index gap m;
+        # image(zero, m) is m * shift mod d
+        zero = (0,) * center.dim
+        for m in range(1, 5 * q):
+            cheb = max(circle_dist(x, d) for x in image(zero, m))
             if cheb == 0:
                 raise DegenerateOrbitError(
                     f"orbit returns exactly after {m} steps inside the 5q horizon"
                 )
             if min_gap is None or cheb < min_gap:
                 min_gap = cheb
-        disjoint_bound = min_gap / 2
-        orbit = [iterate(system, center, n) for n in range(0, 5 * q + 1)]
+        disjoint_bound = Fraction(min_gap, 2 * d)
     else:
-        orbit = [iterate(system, center, n) for n in range(0, 5 * q + 1)]
+        # the pair bound max(s1 / 2, s2 / (i + j + 2)) / d is kept as an
+        # integer (numerator, denominator) and compared cross-multiplied
+        bound: Optional[tuple[int, int]] = None
         for i in range(1, 5 * q + 1):
             for j in range(i + 1, 5 * q + 1):
-                seps = [
-                    dist_to_int(a - b)
-                    for a, b in zip(orbit[i].coords, orbit[j].coords)
-                ]
-                cheb = max(seps)
+                s1, s2 = (circle_dist(x - y, d) for x, y in zip(orbit[i], orbit[j]))
+                cheb = max(s1, s2)
                 if cheb == 0:
                     raise DegenerateOrbitError(
                         f"orbit points {i} and {j} collide within the 5q horizon"
@@ -184,44 +238,47 @@ def ball_radius(
                     min_gap = cheb
                 # images stay in boxes of half-width r resp. (n+1) r; the
                 # pair is split as soon as one coordinate separates them
-                b1 = seps[0] / 2
-                b2 = seps[1] / Fraction(i + j + 2)
-                pair_bound = max(b1, b2)
-                if disjoint_bound is None or pair_bound < disjoint_bound:
-                    disjoint_bound = pair_bound
+                w = i + j + 2
+                pair = (s1, 2) if s1 * w >= 2 * s2 else (s2, w)
+                if bound is None or pair[0] * bound[1] < bound[0] * pair[1]:
+                    bound = pair
+        disjoint_bound = Fraction(bound[0], bound[1] * d)
 
-    contain_bound: Optional[Fraction] = None
-    spread_max = Fraction(0)
+    # room left in the 5 epsilon ball is (10 epsilon d - spread) / (2 d); the
+    # skew-shift shears the box of ball n = j + 4q, so divides it by n + 1
+    ten_eps = _scaled(10 * epsilon, d)
+    contain: Optional[tuple[int, int]] = None
+    spread_max = 0
     for j in range(1, q + 1):
-        idx = [j + l * q for l in range(5)]
-        spread = Fraction(0)
-        for a in range(5):
-            for b in range(a + 1, 5):
-                d = orbit[idx[a]].dist(orbit[idx[b]])
-                if d > spread:
-                    spread = d
+        tube = [orbit[j + l * q] for l in range(5)]
+        spread = max(_cheb(a, b, d) for a, b in combinations(tube, 2))
         spread_max = max(spread_max, spread)
-        room = 5 * epsilon - spread / 2
+        room = ten_eps - spread
         if room <= 0:
             raise DegenerateOrbitError(
                 f"tube {j} centers alone spread beyond the 5*epsilon ball"
             )
-        jb = room if isinstance(system, Rotation) else room / (idx[-1] + 1)
-        if contain_bound is None or jb < contain_bound:
-            contain_bound = jb
+        w = 2 if rotation else 2 * (j + 4 * q + 1)
+        if contain is None or room * contain[1] < contain[0] * w:
+            contain = (room, w)
+    contain_bound = Fraction(contain[0], contain[1] * d)
 
     radius = min(disjoint_bound * _RADIUS_MARGIN, contain_bound, Fraction(1, 8))
     if radius < _RADIUS_FLOOR:
         raise DegenerateOrbitError("no positive radius above the precision floor")
     if not verify_ball(system, center, q, epsilon, radius, grid):
         raise DegenerateOrbitError("boundary-grid verification failed")
+    offsets = _sample_offsets(center.dim, radius, grid)
     return BallRadiusReport(
         radius=radius,
-        min_center_gap=min_gap,
-        tube_spread=spread_max,
+        min_center_gap=Fraction(min_gap, d),
+        tube_spread=Fraction(spread_max, d),
         disjoint_bound=disjoint_bound,
         containment_bound=contain_bound,
         verified=True,
+        denominator_bits=_denominator(
+            system, center, 10 * epsilon, *chain.from_iterable(offsets)
+        ).bit_length(),
     )
 
 
@@ -244,66 +301,79 @@ def _boundary_offsets(dim: int, radius: Fraction, grid: int):
     raise DomainError("boundary grid implemented for d <= 2")
 
 
+def _sample_offsets(dim: int, radius: Fraction, grid: int):
+    """The distinct boundary offsets (corners appear twice) and the centre."""
+    offsets = _boundary_offsets(dim, radius, grid) + [(Fraction(0),) * dim]
+    return list(dict.fromkeys(offsets))
+
+
 def verify_ball(system, center, q, epsilon, radius, grid: int = 8) -> bool:
     """Grid re-verification of disjointness and 5-epsilon containment.
+
+    Samples are the centre and the boundary grid points of B(center,
+    radius).  False if a sample of T^i B equals a sample of T^j B exactly
+    (i != j in 1..5q) or two samples of one tube U_l T^(j+lq) B are more
+    than min(10 epsilon, 1/2) apart.  The checks are exact, on integers
+    over the common denominator D of the centre, the frequency, the
+    samples and 10 epsilon.  Skew-shift images are hashed by their residues
+    mod D, so collisions cost one lookup per sample, and each tube's
+    diameter is checked over all pairs of its distinct samples, one
+    coordinate at a time.  A rotation compares the index gaps m * shift
+    with the distinct offset differences, and its tube diameter needs only
+    the shifts k q, k = -4..4.
 
     Sampling can only falsify; a False here means the analytic bounds were
     wrong, so callers treat it as fatal.
     """
     epsilon = as_fraction(epsilon)
     radius = as_fraction(radius)
-    offsets = _boundary_offsets(center.dim, radius, grid)
-    offsets = offsets + [tuple(Fraction(0) for _ in range(center.dim))]
-    half = Fraction(1, 2)
-    ten_eps = min(2 * 5 * epsilon, half)
+    offsets = _sample_offsets(center.dim, radius, grid)
+    d, c, image = _kernel(
+        system, center, 10 * epsilon, *chain.from_iterable(offsets)
+    )
+    offsets = [tuple(_scaled(x, d) for x in off) for off in offsets]
+    # circle distances never exceed d / 2, so this bound acts as
+    # min(10 epsilon, 1/2) * d
+    ten_eps = _scaled(10 * epsilon, d)
 
     if isinstance(system, Rotation):
-        # separation of samples of T^i B and T^j B only depends on i - j
-        deltas = [
-            tuple(a - b for a, b in zip(o1, o2))
+        # samples of T^i B and T^(i+m) B differ by m * shift + an offset
+        # difference, whatever i
+        zero = (0,) * center.dim
+        deltas = {
+            tuple((x - y) % d for x, y in zip(o1, o2))
             for o1 in offsets
             for o2 in offsets
-        ]
+        }
         for m in range(1, 5 * q):
-            shift = [m * s for s in system.shift]
-            for delta in deltas:
-                d = max(
-                    dist_to_int(sh + dl) for sh, dl in zip(shift, delta)
-                )
-                if d == 0:
-                    return False
-        # tube diameter likewise independent of the tube index
-        diam = Fraction(0)
-        for la in range(5):
-            for lb in range(5):
-                shift = [(la - lb) * q * s for s in system.shift]
-                for delta in deltas:
-                    d = max(
-                        dist_to_int(sh + dl) for sh, dl in zip(shift, delta)
-                    )
-                    if d > diam:
-                        diam = d
-        return diam <= ten_eps
+            if tuple(-x % d for x in image(zero, m)) in deltas:
+                return False
+        return all(
+            max(circle_dist(x + y, d) for x, y in zip(image(zero, k * q), delta))
+            <= ten_eps
+            for k in range(-4, 5)
+            for delta in deltas
+        )
 
-    points = [
-        TorusPoint([c + o for c, o in zip(center.coords, off)])
-        for off in offsets
-    ]
-    images = {
-        n: [iterate(system, p, n) for p in points] for n in range(1, 5 * q + 1)
-    }
-    for i in range(1, 5 * q + 1):
-        for j in range(i + 1, 5 * q + 1):
-            for a in images[i]:
-                for b in images[j]:
-                    if a.dist(b) == 0:
-                        return False
+    seen: dict[tuple, int] = {}
+    images = {}
+    for n in range(1, 5 * q + 1):
+        samples = {
+            image(tuple(x + o for x, o in zip(c, off)), n) for off in offsets
+        }
+        for p in samples:
+            if seen.setdefault(p, n) != n:
+                return False
+        images[n] = samples
     for j in range(1, q + 1):
-        tube = [p for l in range(5) for p in images[j + l * q]]
-        for a in range(len(tube)):
-            for b in range(a + 1, len(tube)):
-                if tube[a].dist(tube[b]) > ten_eps:
-                    return False
+        tube = set().union(*(images[j + l * q] for l in range(5)))
+        # the max-metric diameter is the largest one-coordinate diameter
+        for values in zip(*tube):
+            if any(
+                circle_dist(x - y, d) > ten_eps
+                for x, y in combinations(set(values), 2)
+            ):
+                return False
     return True
 
 
@@ -343,17 +413,20 @@ class TubeFunction:
         self._check_disjoint()
 
     def _check_disjoint(self):
-        two_r = 2 * self.radius
+        d, c, image = _kernel(self.system, self.center, 2 * self.radius)
+        two_r = _scaled(2 * self.radius, d)
         if isinstance(self.system, Rotation):
+            zero = (0,) * self.center.dim
             for m in range(1, 5 * self.q):
-                if max(dist_to_int(m * s) for s in self.system.shift) <= two_r:
+                if max(circle_dist(x, d) for x in image(zero, m)) <= two_r:
                     raise ConstructionError(
                         f"balls {m} apart overlap at radius {float(self.radius)}"
                     )
             return
+        orbit = [image(c, n) for n in range(0, 5 * self.q + 1)]
         for i in range(1, 5 * self.q + 1):
             for j in range(i + 1, 5 * self.q + 1):
-                if self._orbit[i].dist(self._orbit[j]) <= two_r:
+                if _cheb(orbit[i], orbit[j], d) <= two_r:
                     raise ConstructionError(
                         f"balls {i} and {j} overlap at radius {float(self.radius)}"
                     )

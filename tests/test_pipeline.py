@@ -87,6 +87,10 @@ def test_liouville_run_passes(tmp_path):
     assert (tmp_path / "orbit.json").exists()
     periods = doc["stages"]["repetition"]["periods"]
     assert set(periods) == {"1", "2", "3"}
+    # the Liouville frequency, sum of 2^-(n!) for n <= 4, has denominator
+    # 2^24; the common denominator adds those of 10 epsilon and the radius
+    bits = doc["stages"]["sampling"]["denominator_bits"]
+    assert bits == {"1": 28, "2": 28, "3": 34}
 
 
 def test_impurity_run_fails_evidence(tmp_path):
@@ -222,3 +226,47 @@ def test_cli_error_paths(tmp_path, capsys):
     rc = main(["frequency", "--out", str(tmp_path)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+GOOD_SPEC = {
+    "freq": "golden",
+    "system": "skew",
+    "center": ["0", "1/4"],
+    "period": 2,
+    "radius": "auto",
+    "epsilon": "1/10",
+    "values": [[0.5, 0.0], [0.0, 0.5]],
+}
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ({k: v for k, v in GOOD_SPEC.items() if k != "period"}, "period"),
+        ({**GOOD_SPEC, "values": [[0.1], [0.0, 0.5]]}, "[re, im]"),
+        ([GOOD_SPEC], "JSON object"),
+        ({**GOOD_SPEC, "center": ["0"]}, "2 coordinates"),
+        ({**GOOD_SPEC, "period": "2"}, "period"),
+        ({**GOOD_SPEC, "system": "shift"}, "rotation or skew"),
+    ],
+)
+def test_cli_construct_ck_rejects_bad_spec(tmp_path, capsys, spec, message):
+    spec_path = tmp_path / "tubes.json"
+    spec_path.write_text(json.dumps(spec))
+    rc = main(["sample", "--construct-ck", str(spec_path), "--window=-4:6",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "verblunsky.csv").exists()
+
+
+def test_cli_construct_ck_skew(tmp_path):
+    spec_path = tmp_path / "tubes.json"
+    spec_path.write_text(json.dumps(GOOD_SPEC))
+    rc = main(["sample", "--construct-ck", str(spec_path), "--window=-4:7",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    seq = VerblunskySequence.from_csv(tmp_path / "verblunsky.csv")
+    for n in range(-3, 5):
+        assert seq.alpha(n) == seq.alpha(n + 2)

@@ -1,10 +1,13 @@
 import cmath
 import math
+import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qpcmv.arith import as_fraction, dist_to_int
 from qpcmv.dynamics import Rotation, SkewShift, TorusPoint, iterate
 from qpcmv.errors import (
     ConstructionError,
@@ -17,7 +20,9 @@ from qpcmv.sampling import (
     HarmonicFunction,
     PerturbedFunction,
     TentBump,
+    TubeFunction,
     VerblunskySequence,
+    _boundary_offsets,
     ball_radius,
     distance_to_tubes,
     min_enclosing_circle,
@@ -26,6 +31,7 @@ from qpcmv.sampling import (
     tube_sample_points,
     tube_tolerance_verdict,
     verblunsky_window,
+    verify_ball,
 )
 from qpcmv.transfer import certify_gordon, coefficient_tolerance
 
@@ -112,6 +118,228 @@ def test_ball_radius_rational_collision():
         ball_radius(rot, ORIGIN, 2, Fraction(1, 2))
 
 
+# Every report field, as computed by the Fraction implementation that the
+# integer kernel replaced (golden mean at 256 bits).
+GOLDEN_REPORTS = {
+    "rotation-q144": dict(
+        radius="2101065006051440418224089863368878889561760878387952458465932401169900139313/5789604461865809771178549250434395392663499233282028201972879200395656481996800",
+        min_center_gap="21222878849004448668930200640089685753149099781696489479453862638079799387/28948022309329048855892746252171976963317496166410141009864396001978282409984",
+        tube_spread="11237694685328167439233513035280950651266705320544259740714638480342842973/904625697166532776746648320380374280103671755200316906558262375061821325312",
+        disjoint_bound="21222878849004448668930200640089685753149099781696489479453862638079799387/57896044618658097711785492504343953926634992332820282019728792003956564819968",
+        containment_bound="396124375156625551177156595013782386795502350997437154575557995129196447791/9046256971665327767466483203803742801036717552003169065582623750618213253120",
+        denominator_bits=262,
+    ),
+    "skew-q2": dict(
+        radius="22875979447705960396971234568506784943571706545566032680426693160471549817003/955284736207858612244460626321675239789477373491534653325525068065283319529472",
+        min_center_gap="403304498150162141602869643839642007896217080680201320663751570969736460469/3618502788666131106986593281521497120414687020801267626233049500247285301248",
+        tube_spread="20546054016287612886867884809751180501404537704049178834369900842495873797973/43422033463993573283839119378257965444976244249615211514796594002967423614976",
+        disjoint_bound="403304498150162141602869643839642007896217080680201320663751570969736460469/14474011154664524427946373126085988481658748083205070504932198000989141204992",
+        containment_bound="22875979447705960396971234568506784943571706545566032680426693160471549817003/955284736207858612244460626321675239789477373491534653325525068065283319529472",
+        denominator_bits=263,
+    ),
+    "skew-q4": dict(
+        radius="37702081769171074865715859159138930552774683333872167317049907106896026677777/5789604461865809771178549250434395392663499233282028201972879200395656481996800",
+        min_center_gap="403304498150162141602869643839642007896217080680201320663751570969736460469/7237005577332262213973186563042994240829374041602535252466099000494570602496",
+        tube_spread="3607265093980802939547359768486216169763420315480723366492334861766942458275/7237005577332262213973186563042994240829374041602535252466099000494570602496",
+        disjoint_bound="380829108779505806724402617769080106593683670039112801182322294009050774523/57896044618658097711785492504343953926634992332820282019728792003956564819968",
+        containment_bound="7595359296741111685819122154741512446120524301000559534166992017542935691073/607908468495910025973747671295611516229667419494612961207152316041543930609664",
+        denominator_bits=265,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_ball_radius_report_pinned(name):
+    a = golden_mean(bits=256).value
+    system, center, q, eps = {
+        "rotation-q144": (Rotation([a]), ORIGIN, 144, Fraction(1, 100)),
+        "skew-q2": (SkewShift(a), TorusPoint.exact("1/3", "2/7"), 2,
+                    Fraction(1, 10)),
+        "skew-q4": (SkewShift(a), TorusPoint.exact(0, 0), 4, Fraction(1, 10)),
+    }[name]
+    report = ball_radius(system, center, q, eps)
+    expected = dict(GOLDEN_REPORTS[name])
+    assert report.denominator_bits == expected.pop("denominator_bits")
+    for field, value in expected.items():
+        assert getattr(report, field) == Fraction(value), field
+    assert report.verified is True
+
+
+def test_large_skew_q_is_fast_and_periodic():
+    # the Fraction implementation needed ~100 s for this ball_radius alone
+    q = 16
+    system = SkewShift(golden_mean(bits=256).value)
+    center = TorusPoint.exact(0, 0)
+    t0 = time.perf_counter()
+    br = ball_radius(system, center, q, Fraction(1, 10))
+    assert br.verified
+    values = [0.5 * cmath.exp(2j * math.pi * j / q) for j in range(q)]
+    f = tube_function(system, center, q, br.radius, values)
+    seq = verblunsky_window(f, system, f.gordon_point(), -2 * q, 3 * q + 1)
+    elapsed = time.perf_counter() - t0
+    for n in range(-2 * q + 1, 2 * q + 1):
+        assert seq.alpha(n) == seq.alpha(n + q)
+    assert elapsed < 5.0, f"q = 16 skew tube took {elapsed:.1f}s"
+
+
+# ---------------------------------------------------------------------------
+# verify_ball against the Fraction implementation it replaced
+# ---------------------------------------------------------------------------
+
+
+def fraction_verify_ball(system, center, q, epsilon, radius, grid=8):
+    """Test oracle: the pairwise Fraction re-verification, check by check."""
+    epsilon = as_fraction(epsilon)
+    radius = as_fraction(radius)
+    offsets = _boundary_offsets(center.dim, radius, grid)
+    offsets = offsets + [tuple(Fraction(0) for _ in range(center.dim))]
+    half = Fraction(1, 2)
+    ten_eps = min(2 * 5 * epsilon, half)
+
+    if isinstance(system, Rotation):
+        deltas = [
+            tuple(a - b for a, b in zip(o1, o2))
+            for o1 in offsets
+            for o2 in offsets
+        ]
+        for m in range(1, 5 * q):
+            shift = [m * s for s in system.shift]
+            for delta in deltas:
+                d = max(
+                    dist_to_int(sh + dl) for sh, dl in zip(shift, delta)
+                )
+                if d == 0:
+                    return False
+        diam = Fraction(0)
+        for la in range(5):
+            for lb in range(5):
+                shift = [(la - lb) * q * s for s in system.shift]
+                for delta in deltas:
+                    d = max(
+                        dist_to_int(sh + dl) for sh, dl in zip(shift, delta)
+                    )
+                    if d > diam:
+                        diam = d
+        return diam <= ten_eps
+
+    points = [
+        TorusPoint([c + o for c, o in zip(center.coords, off)])
+        for off in offsets
+    ]
+    images = {
+        n: [iterate(system, p, n) for p in points] for n in range(1, 5 * q + 1)
+    }
+    for i in range(1, 5 * q + 1):
+        for j in range(i + 1, 5 * q + 1):
+            for a in images[i]:
+                for b in images[j]:
+                    if a.dist(b) == 0:
+                        return False
+    for j in range(1, q + 1):
+        tube = [p for l in range(5) for p in images[j + l * q]]
+        for a in range(len(tube)):
+            for b in range(a + 1, len(tube)):
+                if tube[a].dist(tube[b]) > ten_eps:
+                    return False
+    return True
+
+
+# cases per (system, grid, q); the oracle's cost grows with the number of
+# boundary samples, so two-dimensional fine grids get the fewest cases
+_ORACLE_COUNTS = {
+    **{("rotation-1d", g, q): 19 for g in (1, 2, 3, 8) for q in (1, 2, 3)},
+    **{("rotation-2d", g, q): n for g, n in ((1, 6), (2, 4), (3, 3))
+       for q in (1, 2, 3)},
+    ("rotation-2d", 8, 2): 1,
+    **{("skew", g, q): n for g, n in ((1, 8), (2, 3), (3, 2)) for q in (1, 2, 3)},
+    ("skew", 8, 1): 2,
+}
+
+
+def _oracle_cases():
+    """Seeded verify_ball inputs in three styles:
+
+    generic  -- frequency with denominator 2^20 + 1, small radius;
+    rational -- frequency of short period and epsilon = 1/2, so the tube
+                diameter cannot fail and every False is an exact collision
+                (sometimes of the centres, sometimes of touching balls);
+    large    -- generic frequency, radius k/16 against 10 epsilon <= 1/3,
+                so a False is a tube-diameter failure.
+    """
+    rng = random.Random(20261018)
+    styles = ("generic", "rational", "large")
+    cases = []
+    for (kind, grid, q), count in _ORACLE_COUNTS.items():
+        dim = 1 if kind == "rotation-1d" else 2
+        for v in range(count):
+            style = styles[v % 3]
+            if style == "rational":
+                den = rng.randrange(2, 5 * q + 2)
+                freq = [Fraction(rng.randrange(1, den), den) for _ in range(dim)]
+                center = TorusPoint([Fraction(rng.randrange(den), den)
+                                     for _ in range(dim)])
+                radius = Fraction(1, rng.choice([2 * den, 64, 300]))
+                eps = Fraction(1, 2)
+            else:
+                freq = [Fraction(rng.randrange(1, 2**20), 2**20 + 1)
+                        for _ in range(dim)]
+                if style == "generic":
+                    radius = Fraction(1, rng.choice([100, 1000, 7**5]))
+                    eps = Fraction(1, rng.choice([10, 20, 100]))
+                else:
+                    radius = Fraction(rng.randrange(1, 8), 16)
+                    eps = Fraction(1, rng.choice([30, 50, 100]))
+                center = TorusPoint([Fraction(rng.randrange(64), 64)
+                                     for _ in range(dim)])
+            system = SkewShift(freq[0]) if kind == "skew" else Rotation(freq)
+            cases.append((kind, style, system, center, q, eps, radius, grid))
+    return cases
+
+
+def test_verify_ball_matches_fraction_oracle():
+    cases = _oracle_cases()
+    assert len(cases) >= 300
+    outcomes = {}
+    for kind, style, system, center, q, eps, radius, grid in cases:
+        expected = fraction_verify_ball(system, center, q, eps, radius, grid)
+        got = verify_ball(system, center, q, eps, radius, grid)
+        assert got == expected, (kind, style, system, center, q, eps, radius,
+                                 grid)
+        system_kind = "skew" if kind == "skew" else "rotation"
+        outcomes.setdefault((system_kind, style), []).append(got)
+    for system_kind in ("rotation", "skew"):
+        for style in ("generic", "rational", "large"):
+            got = outcomes[system_kind, style]
+            assert got.count(False) >= 3, (system_kind, style)
+            if style == "generic":
+                assert got.count(True) >= 3, (system_kind, style)
+
+
+@pytest.mark.parametrize("a,center", [
+    # tube centres spread 48/97 in the first coordinate, 197/776 in the
+    # second: only the first coordinate decides
+    (Fraction(6, 97), ("11/16", 0)),
+    # spreads 4/199 and 197/398: only the second coordinate decides
+    (Fraction(100, 199), ("1/2", 0)),
+])
+def test_verify_ball_skew_diameter_per_coordinate(a, center):
+    system = SkewShift(a)
+    center = TorusPoint.exact(*center)
+    radius = Fraction(1, 10**6)
+    for eps, expected in ((Fraction(3, 100), False), (Fraction(497, 10000), True)):
+        args = (system, center, 1, eps, radius, 2)
+        assert fraction_verify_ball(*args) is expected
+        assert verify_ball(*args) is expected
+
+
+def test_verify_ball_touching_balls_collide():
+    # radius shift/2: the right edge of T^n B is the left edge of T^(n+1) B
+    rot = Rotation([Fraction(1, 3) + Fraction(1, 2**40)])
+    r = rot.shift[0] / 2
+    assert not verify_ball(rot, ORIGIN, 1, Fraction(1, 2), r)
+    assert verify_ball(rot, ORIGIN, 1, Fraction(1, 2), r * Fraction(99, 100))
+
+
 # ---------------------------------------------------------------------------
 # tube functions
 # ---------------------------------------------------------------------------
@@ -153,6 +381,20 @@ def test_two_tube_continuity_scan():
     vals = [f(TorusPoint([h * t])) for t in range(0, 20000, 7)]
     jumps = np.abs(np.diff(np.array(vals)))
     assert jumps.max() < 0.02
+
+
+@pytest.mark.parametrize("system,center", [
+    (Rotation([Fraction(1, 3) + Fraction(1, 2**40)]), ORIGIN),
+    (SkewShift(golden_mean(bits=64).value), TorusPoint.exact("1/5", "1/3")),
+])
+def test_touching_tube_balls_rejected(system, center):
+    # oracle: the closest pair of the 5q ball centres, in Fraction arithmetic
+    q = 2
+    pts = [iterate(system, center, n) for n in range(1, 5 * q + 1)]
+    gap = min(a.dist(b) for i, a in enumerate(pts) for b in pts[i + 1:])
+    with pytest.raises(ConstructionError):
+        TubeFunction(system, center, q, gap / 2, [0.1, 0.2])
+    TubeFunction(system, center, q, gap / 2 - Fraction(1, 2**80), [0.1, 0.2])
 
 
 def test_tube_overlap_rejected():
