@@ -380,6 +380,23 @@ def _evidence_stage(rep: _Report, cfg: ExperimentConfig, seq, certificate=None,
     return table
 
 
+# Participation ratios this close count as equal.  Conjugation-symmetric
+# spectra (real coefficients) pair each eigenvector with its conjugate,
+# whose ratio is the same up to rounding, so a plain argmin would pick
+# either one depending on the eigensolver's last bits.
+_PR_RTOL = 1e-9
+
+
+def most_localized(prs: np.ndarray, angles: np.ndarray, candidates) -> int:
+    """Candidate index with the smallest participation ratio, ratios within
+    a relative ``_PR_RTOL`` of it counting as equal and the smaller angle
+    winning among those."""
+    idx = np.asarray(list(candidates))
+    p = prs[idx]
+    near = idx[p <= p.min() * (1.0 + _PR_RTOL)]
+    return int(near[np.argmin(angles[near])])
+
+
 def _cmv_stage(rep: _Report, cfg: ExperimentConfig, seq,
                check_free_profile=False, find_bound_state=False):
     out = {}
@@ -391,6 +408,8 @@ def _cmv_stage(rep: _Report, cfg: ExperimentConfig, seq,
         dec = spectrum(op)
         st["unitarity_defect"] = op.unitarity_defect
         st["band_agreement"] = op.band_agreement
+        st["max_residual"] = float(dec.residuals.max())
+        st["eig_fallback"] = dec.fallback
         rep.verdicts["unitarity"] = (
             "PASS"
             if op.unitarity_defect <= 1e-12 and op.band_agreement <= 1e-14
@@ -407,7 +426,8 @@ def _cmv_stage(rep: _Report, cfg: ExperimentConfig, seq,
             op.dump_triplets(fh, seed=cfg.seed)
         profiles = [eigenvector_profile(op, dec, i) for i in range(op.size)]
         prs = np.array([p.participation_ratio for p in profiles])
-        imin = int(np.argmin(prs))
+        angles = np.angle(dec.eigenvalues)
+        imin = most_localized(prs, angles, range(op.size))
         path = rep.artifact("cmv", "profile.csv")
         with open(path, "w", newline="") as fh:
             fh.write(f"# seed={cfg.seed} eigenvector={imin}\n")
@@ -426,14 +446,14 @@ def _cmv_stage(rep: _Report, cfg: ExperimentConfig, seq,
         if find_bound_state:
             cut = op.size / 10
             cands = [
-                (p.participation_ratio, i)
+                i
                 for i, p in enumerate(profiles)
                 if p.participation_ratio <= cut
                 and abs(p.peak) <= op.size // 4
             ]
             if not cands:
                 raise QpcmvError("no localized central eigenvector found")
-            _, ibest = min(cands)
+            ibest = most_localized(prs, angles, cands)
             angle = float(np.angle(dec.eigenvalues[ibest]))
             st["bound_state_angle"] = angle
             st["bound_state_pr"] = float(

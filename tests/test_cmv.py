@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+import qpcmv.cmv as cmv
 from qpcmv.cmv import (
     assemble,
     eigenvector_profile,
@@ -13,7 +15,7 @@ from qpcmv.cmv import (
     spectrum,
     theta_block,
 )
-from qpcmv.errors import DomainError, WindowError
+from qpcmv.errors import DomainError, EigensolverError, WindowError
 from qpcmv.sampling import VerblunskySequence
 
 
@@ -217,3 +219,197 @@ def test_triplet_dump_roundtrip():
         i, j, re, im = line.split()
         M[int(i), int(j)] = complex(float(re), float(im))
     assert np.array_equal(M, op.matrix)
+
+
+def loop_dump(op, seed=None):
+    """The dense double loop over all N^2 entries: oracle for dump_triplets."""
+    buf = io.StringIO()
+    if seed is not None:
+        buf.write(f"# seed={seed}\n")
+    buf.write(
+        f"# cmv triplets window=[{op.n_min},{op.n_max}] "
+        f"size={op.size} unitary={op.unitary_mode}\n"
+    )
+    E = op.matrix
+    for i in range(op.size):
+        for j in range(op.size):
+            v = E[i, j]
+            if v != 0:
+                buf.write(f"{i} {j} {float(v.real)!r} {float(v.imag)!r}\n")
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("kind", ["random", "free"])
+def test_triplet_dump_matches_double_loop(kind):
+    if kind == "random":
+        seq = random_seq(17, -40, 40, radius=0.99)
+    else:  # exact zeros on the diagonal and in every alpha factor
+        seq = VerblunskySequence.constant(0.0, -40, 40)
+    op = assemble(seq, -35, 36, boundary=(cmath.exp(0.7j), cmath.exp(-2.2j)))
+    buf = io.StringIO()
+    op.dump_triplets(buf, seed=4)
+    assert buf.getvalue() == loop_dump(op, seed=4)
+
+
+def dense_factor_product(seq, n_min, n_max, boundary):
+    """L @ M from dense Theta blocks: oracle for the banded assembly."""
+    N = n_max - n_min + 1
+    bm, bp = boundary
+
+    def coef(n):
+        return bm if n <= n_min - 1 else bp if n >= n_max else seq.alpha(n)
+
+    L = np.zeros((N, N), dtype=complex)
+    M = np.zeros((N, N), dtype=complex)
+    for k in range(n_min - 1, n_max + 1):
+        F = L if k % 2 == 0 else M
+        i = k - n_min
+        if k == n_min - 1:
+            F[0, 0] = -coef(k)
+        elif k == n_max:
+            F[N - 1, N - 1] = np.conj(coef(k))
+        else:
+            F[i : i + 2, i : i + 2] = theta_block(coef(k))
+    return L, M
+
+
+@pytest.mark.parametrize("n_min,n_max", [(0, 1), (-1, 0), (-10, 9), (3, 40)])
+def test_banded_factors_match_dense_blocks(n_min, n_max):
+    seq = random_seq(19, n_min - 1, n_max + 1, radius=0.999)
+    b = (cmath.exp(0.4j), cmath.exp(2.9j))
+    op = assemble(seq, n_min, n_max, boundary=b)
+    L, M = dense_factor_product(seq, n_min, n_max, b)
+    assert np.array_equal(op.factor_left, L)
+    assert np.array_equal(op.factor_right, M)
+    assert np.abs(op.matrix - L @ M).max() <= 1e-15
+    N = op.size
+    dense_defect = np.abs(op.matrix.conj().T @ op.matrix - np.eye(N)).max()
+    assert abs(op.unitarity_defect - dense_defect) <= 1e-15
+
+
+def angle_distance(lam, oracle):
+    """Largest angle difference after sorting both from the middle of the
+    oracle's widest gap, so that no eigenvalue straddles the cut."""
+    ang = np.sort(np.angle(oracle))
+    gaps = np.diff(np.r_[ang, ang[0] + 2 * np.pi])
+    cut = ang[np.argmax(gaps)] + gaps.max() / 2
+    a = np.sort(np.mod(np.angle(lam) - cut, 2 * np.pi))
+    b = np.sort(np.mod(np.angle(oracle) - cut, 2 * np.pi))
+    return float(np.abs(a - b).max())
+
+
+def test_spectrum_matches_schur_oracle():
+    rng = np.random.default_rng(2024)
+    sizes = [2, 3, 5, 8, 13, 40, 101, 200] * 5 + [600, 600]
+    for trial, N in enumerate(sizes):
+        radius = (0.5, 0.9, 0.99, 0.999)[trial % 4]
+        if trial % 3 == 2:  # real coefficients: conjugation-symmetric spectrum
+            vals = radius * (2 * rng.random(N + 3) - 1) + 0j
+            seq = VerblunskySequence(-1, N + 1, vals)
+        else:
+            seq = random_seq(int(rng.integers(1 << 30)), -1, N + 1, radius)
+        b = (cmath.exp(1j * rng.uniform(-3, 3)), cmath.exp(1j * rng.uniform(-3, 3)))
+        op = assemble(seq, 0, N - 1, boundary=b)
+        dec = spectrum(op)
+        assert not dec.fallback
+        oracle = np.diag(sla.schur(op.matrix, output="complex")[0])
+        assert angle_distance(dec.eigenvalues, oracle) <= 1e-12, (trial, N)
+        assert dec.residuals.max() <= 1e-10
+        gram = dec.vectors.conj().T @ dec.vectors
+        assert np.abs(gram - np.eye(N)).max() <= 1e-12
+
+
+def test_symmetric_free_spectrum_needs_the_cluster_step(monkeypatch):
+    # boundary phase e^(i N phi): the eigenvalues are the N-th roots of it,
+    # symmetric about phi, so every H_phi eigenvalue except cos(0) and
+    # cos(pi) is doubly degenerate and its eigenvectors mix e^(i theta) with
+    # e^(i (2 phi - theta))
+    N = 40
+    seq = VerblunskySequence.constant(0.0, -1, N)
+    phase = cmath.exp(1j * N * cmv._PHI)
+    op = assemble(seq, 0, N - 1, boundary=(-phase, 1.0))
+    E = op.matrix
+    H = (np.exp(-1j * cmv._PHI) * E + np.exp(1j * cmv._PHI) * E.conj().T) / 2
+    mu = np.linalg.eigvalsh(H)
+    assert int((np.diff(mu) <= 1e-12).sum()) == N // 2 - 1
+    dec = spectrum(op)
+    assert not dec.fallback
+    assert dec.residuals.max() <= 1e-12
+    exact = np.exp(1j * (cmv._PHI + 2 * np.pi * np.arange(N) / N))
+    assert angle_distance(dec.eigenvalues, exact) <= 1e-12
+    # without clusters the banded path fails its residual check
+    monkeypatch.setattr(cmv, "_CLUSTER_GAP", 0.0)
+    assert spectrum(op).fallback
+
+
+def test_spectrum_tolerance_too_tight_raises_after_fallback(monkeypatch):
+    calls = []
+    schur = cmv._schur_spectrum
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return schur(matrix)
+
+    monkeypatch.setattr(cmv, "_schur_spectrum", counted)
+    op = assemble(random_seq(8, -30, 30), -25, 24)
+    with pytest.raises(EigensolverError):
+        spectrum(op, tol=1e-15)
+    assert calls == [(50, 50)]
+
+
+def test_degenerate_edge_states_get_the_localized_basis(monkeypatch):
+    # period-4 coefficients leave one edge state at each end of the window
+    # with the same eigenvalue -i; at N = 60 their splitting is below
+    # rounding, so the solver alone would return an arbitrary basis of the
+    # pair
+    N = 60
+    vals = 0.5 * np.array([-1, -1j, 1, 1j])[np.arange(N + 2) % 4]
+    seq = VerblunskySequence(-31, 30, vals)
+    op = assemble(seq, -30, 29)
+
+    def edge_profiles(dec):
+        idx = np.flatnonzero(np.abs(dec.eigenvalues + 1j) <= 1e-12)
+        return sorted(
+            (p.peak, p.participation_ratio)
+            for p in (eigenvector_profile(op, dec, i) for i in idx)
+        )
+
+    banded = edge_profiles(spectrum(op))
+    assert [peak for peak, _ in banded] == [-30, 29]
+    assert all(abs(pr - 2.0) <= 1e-9 for _, pr in banded)
+    # the Schur path, whose basis of the pair differs, lands on the same one
+    monkeypatch.setattr(
+        cmv, "_band_spectrum",
+        lambda band: (np.zeros(N, dtype=complex), np.eye(N, dtype=complex)),
+    )
+    dec = spectrum(op)
+    assert dec.fallback
+    schur = edge_profiles(dec)
+    assert [peak for peak, _ in schur] == [-30, 29]
+    for (_, a), (_, b) in zip(banded, schur):
+        assert abs(a - b) <= 1e-12
+
+
+def mask_shells(w):
+    """One boolean mask per dyadic shell: oracle for eigenvector_profile."""
+    n = w.size
+    dist = np.abs(np.arange(n) - int(np.argmax(w)))
+    shells = [float(w[dist == 0].sum())]
+    s = 1
+    while 2 ** (s - 1) <= n:
+        shells.append(float(w[(dist >= 2 ** (s - 1)) & (dist < 2**s)].sum()))
+        s += 1
+    return shells
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 7, 8, 9, 64, 65])
+def test_profile_shells_match_mask_oracle(N):
+    seq = random_seq(N, -2, N + 1)
+    op = assemble(seq, 0, N - 1)
+    dec = spectrum(op)
+    for i in range(N):
+        w = np.abs(dec.vectors[:, i]) ** 2
+        got = eigenvector_profile(op, dec, i).shell_masses
+        want = mask_shells(w / w.sum())
+        assert len(got) == len(want)
+        assert np.abs(np.array(got) - want).max() <= 1e-15

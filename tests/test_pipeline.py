@@ -6,7 +6,7 @@ import pytest
 
 from qpcmv.cli import main
 from qpcmv.errors import QpcmvError
-from qpcmv.pipeline import CONFIG_SCHEMA, ExperimentConfig, run
+from qpcmv.pipeline import CONFIG_SCHEMA, ExperimentConfig, most_localized, run
 from qpcmv.sampling import VerblunskySequence
 
 
@@ -111,6 +111,43 @@ def test_impurity_run_fails_evidence(tmp_path):
     assert doc["verdicts"]["gordon-negative-control"] == "PASS"
     ev = json.loads((tmp_path / "evidence.json").read_text())
     assert ev["min_c"] < 0.25
+
+
+def test_impurity_bound_state_is_the_negative_angle_of_its_pair(tmp_path):
+    # real coefficients: the bound state is a conjugate pair +-theta of
+    # equal participation ratio; the pick is the smaller angle
+    cfg = ExperimentConfig.from_file(
+        Path(__file__).resolve().parents[1] / "configs" / "impurity_control.json"
+    )
+    cfg.z_grid = 64
+    cfg.lipschitz_samples = 2000
+    doc, _ = run(cfg, tmp_path)
+    st = doc["stages"]["cmv"]
+    assert st["bound_state_angle"] == pytest.approx(-0.0942895189762513, abs=1e-12)
+    assert st["bound_state_pr"] == pytest.approx(4.013422818791947, rel=1e-12)
+
+
+def test_cmv_stage_reports_solver_health(tmp_path):
+    doc, _ = run(small_free_config(), tmp_path)
+    st = doc["stages"]["cmv"]
+    assert st["eig_fallback"] is False
+    rows = (tmp_path / "eigenvalues.csv").read_text().splitlines()[2:]
+    assert st["max_residual"] == max(float(r.split(",")[1]) for r in rows)
+    assert 0.0 < st["max_residual"] <= 1e-10
+
+
+def test_most_localized_ignores_last_bit_of_a_conjugate_pair():
+    # a conjugate pair +-theta has the same participation ratio up to
+    # rounding; which of the two the solver rounds lower must not matter
+    pr = 4.013422818791947
+    angles = np.array([-1.0, -0.0942895189762513, 0.0942895189762513, 0.5])
+    for a, b in ((pr, np.nextafter(pr, 5.0)), (np.nextafter(pr, 5.0), pr)):
+        prs = np.array([6.0, a, b, 9.0])
+        assert most_localized(prs, angles, range(4)) == 1
+        assert most_localized(prs, angles, [2, 3]) == 2
+    # a real difference still decides
+    prs = np.array([6.0, pr * (1 + 1e-6), pr, 9.0])
+    assert most_localized(prs, angles, range(4)) == 2
 
 
 def test_report_carries_seed_and_version(tmp_path):
