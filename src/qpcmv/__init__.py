@@ -11,6 +11,7 @@ Library layout:
   three-block lower bounds
 - ``cmv``: finite unitary truncations, spectra, eigenvector profiles
 - ``pipeline`` / ``cli``: configuration-driven experiment runs
+- ``artifacts``: the CSV and JSON artifact formats both of them write
 """
 
 __version__ = "0.1.0"

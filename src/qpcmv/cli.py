@@ -17,19 +17,19 @@ Every subcommand writes delimited output (CSV) plus a JSON summary into
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
 from .arith import DEFAULT_PRECISION_BITS, as_fraction
 from .cmv import assemble, eigenvector_profile, spectrum
-from .dynamics import Rotation, SkewShift, TorusPoint, find_even_repetition, iterate
+from .dynamics import Rotation, SkewShift, TorusPoint, find_even_repetition
 from .errors import QpcmvError
 from .frequency import badly_approximable_score, parse_frequency
-from .pipeline import ExperimentConfig, _write_evidence_csv, _write_json, run
+from .pipeline import ExperimentConfig, run
 from .sampling import (
     ConstantFunction,
     HarmonicFunction,
@@ -70,13 +70,8 @@ def _cmd_frequency(args) -> int:
         raise QpcmvError("need --value or --liouville")
     freq = parse_frequency(spec, bits=args.precision_bits)
     scan = badly_approximable_score(freq, args.max_q)
-    with open(out / "frequency.csv", "w", newline="") as fh:
-        fh.write(f"# seed={args.seed}\n")
-        w = csv.writer(fh)
-        w.writerow(["q", "p", "q_dist"])
-        for (p, q), (_, s) in zip(freq.convergents, scan.per_convergent):
-            w.writerow([q, p, repr(float(s))])
-    _write_json(
+    artifacts.write_frequency_csv(out / "frequency.csv", args.seed, freq, scan)
+    artifacts.write_json(
         out / "frequency.json",
         {
             "seed": args.seed,
@@ -112,20 +107,16 @@ def _cmd_orbit(args) -> int:
     s = as_fraction(args.s)
     cert = find_even_repetition(system, omega, eps, s, args.qmax)
     if cert is None:
-        _write_json(
+        artifacts.write_json(
             out / "orbit.json",
             {"seed": args.seed, "found": False, "qmax": args.qmax},
         )
         print(f"orbit: no even repetition time q <= {args.qmax}")
         return 0
-    with open(out / "orbit.csv", "w", newline="") as fh:
-        fh.write(f"# seed={args.seed} q={cert.q}\n")
-        w = csv.writer(fh)
-        w.writerow(["n", "dist"])
-        for n in range(cert.window + 1):
-            d = iterate(system, omega, n).dist(iterate(system, omega, n + cert.q))
-            w.writerow([n, repr(float(d))])
-    _write_json(
+    artifacts.write_orbit_csv(
+        out / "orbit.csv", f"seed={args.seed} q={cert.q}", system, omega, cert
+    )
+    artifacts.write_json(
         out / "orbit.json",
         {
             "seed": args.seed,
@@ -255,27 +246,14 @@ def _cmd_gordon(args) -> int:
     doc = {
         "seed": args.seed,
         "sequence": cert.sequence_id,
-        "levels": [
-            {
-                "k": l.k, "q": l.q, "r": l.r, "defect": l.defect,
-                "threshold": l.threshold, "passed": l.passed,
-                "underflowed": l.underflowed,
-            }
-            for l in cert.levels
-        ],
+        "levels": artifacts.gordon_levels(cert),
         "all_passed": cert.all_passed,
     }
     if table is not None:
-        _write_evidence_csv(out / "evidence.csv", table, args.seed)
-        doc["evidence"] = {
-            "q": table.q,
-            "min_c": table.min_c,
-            "argmin_angle": table.argmin_angle,
-            "verdict": table.verdict,
-            "nonfinite_rows": table.nonfinite_rows,
-        }
+        artifacts.write_evidence_csv(out / "evidence.csv", args.seed, table)
+        doc["evidence"] = artifacts.evidence_summary(table)
     report_path = Path(args.report) if args.report else out / "gordon.json"
-    _write_json(report_path, doc)
+    artifacts.write_json(report_path, doc)
     worst = min((l.defect - l.threshold for l in cert.levels), default=0.0)
     print(
         f"gordon: {'PASS' if cert.all_passed else 'FAIL'} "
@@ -293,6 +271,14 @@ def _cmd_cmv(args) -> int:
     op = assemble(
         seq, n_min, n_max, boundary=(_parse_complex(bm), _parse_complex(bp))
     )
+    if args.profile == "all":
+        indices = range(op.size)
+    elif args.profile:
+        i = int(args.profile)
+        if not 0 <= i < op.size:
+            raise QpcmvError(f"--profile {i} is not an eigenvector index "
+                             f"in [0, {op.size})")
+        indices = [i]
     with open(out / "matrix.txt", "w") as fh:
         op.dump_triplets(fh, seed=args.seed)
     msg = (
@@ -301,26 +287,14 @@ def _cmd_cmv(args) -> int:
     )
     if args.eig or args.profile:
         dec = spectrum(op)
-        with open(out / "eigenvalues.csv", "w", newline="") as fh:
-            fh.write(f"# seed={args.seed}\n")
-            w = csv.writer(fh)
-            w.writerow(["angle", "residual"])
-            for lam, r in zip(dec.eigenvalues, dec.residuals):
-                w.writerow([repr(float(np.angle(lam))), repr(float(r))])
+        artifacts.write_eigenvalues_csv(out / "eigenvalues.csv", args.seed,
+                                        dec)
         msg += f", max residual {float(dec.residuals.max()):.3e}"
         if args.profile:
-            if args.profile == "all":
-                indices = range(op.size)
-            else:
-                indices = [int(args.profile)]
-            with open(out / "profile.csv", "w", newline="") as fh:
-                fh.write(f"# seed={args.seed}\n")
-                w = csv.writer(fh)
-                w.writerow(["eigenvector", "shell", "mass", "participation_ratio"])
-                for i in indices:
-                    p = eigenvector_profile(op, dec, i)
-                    for s, m in enumerate(p.shell_masses):
-                        w.writerow([i, s, repr(m), repr(p.participation_ratio)])
+            artifacts.write_profiles_csv(
+                out / "profile.csv", args.seed,
+                (eigenvector_profile(op, dec, i) for i in indices),
+            )
     print(msg)
     return 0
 

@@ -51,6 +51,11 @@ _CLUSTER_GAP = 1e-3
 # the one diagonalising the position operator, i.e. the most localised
 # one.  Rotating inside the span moves a residual by at most this gap.
 _DEGENERATE_GAP = 1e-12
+# Weights this close to the largest one count as a tie for the profile
+# peak, which goes to the smallest such index.  Flat vectors (the free
+# operator's, |u_n|^2 = 1/N) and symmetric bound states have exact ties
+# that rounding would otherwise break in either direction.
+_PEAK_RTOL = 1e-9
 
 
 def theta_block(alpha: complex) -> np.ndarray:
@@ -156,9 +161,6 @@ class CMVOperator:
     def factor_right(self) -> np.ndarray:
         """Dense M (odd-index blocks), built on each access."""
         return _band_to_dense(self.factor_bands[1])
-
-    def coord_index(self, n: int) -> int:
-        return n - self.n_min
 
     def dump_triplets(self, fh, seed: Optional[int] = None):
         """Sparse-triplet text dump: lines 'row col re im' (window coords),
@@ -416,14 +418,15 @@ def eigenvector_profile(
 ) -> EigenvectorProfile:
     """Mass per dyadic distance shell around the peak, plus 1 / sum w^2.
 
-    Shell s = 0 is the peak entry itself; shell s >= 1 collects entries at
-    distance in [2^(s-1), 2^s), i.e. the distances of bit length s.  Masses
-    sum to 1 for a normalized vector.
+    The peak is the first entry whose weight is within a relative
+    ``_PEAK_RTOL`` of the largest.  Shell s = 0 is the peak entry itself;
+    shell s >= 1 collects entries at distance in [2^(s-1), 2^s), i.e. the
+    distances of bit length s.  Masses sum to 1 for a normalized vector.
     """
     u = decomp.vectors[:, index]
     w = np.abs(u) ** 2
     w = w / w.sum()
-    peak = int(np.argmax(w))
+    peak = int(np.argmax(w >= w.max() * (1.0 - _PEAK_RTOL)))
     n = w.size
     # frexp's exponent of a positive integer is its bit length (0 for 0)
     shell = np.frexp(np.abs(np.arange(n) - peak))[1]

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 
 from .arith import as_fraction, dist_to_int, mod1, signed_frac
 from .errors import DomainError, PrecisionError
-from .frequency import Frequency, continued_fraction
+from .frequency import Frequency
 
 # Windows at most this long are re-validated by a full independent orbit
 # scan; larger ones get endpoint/argmax/random spot checks.
@@ -67,23 +67,6 @@ class Rotation:
 
     def iterate(self, omega: TorusPoint, n: int) -> TorusPoint:
         return TorusPoint([c + n * s for c, s in zip(omega.coords, self.shift)])
-
-    def rationality_flags(self) -> tuple[bool, ...]:
-        """Heuristic: is each shift coordinate rational within precision?
-
-        Recorded as a hint only; minimality of the rotation would need
-        joint rational independence, which a finite expansion cannot prove.
-        """
-        flags = []
-        for s in self.shift:
-            f = as_fraction(s)
-            if f == 0:
-                flags.append(True)
-                continue
-            bits = None if isinstance(s, Fraction) else 53
-            cf = continued_fraction(f, terms=64, precision_bits=bits)
-            flags.append(cf.truncated)
-        return tuple(flags)
 
     def __repr__(self):
         return f"Rotation(shift={tuple(map(float, self.shift))})"
@@ -234,9 +217,6 @@ class RepetitionCertificate:
                 f"deviation {float(self.deviation_upper)} not below "
                 f"threshold {float(self.threshold)}"
             )
-
-    def passes(self) -> bool:
-        return self.deviation_upper < self.threshold
 
 
 def _orbit_deviation(system: TorusDynamics, omega: TorusPoint, q: int,

@@ -11,9 +11,9 @@ Exit status: 0 all verdicts PASS, 2 evidence FAIL, 1 execution error.
 
 from __future__ import annotations
 
-import csv
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -21,10 +21,10 @@ from typing import Any, Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, artifacts
 from .arith import as_fraction
 from .cmv import assemble, eigenvector_profile, spectrum
-from .dynamics import Rotation, TorusPoint, find_even_repetition, iterate
+from .dynamics import Rotation, TorusPoint, find_even_repetition
 from .errors import QpcmvError
 from .frequency import Frequency, badly_approximable_score, liouville_frequency
 from .sampling import (
@@ -139,16 +139,8 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Artifact helpers
+# Report
 # ---------------------------------------------------------------------------
-
-
-def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
-
-
-def _write_json(path: Path, obj):
-    path.write_bytes(_json_bytes(obj))
 
 
 def _frac_str(x) -> str:
@@ -167,25 +159,22 @@ class _Report:
         self.config = config
         self.failure: Optional[str] = None
 
+    @contextmanager
     def stage(self, name: str):
-        report = self
-
-        class _Ctx:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-                return report.stages.setdefault(
-                    name, {"status": "ok", "artifacts": []}
-                )
-
-            def __exit__(self, exc_type, exc, tb):
-                report.timings[name] = time.perf_counter() - self.t0
-                if exc is not None:
-                    report.stages[name]["status"] = "failed"
-                    report.stages[name]["error"] = f"{exc_type.__name__}: {exc}"
-                    report.failure = name
-                return False
-
-        return _Ctx()
+        """The stage's report dict, reused when a stage is entered again.  A
+        failure is recorded on it and re-raised; the wall time goes only to
+        the timings sidecar."""
+        t0 = time.perf_counter()
+        st = self.stages.setdefault(name, {"status": "ok", "artifacts": []})
+        try:
+            yield st
+        except Exception as exc:
+            st["status"] = "failed"
+            st["error"] = f"{type(exc).__name__}: {exc}"
+            self.failure = name
+            raise
+        finally:
+            self.timings[name] = time.perf_counter() - t0
 
     def artifact(self, stage: str, name: str) -> Path:
         self.stages[stage]["artifacts"].append(name)
@@ -212,21 +201,6 @@ class _Report:
         return doc, code
 
 
-def _gordon_rows(cert) -> list[dict]:
-    return [
-        {
-            "k": l.k,
-            "q": l.q,
-            "r": l.r,
-            "defect": l.defect,
-            "threshold": l.threshold,
-            "passed": l.passed,
-            "underflowed": l.underflowed,
-        }
-        for l in cert.levels
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Stages
 # ---------------------------------------------------------------------------
@@ -236,14 +210,10 @@ def _frequency_stage(rep: _Report, cfg: ExperimentConfig) -> Frequency:
     with rep.stage("frequency") as st:
         freq = liouville_frequency(cfg.liouville_base, cfg.liouville_depth)
         scan = badly_approximable_score(freq, cfg.score_q_max)
-        path = rep.artifact("frequency", "frequency.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# seed={cfg.seed}\n")
-            w = csv.writer(fh)
-            w.writerow(["q", "p", "q_dist"])
-            for (p, q), (_, s) in zip(freq.convergents, scan.per_convergent):
-                w.writerow([q, p, repr(float(s))])
-        _write_json(
+        artifacts.write_frequency_csv(
+            rep.artifact("frequency", "frequency.csv"), cfg.seed, freq, scan
+        )
+        artifacts.write_json(
             rep.artifact("frequency", "frequency.json"),
             {
                 "seed": cfg.seed,
@@ -284,22 +254,16 @@ def _repetition_stage(rep: _Report, cfg: ExperimentConfig, system, omega):
                     "validated": cert.validated,
                 }
             )
-        _write_json(
+        artifacts.write_json(
             rep.artifact("repetition", "orbit.json"),
             {"seed": cfg.seed, "certificates": rows},
         )
         k_top = max(results)
         cert = results[k_top]
-        path = rep.artifact("repetition", "orbit.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# seed={cfg.seed} k={k_top} q={cert.q}\n")
-            w = csv.writer(fh)
-            w.writerow(["n", "dist"])
-            for n in range(cert.window + 1):
-                d = iterate(system, omega, n).dist(
-                    iterate(system, omega, n + cert.q)
-                )
-                w.writerow([n, repr(float(d))])
+        artifacts.write_orbit_csv(
+            rep.artifact("repetition", "orbit.csv"),
+            f"seed={cfg.seed} k={k_top} q={cert.q}", system, omega, cert,
+        )
         st["periods"] = {str(k): results[k].q for k in results}
     return results
 
@@ -332,16 +296,6 @@ def _tube_stage(rep: _Report, cfg: ExperimentConfig, system, omega, reps):
     return sequences, constructions
 
 
-def _write_evidence_csv(path, table, seed) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# seed={seed} q={table.q} source={table.source}\n")
-        w = csv.writer(fh)
-        w.writerow(["angle", "c", "norm_forward", "norm_double", "norm_backward"])
-        for r in table.rows:
-            w.writerow([repr(r.angle), repr(r.c), repr(r.norm_forward),
-                        repr(r.norm_double), repr(r.norm_backward)])
-
-
 def _evidence_stage(rep: _Report, cfg: ExperimentConfig, seq, certificate=None,
                     q=None, extra_angles=(), expect_fail=False):
     with rep.stage("evidence") as st:
@@ -352,20 +306,14 @@ def _evidence_stage(rep: _Report, cfg: ExperimentConfig, seq, certificate=None,
             z_grid=cfg.z_grid,
             extra_angles=extra_angles,
         )
-        _write_evidence_csv(rep.artifact("evidence", "evidence.csv"), table,
-                           cfg.seed)
-        _write_json(
+        artifacts.write_evidence_csv(
+            rep.artifact("evidence", "evidence.csv"), cfg.seed, table
+        )
+        artifacts.write_json(
             rep.artifact("evidence", "evidence.json"),
-            {
-                "seed": cfg.seed,
-                "q": table.q,
-                "source": table.source,
-                "min_c": table.min_c,
-                "argmin_angle": table.argmin_angle,
-                "threshold": table.threshold,
-                "verdict": table.verdict,
-                "nonfinite_rows": table.nonfinite_rows,
-            },
+            {"seed": cfg.seed, "source": table.source,
+             "threshold": table.threshold,
+             **artifacts.evidence_summary(table)},
         )
         st["min_c"] = table.min_c
         st["nonfinite_rows"] = table.nonfinite_rows
@@ -415,26 +363,18 @@ def _cmv_stage(rep: _Report, cfg: ExperimentConfig, seq,
             if op.unitarity_defect <= 1e-12 and op.band_agreement <= 1e-14
             else "FAIL"
         )
-        path = rep.artifact("cmv", "eigenvalues.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# seed={cfg.seed}\n")
-            w = csv.writer(fh)
-            w.writerow(["angle", "residual"])
-            for lam, r in zip(dec.eigenvalues, dec.residuals):
-                w.writerow([repr(float(np.angle(lam))), repr(float(r))])
+        artifacts.write_eigenvalues_csv(
+            rep.artifact("cmv", "eigenvalues.csv"), cfg.seed, dec
+        )
         with open(rep.artifact("cmv", "matrix.txt"), "w") as fh:
             op.dump_triplets(fh, seed=cfg.seed)
         profiles = [eigenvector_profile(op, dec, i) for i in range(op.size)]
         prs = np.array([p.participation_ratio for p in profiles])
         angles = np.angle(dec.eigenvalues)
         imin = most_localized(prs, angles, range(op.size))
-        path = rep.artifact("cmv", "profile.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# seed={cfg.seed} eigenvector={imin}\n")
-            w = csv.writer(fh)
-            w.writerow(["shell", "mass"])
-            for s, m in enumerate(profiles[imin].shell_masses):
-                w.writerow([s, repr(m)])
+        artifacts.write_profile_csv(
+            rep.artifact("cmv", "profile.csv"), cfg.seed, profiles[imin]
+        )
         st["min_participation_ratio"] = float(prs.min())
         if check_free_profile:
             rep.verdicts["profile"] = (
@@ -489,9 +429,9 @@ def _run_free(rep: _Report, cfg: ExperimentConfig):
     with rep.stage("gordon"):
         pairs = list(zip(cfg.k_list, cfg.free_q_list))
         cert = certify_gordon(seq, pairs, sequence_id="free")
-        _write_json(
+        artifacts.write_json(
             rep.artifact("gordon", "gordon.json"),
-            {"seed": cfg.seed, "levels": _gordon_rows(cert)},
+            {"seed": cfg.seed, "levels": artifacts.gordon_levels(cert)},
         )
         rep.verdicts["gordon"] = "PASS" if cert.all_passed else "FAIL"
     _evidence_stage(rep, cfg, seq, certificate=cert)
@@ -513,8 +453,8 @@ def _run_liouville_rotation(rep: _Report, cfg: ExperimentConfig):
                 sequences[k], [(k, reps[k].q)], sequence_id=f"level-{k}"
             )
             certs[k] = cert
-            rows.extend(_gordon_rows(cert))
-        _write_json(
+            rows.extend(artifacts.gordon_levels(cert))
+        artifacts.write_json(
             rep.artifact("gordon", "gordon.json"),
             {"seed": cfg.seed, "levels": rows},
         )
@@ -550,9 +490,9 @@ def _run_impurity_control(rep: _Report, cfg: ExperimentConfig):
             [(k, cfg.impurity_q) for k in cfg.k_list],
             sequence_id="impurity",
         )
-        _write_json(
+        artifacts.write_json(
             rep.artifact("gordon", "gordon.json"),
-            {"seed": cfg.seed, "levels": _gordon_rows(cert)},
+            {"seed": cfg.seed, "levels": artifacts.gordon_levels(cert)},
         )
         st["expected"] = "FAIL"
         rep.verdicts["gordon-negative-control"] = (
@@ -590,8 +530,8 @@ def run(config: ExperimentConfig, out_dir) -> tuple[dict, int]:
         if rep.failure is None:
             raise
     doc, code = rep.finalize()
-    _write_json(out / "report.json", doc)
-    _write_json(
+    artifacts.write_json(out / "report.json", doc)
+    artifacts.write_json(
         out / "timings.json",
         {"stages": {k: round(v, 6) for k, v in rep.timings.items()}},
     )

@@ -11,7 +11,6 @@ exactly q-periodic stretch of coefficients.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .arith import as_fraction, circle_dist, common_denominator
+from .artifacts import read_csv, write_verblunsky_csv
 from .dynamics import Rotation, TorusDynamics, TorusPoint, iterate
 from .errors import (
     ConstructionError,
@@ -56,25 +56,22 @@ class ConstantFunction:
 
 
 class HarmonicFunction:
-    """f(w) = coefficient * exp(2 pi i <modes, w>).
+    """f(w) = coefficient * exp(2 pi i w_1), w_1 the first coordinate.
 
     sup |f| = |coefficient| exactly, so the norm needs no grid.
     """
 
     kind = "harmonic"
 
-    def __init__(self, coefficient: complex, modes: Sequence[int] = (1,)):
+    def __init__(self, coefficient: complex):
         coefficient = complex(coefficient)
         if abs(coefficient) >= 1:
             raise DomainError("coefficient must lie in the open unit disk")
         self.coefficient = coefficient
-        self.modes = tuple(int(m) for m in modes)
         self.sup_norm = abs(coefficient)
 
     def __call__(self, point: TorusPoint) -> complex:
-        if point.dim < len(self.modes):
-            raise DomainError("point dimension below mode count")
-        phase = sum(m * float(c) for m, c in zip(self.modes, point.coords))
+        phase = float(point.coords[0])
         return self.coefficient * cmath.exp(2j * math.pi * phase)
 
 
@@ -433,22 +430,30 @@ class TubeFunction:
 
     # -- geometry -----------------------------------------------------
 
-    def ball_index(self, point: TorusPoint) -> Optional[int]:
-        """n in [1, 5q] with point in closed T^n(B), or None (exact)."""
+    def _locate(self, point: TorusPoint):
+        """(n, None) for the first n in [1, 5q] with point in closed T^n(B),
+        decided exactly; else (None, d), d[n - 1] the float distance from
+        the point to T^n(c) (for the skew-shift, from its n-th preimage to
+        c, as computed for the membership test)."""
         if isinstance(self.system, Rotation):
             x = np.array(point.as_floats())
             d = self._cheb_float(x, self._orbit_f[1:])
-            cand = np.nonzero(d <= float(self.radius) + 1e-9)[0]
-            for k in cand:
+            for k in np.nonzero(d <= float(self.radius) + 1e-9)[0]:
                 n = int(k) + 1
                 if point.dist(self._orbit[n]) <= self.radius:
-                    return n
-            return None
+                    return n, None
+            return None, d
+        dists = []
         for n in range(1, 5 * self.q + 1):
-            pre = iterate(self.system, point, -n)
-            if pre.dist(self.center) <= self.radius:
-                return n
-        return None
+            dist = iterate(self.system, point, -n).dist(self.center)
+            if dist <= self.radius:
+                return n, None
+            dists.append(float(dist))
+        return None, np.array(dists)
+
+    def ball_index(self, point: TorusPoint) -> Optional[int]:
+        """n in [1, 5q] with point in closed T^n(B), or None (exact)."""
+        return self._locate(point)[0]
 
     @staticmethod
     def _cheb_float(x: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -490,20 +495,10 @@ class TubeFunction:
     # -- evaluation ---------------------------------------------------
 
     def __call__(self, point: TorusPoint) -> complex:
-        n = self.ball_index(point)
+        n, d = self._locate(point)
         if n is not None:
             return self.values[(n - 1) % self.q]
-        if isinstance(self.system, Rotation):
-            x = np.array(point.as_floats())
-            d = self._cheb_float(x, self._orbit_f[1:]) - float(self.radius)
-        else:
-            d = np.array(
-                [
-                    float(iterate(self.system, point, -n).dist(self.center))
-                    for n in range(1, 5 * self.q + 1)
-                ]
-            ) - float(self.radius)
-        d = np.maximum(d, 1e-18)
+        d = np.maximum(d - float(self.radius), 1e-18)
         # flat index n-1 = (j-1) + l*q, so reshape(5, q) groups l-rows and
         # column j-1 collects the five balls of tube j
         tube_d = d.reshape(5, self.q).min(axis=0)
@@ -518,7 +513,6 @@ def tube_function(
     q: int,
     radius,
     values: Sequence[complex],
-    fill: str = "blend",
 ) -> TubeFunction:
     """Build the piecewise-constant-on-tubes sampling function.
 
@@ -526,8 +520,6 @@ def tube_function(
     a construction error.  Membership of the result in its own class is
     re-verified by sampling each tube.
     """
-    if fill != "blend":
-        raise ConstructionError(f"unknown fill rule {fill!r}")
     f = TubeFunction(system, center, q, radius, values)
     for j in range(1, q + 1):
         for p in f.tube_balls(j):
@@ -591,30 +583,15 @@ class VerblunskySequence:
         return VerblunskySequence(n_min, n_max, vals)
 
     def to_csv(self, path, seed: Optional[int] = None):
-        with open(path, "w", newline="") as fh:
-            if seed is not None:
-                fh.write(f"# seed={seed}\n")
-            w = csv.writer(fh)
-            w.writerow(["n", "re_alpha", "im_alpha", "rho"])
-            for n in range(self.n_min, self.n_max + 1):
-                a = self.alpha(n)
-                w.writerow([n, repr(a.real), repr(a.imag), repr(self.rho(n))])
+        write_verblunsky_csv(path, self, seed)
 
     @staticmethod
     def from_csv(path) -> "VerblunskySequence":
-        kept = []
-        with open(path, newline="") as fh:
-            for line in fh:
-                if not line.startswith("#"):
-                    kept.append(line)
-        reader = csv.reader(kept)
-        header = next(reader)
+        header, rows = read_csv(path)
         if header[:3] != ["n", "re_alpha", "im_alpha"]:
             raise DomainError("coefficient csv must start with n,re_alpha,im_alpha")
         ns, vals = [], []
-        for row in reader:
-            if not row:
-                continue
+        for row in rows:
             ns.append(int(row[0]))
             vals.append(complex(float(row[1]), float(row[2])))
         if ns != list(range(ns[0], ns[0] + len(ns))):

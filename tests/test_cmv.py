@@ -198,6 +198,32 @@ def test_profile_gapped_impurity_localized():
     assert abs(best.peak) <= 2  # localized at the defect
 
 
+def test_profile_peak_tie_goes_to_the_first_site():
+    # two equal largest weights: which one rounding makes larger by an ulp
+    # must not move the peak or the shell masses
+    op = assemble(VerblunskySequence.constant(0.0, -10, 10), -5, 4)
+    u = np.full(op.size, 0.1, dtype=complex)
+    u[[3, 4]] = 0.6
+    results = []
+    for k in (3, 4):
+        v = u.copy()
+        v[k] = np.nextafter(v[k].real, 1.0)
+        dec = cmv.SpectralDecomposition(
+            eigenvalues=np.ones(1), vectors=v[:, None], residuals=np.zeros(1),
+            modulus_defect=0.0, fallback=False,
+        )
+        p = eigenvector_profile(op, dec, 0)
+        results.append((p.peak, np.array(p.shell_masses)))
+    (peak_a, masses_a), (peak_b, masses_b) = results
+    assert peak_a == peak_b == 3 + op.n_min
+    assert np.abs(masses_a - masses_b).max() <= 1e-15
+    # a real difference still decides
+    u[4] = 0.6 * (1 + 1e-6)
+    dec = cmv.SpectralDecomposition(np.ones(1), u[:, None], np.zeros(1), 0.0,
+                                    False)
+    assert eigenvector_profile(op, dec, 0).peak == 4 + op.n_min
+
+
 def test_profile_shell_masses_normalized():
     seq = random_seq(6, -30, 30)
     op = assemble(seq, -25, 24)

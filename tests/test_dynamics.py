@@ -262,15 +262,6 @@ def test_group_property_extended_precision():
         assert float(a.dist(b)) < 1e-40
 
 
-def test_rotation_rationality_flags():
-    assert Rotation([Fraction(1, 3)]).rationality_flags() == (True,)
-    assert Rotation([GOLDEN.value]).rationality_flags() == (False,)
-    assert Rotation([Fraction(2, 7), GOLDEN.value]).rationality_flags() == (
-        True,
-        False,
-    )
-
-
 def test_certificate_rejects_odd_or_failing():
     with pytest.raises(DomainError):
         RepetitionCertificate(

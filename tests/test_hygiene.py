@@ -1,7 +1,8 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and none imports another package module's private (underscore) names.
 
-Standard library only (``ast``).  ``__init__.py`` is exempt: its imports
-are the package's re-exports.
+Standard library only (``ast``).  ``__init__.py`` is exempt from the
+unused-import check: its imports are the package's re-exports.
 """
 
 import ast
@@ -43,3 +44,35 @@ def test_detector_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore-prefixed names (dunders aside) imported from a module of
+    the package, by relative or absolute import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "qpcmv":
+            continue
+        found.extend(
+            f"{module}.{a.name}" for a in node.names
+            if a.name.startswith("_") and not a.name.endswith("__")
+        )
+    return sorted(found)
+
+
+def test_private_import_detector():
+    src = (
+        "from . import __version__\n"
+        "from .pipeline import ExperimentConfig, _write_json\n"
+        "from qpcmv.cmv import _cmul\n"
+        "from os import _exit\n"
+    )
+    assert private_imports(src) == ["pipeline._write_json", "qpcmv.cmv._cmul"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    assert private_imports(path.read_text()) == []

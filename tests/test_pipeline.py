@@ -6,7 +6,13 @@ import pytest
 
 from qpcmv.cli import main
 from qpcmv.errors import QpcmvError
-from qpcmv.pipeline import CONFIG_SCHEMA, ExperimentConfig, most_localized, run
+from qpcmv.pipeline import (
+    CONFIG_SCHEMA,
+    ExperimentConfig,
+    _Report,
+    most_localized,
+    run,
+)
 from qpcmv.sampling import VerblunskySequence
 
 
@@ -150,6 +156,43 @@ def test_most_localized_ignores_last_bit_of_a_conjugate_pair():
     assert most_localized(prs, angles, range(4)) == 2
 
 
+def test_stage_reuses_its_dict_and_records_failures(tmp_path):
+    rep = _Report(small_free_config(), tmp_path)
+    with rep.stage("a") as st:
+        st["x"] = 1
+    with rep.stage("a") as again:
+        assert again is st
+    with pytest.raises(QpcmvError):
+        with rep.stage("b"):
+            raise QpcmvError("boom")
+    assert rep.stages == {
+        "a": {"status": "ok", "artifacts": [], "x": 1},
+        "b": {"status": "failed", "artifacts": [], "error": "QpcmvError: boom"},
+    }
+    assert rep.failure == "b"
+    assert set(rep.timings) == {"a", "b"}
+    doc, code = rep.finalize()
+    assert (doc["overall"], code) == ("ERROR", 1)
+
+
+def test_failed_stage_keeps_earlier_artifacts(tmp_path):
+    cfg = ExperimentConfig.from_dict({
+        "schema": CONFIG_SCHEMA, "scenario": "liouville-rotation",
+        "repetition_q_max": 2, "cmv_n": 60, "z_grid": 64,
+        "lipschitz_samples": 1000,
+    })
+    doc, code = run(cfg, tmp_path)
+    assert (code, doc["overall"]) == (1, "ERROR")
+    assert doc["stages"]["frequency"]["status"] == "ok"
+    rep = doc["stages"]["repetition"]
+    assert rep["status"] == "failed"
+    assert rep["error"] == "QpcmvError: no even repetition time at level 3"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "frequency.csv", "frequency.json", "report.json", "timings.json"]
+    timings = json.loads((tmp_path / "timings.json").read_text())
+    assert set(timings["stages"]) == {"frequency", "repetition"}
+
+
 def test_report_carries_seed_and_version(tmp_path):
     doc, _ = run(small_free_config(seed=99), tmp_path)
     assert doc["seed"] == 99
@@ -263,6 +306,43 @@ def test_cli_error_paths(tmp_path, capsys):
     rc = main(["frequency", "--out", str(tmp_path)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("index", ["10", "99", "-1"])
+def test_cli_cmv_rejects_profile_index_outside_window(tmp_path, capsys, index):
+    seq_file = tmp_path / "verblunsky.csv"
+    VerblunskySequence.constant(0.3, -10, 10).to_csv(seq_file)
+    rc = main(["cmv", "--seq-file", str(seq_file), "--window=-5:4",
+               "--profile", index, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "[0, 10)" in err
+    assert not (tmp_path / "o" / "profile.csv").exists()
+
+
+def test_cli_and_run_write_the_same_tables(tmp_path):
+    # one writer per table: the CLI reproduces a scenario's files
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    cfg = ExperimentConfig.from_file(configs / "liouville_rotation.json")
+    cfg.z_grid, cfg.lipschitz_samples, cfg.cmv_n = 64, 1000, 60
+    run(cfg, tmp_path / "liouville")
+    rc = main(["frequency", "--liouville", "2,4", "--max-q", "1000",
+               "--seed", str(cfg.seed), "--out", str(tmp_path / "cli-freq")])
+    assert rc == 0
+    assert (tmp_path / "cli-freq" / "frequency.csv").read_bytes() == (
+        tmp_path / "liouville" / "frequency.csv").read_bytes()
+
+    cfg = ExperimentConfig.from_file(configs / "free.json")
+    cfg.z_grid, cfg.lipschitz_samples = 64, 1000
+    assert cfg.cmv_n == 200
+    run(cfg, tmp_path / "free")
+    rc = main(["cmv", "--seq-file", str(tmp_path / "free" / "verblunsky.csv"),
+               "--window=-100:99", "--eig", "--seed", str(cfg.seed),
+               "--out", str(tmp_path / "cli-cmv")])
+    assert rc == 0
+    for name in ("eigenvalues.csv", "matrix.txt"):
+        assert (tmp_path / "cli-cmv" / name).read_bytes() == (
+            tmp_path / "free" / name).read_bytes(), name
 
 
 GOOD_SPEC = {

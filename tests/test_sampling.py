@@ -383,6 +383,36 @@ def test_two_tube_continuity_scan():
     assert jumps.max() < 0.02
 
 
+def test_skew_off_tube_value_takes_one_pull_back_per_ball(monkeypatch):
+    skew = SkewShift(GOLDEN.value)
+    center = TorusPoint.exact("0", "1/4")
+    q = 2
+    br = ball_radius(skew, center, q, Fraction(1, 10))
+    f = tube_function(skew, center, q, br.radius, [0.5, 0.5j])
+    x = TorusPoint.exact("1/2", "1/2")
+    # oracle: the inverse-distance blend over the 5q pulled-back distances
+    d = np.array([float(iterate(skew, x, -n).dist(center))
+                  for n in range(1, 5 * q + 1)]) - float(br.radius)
+    assert d.min() > 0
+    w = 1.0 / d.reshape(5, q).min(axis=0)
+    expected = complex(np.dot(w, np.array(f.values)) / w.sum())
+
+    import qpcmv.sampling as sampling
+
+    calls = []
+
+    def counting(system, point, n):
+        calls.append(n)
+        return iterate(system, point, n)
+
+    monkeypatch.setattr(sampling, "iterate", counting)
+    assert f(x) == expected
+    assert sorted(calls) == [-n for n in range(5 * q, 0, -1)]
+    calls.clear()
+    assert f.ball_index(iterate(skew, center, 3)) == 3
+    assert calls == [-1, -2, -3]
+
+
 @pytest.mark.parametrize("system,center", [
     (Rotation([Fraction(1, 3) + Fraction(1, 2**40)]), ORIGIN),
     (SkewShift(golden_mean(bits=64).value), TorusPoint.exact("1/5", "1/3")),
