@@ -59,11 +59,6 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def fraction_to_mpf(x: Fraction, bits: int = DEFAULT_PRECISION_BITS):
-    with mp.workprec(bits):
-        return mp.mpf(x.numerator) / x.denominator
-
-
 def floor_int(x) -> int:
     """Floor of a real-like value as a Python int."""
     if isinstance(x, Fraction):

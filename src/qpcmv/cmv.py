@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DomainError, EigensolverError, WindowError
 from .sampling import VerblunskySequence
@@ -141,7 +140,6 @@ class CMVOperator:
     n_max: int
     boundary: tuple[complex, complex]
     unitary_mode: bool
-    matrix: np.ndarray
     band: np.ndarray  # band[2 + d, i] = matrix[i, i + d]
     factor_bands: tuple[np.ndarray, np.ndarray]  # tridiagonal bands of L, M
     band_agreement: float
@@ -151,6 +149,11 @@ class CMVOperator:
     @property
     def size(self) -> int:
         return self.n_max - self.n_min + 1
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense E = L M, built on each access."""
+        return _band_to_dense(self.band)
 
     @property
     def factor_left(self) -> np.ndarray:
@@ -171,8 +174,12 @@ class CMVOperator:
             f"# cmv triplets window=[{self.n_min},{self.n_max}] "
             f"size={self.size} unitary={self.unitary_mode}\n"
         )
-        rows, cols = np.nonzero(self.matrix)
-        vals = self.matrix[rows, cols]
+        # bt[i, k] is entry (i, i + k - 2), so the nonzeros of bt in C
+        # order are those of the matrix in row-major order
+        bt = self.band.T
+        rows, k = np.nonzero(bt)
+        cols = rows + k - 2
+        vals = bt[rows, k]
         fh.writelines(
             f"{i} {j} {re!r} {im!r}\n"
             for i, j, re, im in zip(
@@ -290,7 +297,6 @@ def assemble(
         n_max=n_max,
         boundary=(bm, bp),
         unitary_mode=unitary,
-        matrix=_band_to_dense(band),
         band=band,
         factor_bands=(L, M),
         band_agreement=agreement,
@@ -322,6 +328,7 @@ def _runs(split: np.ndarray):
 
 def _band_spectrum(band: np.ndarray):
     """Eigenpairs of E from H_phi, re-diagonalised inside clusters."""
+    import scipy.linalg as sla  # lazily: most commands never load scipy
     hb = 0.5 * (np.exp(-1j * _PHI) * band + np.exp(1j * _PHI) * _band_adjoint(band))
     # upper storage for eig_banded: row 2 - d, column i + d holds H[i, i + d].
     # Dense eigh measured level with it at N = 200-600; its fastest method
@@ -341,6 +348,7 @@ def _band_spectrum(band: np.ndarray):
 
 
 def _schur_spectrum(matrix: np.ndarray):
+    import scipy.linalg as sla
     T, Z = sla.schur(matrix, output="complex")
     return np.diag(T).copy(), Z
 

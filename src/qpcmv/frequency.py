@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 from mpmath import mp
@@ -20,6 +21,7 @@ from mpmath import mp
 from .arith import (
     DEFAULT_PRECISION_BITS,
     as_fraction,
+    circle_dist,
     dist_to_int,
     mpf_to_fraction,
 )
@@ -58,45 +60,43 @@ class Frequency:
         if not (0 < self.value < 1):
             raise DomainError(f"frequency must lie in (0,1), got {self.value}")
 
-    @property
-    def is_exact(self) -> bool:
-        return self.precision_bits is None
-
     def convergent_denominators(self) -> tuple[int, ...]:
         return tuple(q for _, q in self.convergents)
 
 
-def _expand(value: Fraction, terms: int, precision_bits: Optional[int]):
-    """Euclidean continued-fraction loop with a precision floor."""
-    quotients: list[int] = []
-    convergents: list[tuple[int, int]] = []
+def _convergents(value: Fraction):
+    """The Euclidean continued-fraction loop: yields (a_k, p_k, q_k) for
+    k = 1, 2, ... until the expansion of the rational ``value`` ends."""
     p_prev, q_prev = 1, 0  # (p_0, q_0) seeds: previous pair is (0, 1)
     p_cur, q_cur = 0, 1
-    truncated = False
-    limited = False
     x = value
+    while x != 0:
+        inv = 1 / x
+        a = inv.numerator // inv.denominator
+        p_prev, p_cur = p_cur, a * p_cur + p_prev
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+        yield a, p_cur, q_cur
+        x = inv - a
+
+
+def _expand(value: Fraction, terms: int, precision_bits: Optional[int]):
+    """At most ``terms`` quotients of ``value``, with a precision floor."""
+    quotients: list[int] = []
+    convergents: list[tuple[int, int]] = []
+    q_cur = 1
     limit = None
     if precision_bits is not None:
         limit = 1 << max(precision_bits - _CF_GUARD_BITS, 1)
-    while len(quotients) < terms:
-        if x == 0:
-            truncated = True
-            break
-        inv = 1 / x
-        a = inv.numerator // inv.denominator
-        p_next = a * p_cur + p_prev
-        q_next = a * q_cur + q_prev
-        if limit is not None and q_cur * q_next > limit:
-            # |value - p_cur/q_cur| < 1/(q_cur q_next) is already below the
-            # trust radius of the input; further quotients would be noise.
-            limited = True
-            break
+    for a, p, q in islice(_convergents(value), terms):
+        if limit is not None and q_cur * q > limit:
+            # the last kept convergent is within 1/(q_cur q) of value, below
+            # the trust radius of the input; further quotients are noise.
+            return tuple(quotients), tuple(convergents), False, True
         quotients.append(a)
-        convergents.append((p_next, q_next))
-        p_prev, q_prev = p_cur, q_cur
-        p_cur, q_cur = p_next, q_next
-        x = inv - a
-    return tuple(quotients), tuple(convergents), truncated, limited
+        convergents.append((p, q))
+        q_cur = q
+    truncated = len(quotients) < terms
+    return tuple(quotients), tuple(convergents), truncated, False
 
 
 def continued_fraction(
@@ -146,11 +146,10 @@ def distance_to_integers(x):
 
 @dataclass(frozen=True)
 class ScoreScan:
-    """Result of a finite scan of q * <q a> for 1 <= q <= Q.
+    """The minimum of q * <q a> over 1 <= q <= Q.
 
-    The verdict is a finite-scan report, not a proof: the frequency is
-    *reported* badly approximable when the scanned minimum exceeds the
-    threshold.
+    The verdict is a finite-range report, not a proof: the frequency is
+    *reported* badly approximable when the minimum exceeds the threshold.
     """
 
     min_score: Fraction
@@ -160,20 +159,20 @@ class ScoreScan:
     threshold: float
     reported_badly_approximable: bool
 
-    def min_score_float(self) -> float:
-        return float(self.min_score)
-
 
 def badly_approximable_score(
     freq: Frequency,
     q_max: int,
     threshold: float = DEFAULT_BADLY_APPROXIMABLE_THRESHOLD,
 ) -> ScoreScan:
-    """Brute-force min of q * <q a> over 1 <= q <= q_max, exactly.
+    """Exact min of q * <q a> over 1 <= q <= q_max, ties to the smallest q.
 
-    The minimum over the full range provably occurs at a convergent
-    denominator (best-approximation property); this is re-checked and a
-    violation raises, since it would mean the expansion is wrong.
+    By Legendre's theorem (Khinchin, *Continued Fractions*, Thm 19) a q
+    with q <q a> < 1/2 is a multiple m q' of a convergent denominator q',
+    and then q <q a> = m^2 q' <q' a>; any other q scores at least
+    1/2 >= <a>, the score at q = 1.  So the minimum is taken over q = 1
+    and the convergent denominators of the stored rational, in
+    O(log q_max) Euclid steps.
     """
     if q_max < 2:
         raise DomainError("q_max must be >= 2")
@@ -186,27 +185,14 @@ def badly_approximable_score(
             )
     num = freq.value.numerator
     den = freq.value.denominator
-    acc = 0
-    best_num: Optional[int] = None
-    best_q = 0
-    for q in range(1, q_max + 1):
-        acc += num
-        if acc >= den:
-            acc -= den * (acc // den)
-        d = acc if 2 * acc <= den else den - acc
-        s = q * d
-        if best_num is None or s < best_num:
-            best_num = s
-            best_q = q
-            if s == 0:
-                break
+    best_num, best_q = circle_dist(num, den), 1
+    for _, _, q in _convergents(freq.value):
+        if q > q_max:
+            break
+        s = q * circle_dist(q * num, den)
+        if s < best_num:
+            best_num, best_q = s, q
     min_score = Fraction(best_num, den)
-    allowed = {1} | {q for _, q in freq.convergents}
-    if best_q not in allowed:
-        raise RuntimeError(
-            f"score minimum at q={best_q} is not a convergent denominator; "
-            "continued-fraction data is inconsistent"
-        )
     per = tuple(
         (q, q * dist_to_int(q * freq.value))
         for _, q in freq.convergents

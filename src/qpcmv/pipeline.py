@@ -89,10 +89,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise QpcmvError("config must be a JSON object")
         if d.get("schema") != CONFIG_SCHEMA:
             raise QpcmvError(
                 f"config schema must be {CONFIG_SCHEMA!r}, got {d.get('schema')!r}"
             )
+        if "scenario" not in d:
+            raise QpcmvError("config lacks scenario")
         kw: dict[str, Any] = {"scenario": d["scenario"]}
         for key in ("seed", "precision_bits", "z_grid", "score_q_max",
                     "repetition_q_max", "cmv_n", "impurity_q",

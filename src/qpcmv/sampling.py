@@ -594,6 +594,8 @@ class VerblunskySequence:
         for row in rows:
             ns.append(int(row[0]))
             vals.append(complex(float(row[1]), float(row[2])))
+        if not ns:
+            raise WindowError("coefficient csv has no rows")
         if ns != list(range(ns[0], ns[0] + len(ns))):
             raise WindowError("coefficient csv rows must be consecutive in n")
         return VerblunskySequence(ns[0], ns[-1], np.array(vals))

@@ -265,16 +265,36 @@ def loop_dump(op, seed=None):
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("kind", ["random", "free"])
+DUMP_WINDOWS = {
+    "random": (random_seq(17, -40, 40, radius=0.99), -35, 36),
+    # exact zeros on the diagonal and in every alpha factor
+    "free": (VerblunskySequence.constant(0.0, -40, 40), -35, 36),
+    "impurity": (VerblunskySequence.impurity(0.5, -0.99, -30, 30), -21, 20),
+    # period 4, an edge state at each end; the window spans the whole
+    # sequence, so the band walk meets the clamped edge entries
+    "edge": (VerblunskySequence(
+        -31, 30, 0.5 * np.array([-1, -1j, 1, 1j])[np.arange(62) % 4]), -31, 31),
+}
+
+
+@pytest.mark.parametrize("kind", ["random", "free", "impurity", "edge"])
 def test_triplet_dump_matches_double_loop(kind):
-    if kind == "random":
-        seq = random_seq(17, -40, 40, radius=0.99)
-    else:  # exact zeros on the diagonal and in every alpha factor
-        seq = VerblunskySequence.constant(0.0, -40, 40)
-    op = assemble(seq, -35, 36, boundary=(cmath.exp(0.7j), cmath.exp(-2.2j)))
-    buf = io.StringIO()
-    op.dump_triplets(buf, seed=4)
-    assert buf.getvalue() == loop_dump(op, seed=4)
+    seq, n_min, n_max = DUMP_WINDOWS[kind]
+    for boundary in [(1, 1), (cmath.exp(0.7j), cmath.exp(-2.2j)), (-1j, -1)]:
+        op = assemble(seq, n_min, n_max, boundary=boundary)
+        buf = io.StringIO()
+        op.dump_triplets(buf, seed=4)
+        assert buf.getvalue() == loop_dump(op, seed=4), boundary
+
+
+def test_assemble_stores_no_dense_array():
+    # band storage only: O(N) memory, the dense matrices are built on access
+    N = 300
+    op = assemble(random_seq(3, -160, 160), -150, 149)
+    arrays = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
+    arrays += list(op.factor_bands)
+    assert arrays and all(a.size <= 5 * N for a in arrays)
+    assert op.matrix.shape == (N, N)
 
 
 def dense_factor_product(seq, n_min, n_max, boundary):

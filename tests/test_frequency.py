@@ -27,6 +27,8 @@ def test_rational_truncates():
     f = continued_fraction(Fraction(1, 4), terms=3)
     assert f.partial_quotients == (4,)
     assert f.truncated
+    # exactly ``terms`` quotients is a full expansion, not a truncated one
+    assert not continued_fraction(Fraction(1, 4), terms=1).truncated
 
 
 def test_liouville_truncated_sum_has_huge_quotient():
@@ -71,18 +73,79 @@ def test_distance_to_integers_examples():
     assert distance_to_integers(Fraction(7, 2)) == Fraction(1, 2)
 
 
+def brute_force_score(a: Fraction, q_max: int):
+    """min of q <qa> over every 1 <= q <= q_max, first minimiser on ties:
+    oracle for badly_approximable_score."""
+    num, den = a.numerator, a.denominator
+    best, best_q = None, 0
+    for q in range(1, q_max + 1):
+        r = q * num % den
+        s = q * min(r, den - r)
+        if best is None or s < best:
+            best, best_q = s, q
+    return Fraction(best, den), best_q
+
+
+@given(
+    den=st.integers(min_value=2, max_value=5000),
+    data=st.data(),
+    q_max=st.integers(min_value=2, max_value=6000),
+)
+@settings(max_examples=150, deadline=None)
+def test_score_matches_brute_force(den, data, q_max):
+    # q_max >= den is included: the minimum is then 0, at q = den
+    num = data.draw(st.integers(min_value=1, max_value=den - 1))
+    f = continued_fraction(Fraction(num, den), terms=64)
+    scan = badly_approximable_score(f, q_max)
+    assert (scan.min_score, scan.argmin_q) == brute_force_score(f.value, q_max)
+
+
 def test_score_golden_full_scan():
     # the literal minimum of q <qa> over q <= 1e5 sits at q = 1 with value
     # g^2 = (3 - sqrt(5))/2; along Fibonacci denominators the score tends
     # to 1/sqrt(5) ~ 0.4472 from both sides
     g = golden_mean()
     scan = badly_approximable_score(g, 10**5)
+    assert (scan.min_score, scan.argmin_q) == brute_force_score(g.value, 10**5)
     assert scan.argmin_q == 1
     assert float(scan.min_score) == pytest.approx(0.3819660112501051, abs=1e-12)
     tail_q, tail_score = scan.per_convergent[-1]
     assert tail_q == 75025
     assert float(tail_score) == pytest.approx(1 / math.sqrt(5), abs=1e-4)
     assert scan.reported_badly_approximable
+
+
+def test_score_golden_at_huge_q_max():
+    # the convergent walk takes ~60 Euclid steps where a scan would take 1e12
+    g = golden_mean()
+    scan = badly_approximable_score(g, 10**12)
+    assert scan.argmin_q == 1
+    assert scan.min_score == distance_to_integers(g.value)
+    assert scan.per_convergent[-1][0] == 956722026041  # F_59 <= 1e12 < F_60
+
+
+def test_score_ties_go_to_the_smallest_q():
+    # a = 1/2: q = 1 scores exactly the 1/2 bound of Legendre's theorem,
+    # and q = 2 clears it
+    half = continued_fraction(Fraction(1, 2), terms=4)
+    scan = badly_approximable_score(half, 2)
+    assert (scan.min_score, scan.argmin_q) == (0, 2)
+    assert badly_approximable_score(half, 9).argmin_q == 2  # not 4, 6, 8
+    # a = 2/5: q = 1 and the convergent denominator q = 2 both score 2/5
+    f = continued_fraction(Fraction(2, 5), terms=4)
+    assert f.convergent_denominators() == (2, 5)
+    scan = badly_approximable_score(f, 4)
+    assert (scan.min_score, scan.argmin_q) == (Fraction(2, 5), 1)
+
+
+def test_score_looks_past_the_stored_expansion():
+    # the minimum is over the convergents of the rational, not over the
+    # quotients kept in the Frequency
+    f = continued_fraction(Fraction(89, 233) + Fraction(1, 10**9), terms=2)
+    assert len(f.convergents) == 2
+    scan = badly_approximable_score(f, 10**4)
+    assert (scan.min_score, scan.argmin_q) == brute_force_score(f.value, 10**4)
+    assert scan.argmin_q > f.convergents[-1][1]
 
 
 def test_score_rational_hits_zero():

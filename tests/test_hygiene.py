@@ -1,11 +1,16 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and none imports another package module's private (underscore) names.
+and none imports another package module's private (underscore) names;
+importing the CLI leaves scipy unloaded.
 
-Standard library only (``ast``).  ``__init__.py`` is exempt from the
-unused-import check: its imports are the package's re-exports.
+Standard library only (``ast``, ``subprocess``).  ``__init__.py`` is
+exempt from the unused-import check: its imports are the package's
+re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,3 +81,16 @@ def test_private_import_detector():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_imports_across_modules(path):
     assert private_imports(path.read_text()) == []
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.linalg is only needed once a spectrum is computed, and importing
+    # it roughly doubles the start-up time of every command
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qpcmv.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -308,6 +308,36 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gordon", "cmv"])
+def test_cli_rejects_header_only_coefficient_csv(tmp_path, capsys, command):
+    seq_file = tmp_path / "verblunsky.csv"
+    seq_file.write_text("# seed=1\nn,re_alpha,im_alpha\n")
+    rc = main([command, "--seq-file", str(seq_file), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no rows" in err
+
+
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        ({"schema": CONFIG_SCHEMA, "seed": 3}, "lacks scenario"),
+        ([{"schema": CONFIG_SCHEMA, "scenario": "free"}], "JSON object"),
+        ("free", "JSON object"),
+    ],
+    ids=["no-scenario", "list", "string"],
+)
+def test_cli_run_rejects_malformed_config(tmp_path, capsys, config, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    with pytest.raises(QpcmvError):
+        ExperimentConfig.from_dict(config)
+
+
 @pytest.mark.parametrize("index", ["10", "99", "-1"])
 def test_cli_cmv_rejects_profile_index_outside_window(tmp_path, capsys, index):
     seq_file = tmp_path / "verblunsky.csv"
