@@ -109,7 +109,8 @@ def gordon_levels(cert) -> list[dict]:
 
 def evidence_summary(table) -> dict:
     """The verdict fields of an evidence table."""
-    keys = ("q", "min_c", "argmin_angle", "verdict", "nonfinite_rows")
+    keys = ("q", "min_c", "argmin_angle", "verdict", "nonfinite_rows",
+            "max_log10_norm")
     return {key: getattr(table, key) for key in keys}
 
 

@@ -321,6 +321,7 @@ def _evidence_stage(rep: _Report, cfg: ExperimentConfig, seq, certificate=None,
         )
         st["min_c"] = table.min_c
         st["nonfinite_rows"] = table.nonfinite_rows
+        st["max_log10_norm"] = table.max_log10_norm
         if expect_fail:
             st["expected"] = "FAIL"
             rep.verdicts["evidence"] = table.verdict

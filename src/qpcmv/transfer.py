@@ -59,27 +59,60 @@ def block_product(seq, z: complex, n_from: int, n_to: int) -> np.ndarray:
     return block_product_grid(seq, np.array([z]), n_from, n_to)[0]
 
 
-def block_product_grid(seq, zs: np.ndarray, n_from: int, n_to: int) -> np.ndarray:
-    """block_product for a whole z-grid at once: (len(zs), 2, 2)."""
+def block_product_grid(
+    seq, zs: np.ndarray, n_from: int, n_to: int,
+    start: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """block_product for a whole z-grid at once: (len(zs), 2, 2).
+
+    With ``start`` (a (len(zs), 2, 2) stack) the result is the product
+    times ``start``, so a product over [m, n) continued from the one over
+    [l, m) equals the product over [l, n) bit for bit.
+
+    The two rows of P are carried as arrays over the grid and each step
+    applies S(a, z) = rho^-1 [[1, -conj(a)], [-a, 1]] diag(z, 1) to them
+    elementwise, in the order that makes a one-step product equal
+    ``szego_batch`` exactly.  No BLAS call is made, so the rounding does
+    not depend on the BLAS build.
+    """
     if n_to < n_from:
         raise DomainError("n_to must be >= n_from")
     zs = np.asarray(zs, dtype=complex)
-    P = np.broadcast_to(np.eye(2, dtype=complex), zs.shape + (2, 2)).copy()
+    if start is None:
+        start = np.broadcast_to(np.eye(2, dtype=complex), zs.shape + (2, 2))
     if n_to == n_from:
-        return P
-    seq.require(n_from, n_to - 1)
-    for n in range(n_from, n_to):
-        P = szego_batch(np.full(zs.shape, seq.alpha(n)), zs) @ P
-    return P
+        return np.array(start, dtype=complex)
+    alphas = seq.slice(n_from, n_to - 1)
+    inv_rho = 1.0 / np.sqrt((1.0 - np.abs(alphas)) * (1.0 + np.abs(alphas)))
+    top = np.moveaxis(start[..., 0, :], -1, 0)
+    bot = np.moveaxis(start[..., 1, :], -1, 0)
+    for a, ac, s in zip(alphas.tolist(), alphas.conj().tolist(),
+                        inv_rho.tolist()):
+        u = zs * top
+        top = (u - ac * bot) * s
+        bot = (bot - a * u) * s
+    return np.moveaxis(np.stack([top, bot]), (0, 1), (-2, -1))
 
 
 def spectral_norm_2x2(A: np.ndarray) -> np.ndarray:
-    """Largest singular value, closed form, vectorized over leading axes."""
+    """Largest singular value, closed form, vectorized over leading axes.
+
+    Each matrix is first scaled by the power of two 2^-e that brings its
+    largest entry into [1/2, 1).  The scaling is exact, so in range the
+    value is that of the unscaled formula bit for bit, and a finite matrix
+    gets a finite norm however large it is.  A non-finite entry still
+    gives a non-finite norm.
+    """
+    A = np.asarray(A, dtype=complex)
+    _, e = np.frexp(np.abs(A).max(axis=(-2, -1)))
+    k = -e[..., None, None]
+    A = np.ldexp(A.real, k) + 1j * np.ldexp(A.imag, k)
     f = np.sum(np.abs(A) ** 2, axis=(-2, -1))
     d = np.abs(
         A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
     ) ** 2
-    return np.sqrt((f + np.sqrt(np.maximum(f * f - 4 * d, 0.0))) / 2)
+    s = np.sqrt((f + np.sqrt(np.maximum(f * f - 4 * d, 0.0))) / 2)
+    return np.ldexp(s, e)
 
 
 def inv_2x2(A: np.ndarray) -> np.ndarray:
@@ -384,7 +417,7 @@ def _three_blocks(seq, zs: np.ndarray, q: int):
     [-q, 0) that B- inverts."""
     back = block_product_grid(seq, zs, -q, 0)
     fwd = block_product_grid(seq, zs, 0, q)
-    dbl = block_product_grid(seq, zs, 0, 2 * q)
+    dbl = block_product_grid(seq, zs, q, 2 * q, start=fwd)
     return np.stack([fwd, dbl, inv_2x2(back)], axis=1), back
 
 
@@ -459,7 +492,9 @@ class EvidenceTable:
     supplied explicitly (the negative-control path for sequences that are
     deliberately not Gordon).  ``nonfinite_rows`` counts the rows whose
     block products or block norms are not finite; a row whose products are
-    not finite has c = inf.
+    not finite has c = inf.  ``max_log10_norm`` is the largest log10 block
+    norm over the rows whose norms are finite (None if there are none);
+    once ||P||^2 ulp outgrows c, the value of c is set by rounding.
     """
 
     q: int
@@ -474,6 +509,14 @@ class EvidenceTable:
     @property
     def passed(self) -> bool:
         return self.verdict == "PASS"
+
+    @property
+    def max_log10_norm(self) -> Optional[float]:
+        norms = np.array(
+            [(r.norm_forward, r.norm_double, r.norm_backward) for r in self.rows]
+        )
+        norms = norms[np.isfinite(norms).all(axis=1)]
+        return float(np.log10(norms.max())) if norms.size else None
 
 
 def no_point_spectrum_evidence(

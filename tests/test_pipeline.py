@@ -119,6 +119,40 @@ def test_impurity_run_fails_evidence(tmp_path):
     assert ev["min_c"] < 0.25
 
 
+def test_evidence_reports_worst_block_norm(tmp_path):
+    cfg = ExperimentConfig.from_dict(
+        {
+            "schema": CONFIG_SCHEMA,
+            "scenario": "liouville-rotation",
+            "seed": 11,
+            "cmv_n": 60,
+            "z_grid": 64,
+            "lipschitz_samples": 2000,
+        }
+    )
+    doc, _ = run(cfg, tmp_path)
+    worst = doc["stages"]["evidence"]["max_log10_norm"]
+    rows = (tmp_path / "evidence.csv").read_text().splitlines()[2:]
+    norms = [float(x) for row in rows for x in row.split(",")[2:]]
+    assert worst == float(np.log10(max(norms))) > 0
+    ev = json.loads((tmp_path / "evidence.json").read_text())
+    assert ev["max_log10_norm"] == worst
+
+
+def test_cli_gordon_reports_worst_block_norm(tmp_path):
+    seq_file = tmp_path / "seq.csv"
+    VerblunskySequence.constant(0.5, -20, 20).to_csv(seq_file)
+    rc = main(
+        ["gordon", "--seq-file", str(seq_file), "--k-list", "1:4",
+         "--z-grid", "32", "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    ev = json.loads((tmp_path / "gordon.json").read_text())["evidence"]
+    rows = (tmp_path / "evidence.csv").read_text().splitlines()[2:]
+    norms = [float(x) for row in rows for x in row.split(",")[2:]]
+    assert ev["max_log10_norm"] == float(np.log10(max(norms)))
+
+
 def test_impurity_bound_state_is_the_negative_angle_of_its_pair(tmp_path):
     # real coefficients: the bound state is a conjugate pair +-theta of
     # equal participation ratio; the pick is the smaller angle

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from qpcmv.cmv import assemble, eigenvector_profile, spectrum
 from qpcmv.dynamics import Rotation, TorusPoint
@@ -16,7 +17,9 @@ from qpcmv.sampling import (
     verblunsky_window,
 )
 from qpcmv.transfer import (
+    _three_blocks,
     block_product,
+    block_product_grid,
     certify_gordon,
     coefficient_tolerance,
     gordon_lower_bound,
@@ -113,6 +116,162 @@ def test_block_determinant_identity():
         P = block_product(seq, z, 0, L)
         assert spectral_norm_2x2(P) < 5.0
         assert abs(np.linalg.det(P) - z**L) <= tol
+
+
+def matmul_block_product(seq, zs, n_from, n_to):
+    """Reference: one (len(zs), 2, 2) szego_batch stack per step, applied
+    with a batched matmul."""
+    P = np.broadcast_to(np.eye(2, dtype=complex), zs.shape + (2, 2)).copy()
+    for n in range(n_from, n_to):
+        P = szego_batch(np.full(zs.shape, seq.alpha(n)), zs) @ P
+    return P
+
+
+def mp_block_product(seq, z, n_from, n_to):
+    """Reference: the product in mpmath at the working precision, from the
+    same float coefficients and z."""
+    z = mp.mpc(z)
+    P = mp.eye(2)
+    for n in range(n_from, n_to):
+        a = mp.mpc(seq.alpha(n))
+        S = mp.matrix([[z, -mp.conj(a)], [-a * z, 1]]) / mp.sqrt(1 - abs(a) ** 2)
+        P = S * P
+    return P
+
+
+def periodic_seq(rng, q, modulus=0.5):
+    """An exactly q-periodic window on [-q, 2q] with |alpha| = modulus."""
+    cell = modulus * np.exp(2j * np.pi * rng.random(q))
+    return VerblunskySequence(-q, 2 * q, np.tile(cell, 4)[: 3 * q + 1])
+
+
+def product_condition(seq, zs, n_from, n_to):
+    """sum over steps k of ||S(n_to-1)..S(k+1)|| ||S(k)|| ||S(k-1)..S(n_from)||
+    divided by ||P||, per z: the first-order amplification of one rounding
+    per step.  It equals the number of steps when P has no cancellation."""
+    S = [szego_batch(np.full(zs.shape, seq.alpha(n)), zs)
+         for n in range(n_from, n_to)]
+    eye = np.broadcast_to(np.eye(2, dtype=complex), zs.shape + (2, 2))
+    right, left = [eye], [eye]
+    for k in range(len(S)):
+        right.append(S[k] @ right[-1])
+        left.append(left[-1] @ S[-1 - k])
+    total = sum(
+        spectral_norm_2x2(left[len(S) - 1 - k]) * spectral_norm_2x2(S[k])
+        * spectral_norm_2x2(right[k])
+        for k in range(len(S))
+    )
+    return total / spectral_norm_2x2(right[-1])
+
+
+@pytest.mark.parametrize("q, kind", [(64, "periodic"), (512, "periodic"),
+                                     (256, "random")])
+def test_block_product_matches_mpmath(q, kind):
+    # normwise relative error within 2 ulp per step, with each step's
+    # rounding weighted by how much the product cancels it (2 q ulp when P
+    # has no cancellation), for the two-row kernel and the matmul reference
+    rng = np.random.default_rng(q)
+    seq = periodic_seq(rng, q) if kind == "periodic" else random_seq(rng, -q, 2 * q)
+    zs = np.exp(1j * np.array([0.1234, 1.9876, 3.3333, 5.4321]))
+    budget = 2 * np.finfo(float).eps * product_condition(seq, zs, 0, q)
+    kernel = block_product_grid(seq, zs, 0, q)
+    oracle = matmul_block_product(seq, zs, 0, q)
+    with mp.workdps(60):
+        for i, z in enumerate(zs):
+            exact = mp_block_product(seq, complex(z), 0, q)
+            ref = np.array(exact.tolist(), dtype=complex)
+            for P in (kernel[i], oracle[i]):
+                diff = np.array((mp.matrix(P.tolist()) - exact).tolist(),
+                                dtype=complex)
+                err = spectral_norm_2x2(diff) / spectral_norm_2x2(ref)
+                assert err <= budget[i]
+
+
+def test_block_product_grid_continues_from_a_start_matrix():
+    rng = np.random.default_rng(12)
+    seq = random_seq(rng, -10, 40)
+    zs = np.exp(2j * np.pi * rng.random(7))
+    head = block_product_grid(seq, zs, -10, 5)
+    whole = block_product_grid(seq, zs, -10, 30)
+    assert np.array_equal(block_product_grid(seq, zs, 5, 30, start=head), whole)
+    assert np.array_equal(block_product_grid(seq, zs, 5, 5, start=head), head)
+
+
+def test_three_blocks_double_block_is_the_product_from_scratch():
+    rng = np.random.default_rng(3)
+    q = 32
+    seq = random_seq(rng, -q, 2 * q)
+    zs = np.exp(2j * np.pi * np.arange(64) / 64)
+    mats, back = _three_blocks(seq, zs, q)
+    assert np.array_equal(mats[:, 0], block_product_grid(seq, zs, 0, q))
+    assert np.array_equal(mats[:, 1], block_product_grid(seq, zs, 0, 2 * q))
+    assert np.array_equal(back, block_product_grid(seq, zs, -q, 0))
+
+
+def test_evidence_reads_each_coefficient_once():
+    # B- needs the q coefficients on [-q, 0) and B+/B++ the 2q on [0, 2q):
+    # B++ continues from B+ instead of reading [0, q) a second time
+    reads = []
+
+    class CountingSequence(VerblunskySequence):
+        def slice(self, n_from, n_to):
+            out = super().slice(n_from, n_to)
+            reads.append(len(out))
+            return out
+
+    q = 16
+    base = random_seq(np.random.default_rng(4), -q, 2 * q)
+    seq = CountingSequence(base.n_min, base.n_max, base.values)
+    no_point_spectrum_evidence(seq, q=q, z_grid=32)
+    assert sorted(reads) == [q, q, q]
+
+
+# ---------------------------------------------------------------------------
+# spectral norm
+# ---------------------------------------------------------------------------
+
+
+def closed_form_norm(A):
+    """Reference: the unscaled closed form, which overflows once the
+    squared entries leave the float range."""
+    f = np.sum(np.abs(A) ** 2, axis=(-2, -1))
+    d = np.abs(A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]) ** 2
+    return np.sqrt((f + np.sqrt(np.maximum(f * f - 4 * d, 0.0))) / 2)
+
+
+def random_matrices(rng, n):
+    return rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+
+
+def test_spectral_norm_beyond_the_squared_range():
+    A = np.array([[1e80, 2e79j], [3e79, 1e78]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(closed_form_norm(A))
+    svd = np.linalg.svd(A, compute_uv=False)[0]
+    assert spectral_norm_2x2(A) == pytest.approx(svd, rel=1e-14)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150, 1e300])
+def test_spectral_norm_matches_svd_at_extreme_scales(scale):
+    A = random_matrices(np.random.default_rng(6), 2000) * scale
+    svd = np.linalg.svd(A, compute_uv=False)[:, 0]
+    assert np.all(np.abs(spectral_norm_2x2(A) - svd) <= 1e-14 * svd)
+
+
+def test_spectral_norm_equals_the_closed_form_in_range():
+    rng = np.random.default_rng(10)
+    A = random_matrices(rng, 200_000)
+    A *= 10.0 ** rng.uniform(-30, 30, (len(A), 1, 1))
+    assert np.array_equal(spectral_norm_2x2(A), closed_form_norm(A))
+
+
+def test_spectral_norm_of_non_finite_input_is_non_finite():
+    A = random_matrices(np.random.default_rng(2), 3)
+    A[0, 0, 1] = np.inf
+    A[1, 1, 0] = complex(0, -np.inf)
+    A[2, 1, 1] = np.nan
+    with np.errstate(invalid="ignore"):
+        assert not np.isfinite(spectral_norm_2x2(A)).any()
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +627,8 @@ def test_evidence_grid_refinement_stability():
 
 @pytest.mark.parametrize("q", [256, 512])
 def test_evidence_counts_nonfinite_rows(q):
-    # exactly q-periodic, |alpha| = 0.5: hyperbolic products overflow the
-    # closed-form block norms at large q
+    # exactly q-periodic, |alpha| = 0.5: hyperbolic products reach ~1e80 at
+    # q = 512, beyond the range of their squared entries
     rng = np.random.default_rng(q)
     cell = 0.5 * np.exp(2j * np.pi * rng.random(q))
     seq = VerblunskySequence(-q, 2 * q, np.tile(cell, 4)[: 3 * q + 1])
@@ -485,4 +644,49 @@ def test_evidence_counts_nonfinite_rows(q):
     assert table.nonfinite_rows == int((~np.isfinite(norms)).any(axis=1).sum())
     assert table.verdict in ("PASS", "FAIL")
     if q == 512:
-        assert table.nonfinite_rows > 0
+        # every product is finite, and so is every norm
+        assert table.nonfinite_rows == 0
+        assert np.isfinite(table.max_log10_norm)
+
+
+def test_evidence_counts_overflowing_products():
+    # constant |alpha| = 0.9: the products overflow in the gap and stay
+    # bounded in the band; exactly the rows with a non-finite product count
+    q = 256
+    seq = VerblunskySequence.constant(0.9, -q, 2 * q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = no_point_spectrum_evidence(seq, q=q, z_grid=64)
+        zs = np.exp(1j * np.array([r.angle for r in table.rows]))
+        products = np.stack(
+            [block_product_grid(seq, zs, a, b)
+             for a, b in ((-q, 0), (0, q), (0, 2 * q))], axis=1
+        )
+    bad = ~np.isfinite(products).all(axis=(1, 2, 3))
+    assert 0 < bad.sum() < len(bad)
+    assert table.nonfinite_rows == bad.sum()
+    c = np.array([r.c for r in table.rows])
+    assert np.isinf(c[bad]).all() and np.isfinite(c[~bad]).all()
+    assert np.isfinite(table.max_log10_norm)
+
+
+def test_evidence_extra_angles_match_single_point_bound():
+    seq, cert = certified_tube_sequence()
+    q = cert.levels[0].q
+    thetas = [0.3, 1.7, 4.0]
+    table = no_point_spectrum_evidence(seq, q=q, z_grid=16, extra_angles=thetas)
+    for row, th in zip(table.rows[16:], thetas):
+        res = gordon_lower_bound(seq, q, complex(np.exp(1j * th)))
+        assert (row.c, row.norm_forward, row.norm_double, row.norm_backward) == (
+            res.c, res.norm_forward, res.norm_double, res.norm_backward
+        )
+
+
+def test_evidence_max_log10_norm():
+    seq = VerblunskySequence.constant(0.0, -40, 40)
+    table = no_point_spectrum_evidence(seq, q=8, z_grid=64)
+    assert abs(table.max_log10_norm) < 1e-12
+    seq = VerblunskySequence.constant(0.5, -40, 40)
+    table = no_point_spectrum_evidence(seq, q=8, z_grid=64)
+    norms = [max(r.norm_forward, r.norm_double, r.norm_backward)
+             for r in table.rows]
+    assert table.max_log10_norm == float(np.log10(max(norms)))
