@@ -97,6 +97,20 @@ def circle_dist(x: int, d: int) -> int:
     return min(r, d - r)
 
 
+def residue_dist(p, r, d: int) -> int:
+    """D * (torus max-distance of p / D and r / D), for D = d."""
+    return max(circle_dist(x - y, d) for x, y in zip(p, r))
+
+
+def scaled(x, d: int):
+    """x * d exactly: an int when the denominator of x divides d (x on the
+    1/d grid), else a Fraction."""
+    x = as_fraction(x)
+    if d % x.denominator:
+        return x * d
+    return x.numerator * (d // x.denominator)
+
+
 def signed_frac(x):
     """Representative of x mod 1 in (-1/2, 1/2]."""
     f = mod1(x)

@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .dynamics import iterate
+from .dynamics import scaled_deviations
 
 
 def write_json(path, obj) -> None:
@@ -54,13 +54,15 @@ def write_frequency_csv(path, seed, freq, scan) -> None:
 
 
 def write_orbit_csv(path, comment: str, system, omega, cert) -> None:
-    """dist(T^n w, T^(n+q) w) for n = 0..window of a repetition certificate."""
-    write_csv(
-        path, comment, ["n", "dist"],
-        ([n, repr(float(iterate(system, omega, n).dist(
-            iterate(system, omega, n + cert.q))))]
-         for n in range(cert.window + 1)),
-    )
+    """dist(T^n w, T^(n+q) w) for n = 0..window of a repetition certificate.
+
+    Each distance is the exact integer k = D * dist divided by D, which is
+    the correctly rounded float of the exact rational distance.
+    """
+    ns = range(cert.window + 1)
+    d, devs = scaled_deviations(system, omega, cert.q, ns)
+    write_csv(path, comment, ["n", "dist"],
+              ([n, repr(k / d)] for n, k in zip(ns, devs)))
 
 
 def write_verblunsky_csv(path, seq, seed: Optional[int] = None) -> None:

@@ -10,6 +10,10 @@ dist(T^(n+q) w, T^n w) is, per coordinate, the distance to the integers of
 an arithmetic progression in n.  The maximum of <c + n d> over a discrete
 range is computed exactly from the crossing structure instead of scanning
 the orbit, which keeps certificates honest even for windows of 10^8 points.
+
+Exact orbit geometry elsewhere (re-validation scans here, the tube checks
+and lookups of ``sampling``, the orbit table of ``artifacts``) runs on
+integer residues over one common denominator, through ``integer_map``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .arith import as_fraction, dist_to_int, mod1, signed_frac
+from .arith import (
+    as_fraction,
+    common_denominator,
+    dist_to_int,
+    mod1,
+    residue_dist,
+    scaled,
+    signed_frac,
+)
 from .errors import DomainError, PrecisionError
 from .frequency import Frequency
 
@@ -114,6 +126,60 @@ def block_displacement(system: SkewShift, omega: TorusPoint, n: int, q: int) -> 
 
 
 # ---------------------------------------------------------------------------
+# Integer residues
+# ---------------------------------------------------------------------------
+#
+# Exact orbit geometry runs on integers: every coordinate involved is a
+# multiple of 1/D for one shared denominator D, so a torus point is a tuple
+# of residues mod D, equality on the torus is equality of residues and
+# D * dist_to_int(x / D) is circle_dist(x, D).
+
+
+def integer_map(system: TorusDynamics, d: int):
+    """Closed-form T^n on residues over d: ``image(p, n)``, n of any sign.
+
+    ``p`` may hold exact Fractions (points off the 1/d grid); the image is
+    then an exact rational residue too.
+    """
+    if isinstance(system, Rotation):
+        shift = [scaled(s, d) for s in system.shift]
+
+        def image(p, n):
+            return tuple((c + n * s) % d for c, s in zip(p, shift))
+
+        return image
+    a = scaled(system.a, d)
+
+    def image(p, n):
+        p1, p2 = p
+        return ((p1 + 2 * n * a) % d, (p2 + n * p1 + n * (n - 1) * a) % d)
+
+    return image
+
+
+def integer_kernel(system: TorusDynamics, point: TorusPoint, *extra):
+    """(d, point over d, T^n over d) for d the common denominator of the
+    system, the point and the rationals ``extra``."""
+    if not isinstance(system, Rotation) and point.dim != 2:
+        raise DomainError("skew-shift needs a T^2 point")
+    freq = system.shift if isinstance(system, Rotation) else (system.a,)
+    d = common_denominator(*point.coords, *freq, *extra)
+    return d, tuple(scaled(c, d) for c in point.coords), integer_map(system, d)
+
+
+def scaled_deviations(system: TorusDynamics, omega: TorusPoint, q: int,
+                      ns: Sequence[int]):
+    """(D, generator of the integers D * dist(T^n w, T^(n+q) w), n in ns).
+
+    Each value comes from direct subtraction of two integer iterates, so
+    it is independent of the arithmetic-progression closed form that
+    repetition searches use.
+    """
+    d, c, image = integer_kernel(system, omega)
+    return d, (residue_dist(image(c, n), image(c, n + q), d) for n in ns)
+
+
+# ---------------------------------------------------------------------------
 # Exact maximum of <c + n d> over n = 0..N
 # ---------------------------------------------------------------------------
 
@@ -165,15 +231,6 @@ def ap_max_dist(c, d, n_max: int) -> APMax:
     # integer, so the max is within |s|/2 of 1/2.
     lower = Fraction(1, 2) - abs(s) / 2
     return APMax(lower, Fraction(1, 2), None, False)
-
-
-def _exact_scan_max(values):
-    best_v = None
-    best_n = -1
-    for n, v in values:
-        if best_v is None or v > best_v:
-            best_v, best_n = v, n
-    return best_v, best_n
 
 
 # ---------------------------------------------------------------------------
@@ -242,16 +299,12 @@ def _orbit_deviation(system: TorusDynamics, omega: TorusPoint, q: int,
 
 def _scan_deviation(system: TorusDynamics, omega: TorusPoint, q: int,
                     window: int, samples: Optional[Sequence[int]] = None):
-    """Independent orbit scan (closed-form iterates, direct subtraction)."""
+    """Independent orbit scan: (max, first argmax) over n in ``samples``
+    (default 0..window) of the exact deviation, from integer iterates."""
     ns = range(window + 1) if samples is None else samples
-
-    def gen():
-        for n in ns:
-            p = iterate(system, omega, n)
-            pq = iterate(system, omega, n + q)
-            yield n, p.dist(pq)
-
-    return _exact_scan_max(gen())
+    d, devs = scaled_deviations(system, omega, q, ns)
+    k, n = max(zip(devs, ns), key=lambda kn: kn[0])
+    return Fraction(k, d), n
 
 
 def _validate_certificate(system, omega, q, window, dev_upper, argmax,
@@ -274,7 +327,7 @@ def _validate_certificate(system, omega, q, window, dev_upper, argmax,
     if scan_max > dev_upper:
         raise PrecisionError("spot scan exceeded the certified maximum")
     if exact and argmax is not None:
-        v = iterate(system, omega, argmax).dist(iterate(system, omega, argmax + q))
+        v, _ = _scan_deviation(system, omega, q, window, [argmax])
         if v != dev_upper:
             raise PrecisionError("closed-form argmax value failed revalidation")
     return "spot-scan"

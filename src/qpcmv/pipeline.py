@@ -269,6 +269,7 @@ def _repetition_stage(rep: _Report, cfg: ExperimentConfig, system, omega):
             f"seed={cfg.seed} k={k_top} q={cert.q}", system, omega, cert,
         )
         st["periods"] = {str(k): results[k].q for k in results}
+        st["validated"] = {str(k): results[k].validated for k in results}
     return results
 
 

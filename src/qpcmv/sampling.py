@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
@@ -19,9 +20,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import as_fraction, circle_dist, common_denominator
+from .arith import as_fraction, circle_dist, residue_dist, scaled
 from .artifacts import read_csv, write_verblunsky_csv
-from .dynamics import Rotation, TorusDynamics, TorusPoint, iterate
+from .dynamics import (
+    Rotation,
+    TorusDynamics,
+    TorusPoint,
+    integer_kernel,
+    iterate,
+)
 from .errors import (
     ConstructionError,
     DegenerateOrbitError,
@@ -124,56 +131,6 @@ class BallRadiusReport:
     denominator_bits: int
 
 
-# The exact tube checks run on integers: every coordinate involved is a
-# multiple of 1/D for one shared denominator D, so a torus point is a tuple
-# of residues mod D, equality on the torus is equality of residues and
-# D * dist_to_int(x / D) is circle_dist(x, D).  Results go back to Fraction
-# only at the return boundary.
-
-
-def _denominator(system: TorusDynamics, center: TorusPoint, *extra) -> int:
-    freq = system.shift if isinstance(system, Rotation) else (system.a,)
-    return common_denominator(*center.coords, *freq, *extra)
-
-
-def _scaled(x, d: int) -> int:
-    """x * d for a rational x whose denominator divides d."""
-    x = as_fraction(x)
-    return x.numerator * (d // x.denominator)
-
-
-def _integer_map(system: TorusDynamics, d: int):
-    """Closed-form T^n on integer coordinates over d."""
-    if isinstance(system, Rotation):
-        shift = [_scaled(s, d) for s in system.shift]
-
-        def image(p, n):
-            return tuple((c + n * s) % d for c, s in zip(p, shift))
-
-        return image
-    a = _scaled(system.a, d)
-
-    def image(p, n):
-        p1, p2 = p
-        return ((p1 + 2 * n * a) % d, (p2 + n * p1 + n * (n - 1) * a) % d)
-
-    return image
-
-
-def _cheb(p, r, d: int) -> int:
-    """d * (torus distance of p / d and r / d)."""
-    return max(circle_dist(x - y, d) for x, y in zip(p, r))
-
-
-def _kernel(system: TorusDynamics, center: TorusPoint, *extra):
-    """(d, centre over d, T^n over d) for d the common denominator of the
-    system, the centre and ``extra``."""
-    if not isinstance(system, Rotation) and center.dim != 2:
-        raise DomainError("skew-shift needs a T^2 point")
-    d = _denominator(system, center, *extra)
-    return d, tuple(_scaled(c, d) for c in center.coords), _integer_map(system, d)
-
-
 def ball_radius(
     system: TorusDynamics,
     center: TorusPoint,
@@ -202,7 +159,7 @@ def ball_radius(
         raise DomainError("epsilon must be positive")
 
     rotation = isinstance(system, Rotation)
-    d, c, image = _kernel(system, center, 10 * epsilon)
+    d, c, image = integer_kernel(system, center, 10 * epsilon)
     orbit = [image(c, n) for n in range(0, 5 * q + 1)]
     min_gap: Optional[int] = None
 
@@ -243,12 +200,12 @@ def ball_radius(
 
     # room left in the 5 epsilon ball is (10 epsilon d - spread) / (2 d); the
     # skew-shift shears the box of ball n = j + 4q, so divides it by n + 1
-    ten_eps = _scaled(10 * epsilon, d)
+    ten_eps = scaled(10 * epsilon, d)
     contain: Optional[tuple[int, int]] = None
     spread_max = 0
     for j in range(1, q + 1):
         tube = [orbit[j + l * q] for l in range(5)]
-        spread = max(_cheb(a, b, d) for a, b in combinations(tube, 2))
+        spread = max(residue_dist(a, b, d) for a, b in combinations(tube, 2))
         spread_max = max(spread_max, spread)
         room = ten_eps - spread
         if room <= 0:
@@ -273,9 +230,9 @@ def ball_radius(
         disjoint_bound=disjoint_bound,
         containment_bound=contain_bound,
         verified=True,
-        denominator_bits=_denominator(
+        denominator_bits=integer_kernel(
             system, center, 10 * epsilon, *chain.from_iterable(offsets)
-        ).bit_length(),
+        )[0].bit_length(),
     )
 
 
@@ -325,13 +282,13 @@ def verify_ball(system, center, q, epsilon, radius, grid: int = 8) -> bool:
     epsilon = as_fraction(epsilon)
     radius = as_fraction(radius)
     offsets = _sample_offsets(center.dim, radius, grid)
-    d, c, image = _kernel(
+    d, c, image = integer_kernel(
         system, center, 10 * epsilon, *chain.from_iterable(offsets)
     )
-    offsets = [tuple(_scaled(x, d) for x in off) for off in offsets]
+    offsets = [tuple(scaled(x, d) for x in off) for off in offsets]
     # circle distances never exceed d / 2, so this bound acts as
     # min(10 epsilon, 1/2) * d
-    ten_eps = _scaled(10 * epsilon, d)
+    ten_eps = scaled(10 * epsilon, d)
 
     if isinstance(system, Rotation):
         # samples of T^i B and T^(i+m) B differ by m * shift + an offset
@@ -383,10 +340,13 @@ class TubeFunction:
     """Continuous f equal to values[j-1] on the closed tube
     U_{l=0..4} T^(j+lq) B(center, radius), j = 1..q, and blended elsewhere.
 
-    Membership tests are exact (rational arithmetic against the ball);
-    off the tubes the value is an inverse-distance weighted blend of the
-    tube values, which is continuous and stays inside the convex hull of
-    the values, hence inside the disk.
+    Membership tests are exact, on integer residues over the common
+    denominator D of the system, the centre and the radius: the 5q ball
+    centres are held as residues sorted by their first coordinate, and a
+    point is tested only against the balls whose first coordinate can
+    reach it.  Off the tubes the value is an inverse-distance weighted
+    blend of the tube values, which is continuous and stays inside the
+    convex hull of the values, hence inside the disk.
     """
 
     kind = "tube"
@@ -405,25 +365,47 @@ class TubeFunction:
         self.radius = as_fraction(radius)
         self.values = values
         self.sup_norm = vmax
-        self._orbit = [iterate(system, center, n) for n in range(0, 5 * q + 1)]
-        self._orbit_f = np.array([p.as_floats() for p in self._orbit])
+        d, c, image = integer_kernel(system, center, self.radius)
+        self._d, self._r, self._image = d, scaled(self.radius, d), image
+        # ball n is centred at the residues _orbit[n]; _orbit[0] is the centre
+        self._orbit = [image(c, n) for n in range(0, 5 * q + 1)]
+        self._by_first = sorted(range(1, 5 * q + 1),
+                                key=lambda n: self._orbit[n][0])
+        self._firsts = [self._orbit[n][0] for n in self._by_first]
+        if isinstance(system, Rotation):
+            # int / int is correctly rounded, as float(Fraction) is
+            self._orbit_f = np.array([[x / d for x in self._orbit[n]]
+                                      for n in range(1, 5 * q + 1)])
         self._check_disjoint()
 
+    def _window(self, x, half) -> list[int]:
+        """Balls n whose centre's first residue lies within ``half`` of the
+        residue x on the circle mod D."""
+        d = self._d
+        if 2 * half >= d:
+            return self._by_first
+        lo, hi = (x - half) % d, (x + half) % d
+        i, j = bisect_left(self._firsts, lo), bisect_right(self._firsts, hi)
+        if lo <= hi:
+            return self._by_first[i:j]
+        return self._by_first[i:] + self._by_first[:j]
+
     def _check_disjoint(self):
-        d, c, image = _kernel(self.system, self.center, 2 * self.radius)
-        two_r = _scaled(2 * self.radius, d)
+        d, two_r = self._d, 2 * self._r
         if isinstance(self.system, Rotation):
             zero = (0,) * self.center.dim
             for m in range(1, 5 * self.q):
-                if max(circle_dist(x, d) for x in image(zero, m)) <= two_r:
+                if max(circle_dist(x, d) for x in self._image(zero, m)) <= two_r:
                     raise ConstructionError(
                         f"balls {m} apart overlap at radius {float(self.radius)}"
                     )
             return
-        orbit = [image(c, n) for n in range(0, 5 * self.q + 1)]
+        # centres within 2r in the max metric are within 2r in the first
+        # coordinate, so only window pairs are compared
+        orbit = self._orbit
         for i in range(1, 5 * self.q + 1):
-            for j in range(i + 1, 5 * self.q + 1):
-                if _cheb(orbit[i], orbit[j], d) <= two_r:
+            for j in sorted(self._window(orbit[i][0], two_r)):
+                if j > i and residue_dist(orbit[i], orbit[j], d) <= two_r:
                     raise ConstructionError(
                         f"balls {i} and {j} overlap at radius {float(self.radius)}"
                     )
@@ -434,22 +416,37 @@ class TubeFunction:
         """(n, None) for the first n in [1, 5q] with point in closed T^n(B),
         decided exactly; else (None, d), d[n - 1] the float distance from
         the point to T^n(c) (for the skew-shift, from its n-th preimage to
-        c, as computed for the membership test)."""
-        if isinstance(self.system, Rotation):
-            x = np.array(point.as_floats())
-            d = self._cheb_float(x, self._orbit_f[1:])
-            for k in np.nonzero(d <= float(self.radius) + 1e-9)[0]:
-                n = int(k) + 1
-                if point.dist(self._orbit[n]) <= self.radius:
-                    return n, None
-            return None, d
-        dists = []
-        for n in range(1, 5 * self.q + 1):
-            dist = iterate(self.system, point, -n).dist(self.center)
-            if dist <= self.radius:
+        c).
+
+        The point is scaled by D exactly; a coordinate off the 1/D grid
+        stays an exact rational residue.  T^n(B) meets the point only if
+        their first coordinates are within r: for a rotation T^n(B) is the
+        ball around T^n(c), and for the skew-shift the first coordinate of
+        T^n(B) is the circle interval of half-width r around that of
+        T^n(c).  Only those balls are tested, in increasing n.
+        """
+        if point.dim != self.center.dim:
+            raise DomainError("dimension mismatch")
+        d, r = self._d, self._r
+        p = tuple(scaled(x, d) for x in point.coords)
+        rotation = isinstance(self.system, Rotation)
+
+        def dist(n):
+            if rotation:
+                return residue_dist(p, self._orbit[n], d)
+            return residue_dist(self._image(p, -n), self._orbit[0], d)
+
+        tested = {}
+        for n in sorted(self._window(p[0], r)):
+            tested[n] = dist(n)
+            if tested[n] <= r:
                 return n, None
-            dists.append(float(dist))
-        return None, np.array(dists)
+        if rotation:
+            x = np.array(point.as_floats())
+            return None, self._cheb_float(x, self._orbit_f)
+        # one preimage per ball: those tested above are reused
+        return None, np.array([float((tested[n] if n in tested else dist(n)) / d)
+                               for n in range(1, 5 * self.q + 1)])
 
     def ball_index(self, point: TorusPoint) -> Optional[int]:
         """n in [1, 5q] with point in closed T^n(B), or None (exact)."""
@@ -472,7 +469,10 @@ class TubeFunction:
         """Ball centers T^(j+lq) c, l = 0..4, of tube j."""
         if not (1 <= j <= self.q):
             raise DomainError("tube index out of range")
-        return [self._orbit[j + l * self.q] for l in range(5)]
+        return [
+            TorusPoint([Fraction(x, self._d) for x in self._orbit[j + l * self.q]])
+            for l in range(5)
+        ]
 
     def gordon_point(self, offset: Sequence = ()) -> TorusPoint:
         """The designated orbit point T^(2q)(center + offset).

@@ -395,7 +395,7 @@ def min_max_over_unit_vectors(
     H = np.einsum("bkji,bkjl->bkil", M.conj(), M)
     h00, h01, h11 = H[..., 0, 0].real, H[..., 0, 1], H[..., 1, 1].real
     a = np.stack([h01.real, -h01.imag, (h00 - h11) / 2], axis=-1)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         n = _unit(_bloch_candidates((h00 + h11) / 2, a))
         t = np.arccos(np.clip(n[..., 2], -1.0, 1.0)) / 2
         p = np.arctan2(n[..., 1], n[..., 0])

@@ -208,6 +208,21 @@ def test_criterion_6_skew_shift_construction():
               f"({b.elapsed:.2f}s)")
 
 
+def test_skew_tube_chain_at_q100():
+    # golden skew-shift, epsilon = 1/10: the Fraction lookup needed 8 s for
+    # tube_function alone at this q
+    q = 100
+    with Budget(15):
+        system = SkewShift(golden_mean(bits=256).value)
+        center = TorusPoint.exact(0, 0)
+        br = ball_radius(system, center, q, Fraction(1, 10))
+        values = [0.5 * cmath.exp(2j * math.pi * j / q) for j in range(q)]
+        f = tube_function(system, center, q, br.radius, values)
+        seq = verblunsky_window(f, system, f.gordon_point(), -2 * q, 3 * q + 1)
+        for n in range(-2 * q + 1, 2 * q + 1):
+            assert seq.alpha(n) == seq.alpha(n + q)
+
+
 def test_criterion_7_tube_mechanism_end_to_end():
     with Budget(120) as b:
         slacks = []

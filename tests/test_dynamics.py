@@ -15,6 +15,7 @@ from qpcmv.dynamics import (
     block_displacement,
     find_even_repetition,
     iterate,
+    scaled_deviations,
     skew_repetition_times,
 )
 from qpcmv.errors import DomainError
@@ -172,6 +173,24 @@ def test_rotation_shortcut_equals_orbit_scan():
             for n in range(4 * q + 1)
         )
         assert shortcut == scanned
+
+
+@pytest.mark.parametrize("system,omega,q", [
+    (Rotation([GOLDEN.value]), TorusPoint.exact("0.4"), 34),
+    (Rotation([GOLDEN.value, Fraction(3, 7)]), TorusPoint.exact("1/3", "0.9"), 8),
+    (SkewShift(GOLDEN.value), TorusPoint.exact("1/5", "2/3"), 6),
+    (SkewShift(liouville_frequency(2, 4).value), TorusPoint.exact("0.3", 0), 64),
+])
+def test_scaled_deviations_match_fraction_scan(system, omega, q):
+    ns = list(range(-3, 4 * q + 1)) + [10**6, -(10**7)]
+    d, devs = scaled_deviations(system, omega, q, ns)
+    devs = list(devs)
+    assert all(isinstance(k, int) and 0 <= 2 * k <= d for k in devs)
+    expected = [iterate(system, omega, n).dist(iterate(system, omega, n + q))
+                for n in ns]
+    assert [Fraction(k, d) for k in devs] == expected
+    # the orbit table's floats: k / D is the rounded exact distance
+    assert [k / d for k in devs] == [float(v) for v in expected]
 
 
 @given(num=st.integers(min_value=1, max_value=499))

@@ -99,6 +99,20 @@ def test_liouville_run_passes(tmp_path):
     assert bits == {"1": 28, "2": 28, "3": 34}
 
 
+def test_report_names_the_repetition_validation_mode(tmp_path):
+    cfg = ExperimentConfig.from_dict(
+        {"schema": CONFIG_SCHEMA, "scenario": "liouville-rotation",
+         "seed": 11, "cmv_n": 60, "z_grid": 64, "lipschitz_samples": 2000}
+    )
+    doc, _ = run(cfg, tmp_path)
+    validated = doc["stages"]["repetition"]["validated"]
+    # the windows (s q <= 16) are far below the full-scan cap
+    assert validated == {"1": "full-scan", "2": "full-scan", "3": "full-scan"}
+    orbit = json.loads((tmp_path / "orbit.json").read_text())
+    assert validated == {str(c["k"]): c["validated"]
+                         for c in orbit["certificates"]}
+
+
 def test_impurity_run_fails_evidence(tmp_path):
     cfg = ExperimentConfig.from_dict(
         {

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from qpcmv.arith import as_fraction, dist_to_int
-from qpcmv.dynamics import Rotation, SkewShift, TorusPoint, iterate
+from qpcmv.dynamics import (
+    Rotation,
+    SkewShift,
+    TorusPoint,
+    integer_map,
+    iterate,
+)
 from qpcmv.errors import (
     ConstructionError,
     DegenerateOrbitError,
@@ -384,6 +390,22 @@ def test_two_tube_continuity_scan():
 
 
 def test_skew_off_tube_value_takes_one_pull_back_per_ball(monkeypatch):
+    import qpcmv.dynamics as dynamics
+    import qpcmv.sampling as sampling
+
+    # count the preimages taken through the shared integer map
+    calls = []
+
+    def counting_map(system, d):
+        image = integer_map(system, d)
+
+        def counted(p, n):
+            calls.append(n)
+            return image(p, n)
+
+        return counted
+
+    monkeypatch.setattr(dynamics, "integer_map", counting_map)
     skew = SkewShift(GOLDEN.value)
     center = TorusPoint.exact("0", "1/4")
     q = 2
@@ -396,21 +418,134 @@ def test_skew_off_tube_value_takes_one_pull_back_per_ball(monkeypatch):
     assert d.min() > 0
     w = 1.0 / d.reshape(5, q).min(axis=0)
     expected = complex(np.dot(w, np.array(f.values)) / w.sum())
+    p3 = iterate(skew, center, 3)
+    # oracle: the balls whose first coordinate can reach T^3 c
+    window = [n for n in range(1, 5 * q + 1)
+              if dist_to_int(p3.coords[0] - iterate(skew, center, n).coords[0])
+              <= br.radius]
+    assert 3 in window and len(window) < 5 * q
 
-    import qpcmv.sampling as sampling
+    def no_iterate(*args):
+        raise AssertionError("the lookup must not iterate in Fractions")
 
-    calls = []
-
-    def counting(system, point, n):
-        calls.append(n)
-        return iterate(system, point, n)
-
-    monkeypatch.setattr(sampling, "iterate", counting)
+    monkeypatch.setattr(sampling, "iterate", no_iterate)
+    calls.clear()
     assert f(x) == expected
     assert sorted(calls) == [-n for n in range(5 * q, 0, -1)]
     calls.clear()
-    assert f.ball_index(iterate(skew, center, 3)) == 3
-    assert calls == [-1, -2, -3]
+    assert f.ball_index(p3) == 3
+    assert calls == [-n for n in window if n <= 3]
+
+
+# ---------------------------------------------------------------------------
+# the integer tube lookup against the Fraction pull-back it replaced
+# ---------------------------------------------------------------------------
+
+
+def fraction_locate(f, point):
+    """Test oracle: ``TubeFunction._locate`` in Fraction arithmetic, a
+    float prefilter for rotations and 5q pull-backs for the skew-shift."""
+    orbit = [iterate(f.system, f.center, n) for n in range(5 * f.q + 1)]
+    if isinstance(f.system, Rotation):
+        x = np.array(point.as_floats())
+        pts = np.array([p.as_floats() for p in orbit[1:]])
+        d = TubeFunction._cheb_float(x, pts)
+        for k in np.nonzero(d <= float(f.radius) + 1e-9)[0]:
+            n = int(k) + 1
+            if point.dist(orbit[n]) <= f.radius:
+                return n, None
+        return None, d
+    dists = []
+    for n in range(1, 5 * f.q + 1):
+        dist = iterate(f.system, point, -n).dist(f.center)
+        if dist <= f.radius:
+            return n, None
+        dists.append(float(dist))
+    return None, np.array(dists)
+
+
+def oracle_value(f, point):
+    """f(point) from the oracle lookup: the tube value, or the blend."""
+    n, d = fraction_locate(f, point)
+    if n is not None:
+        return n, f.values[(n - 1) % f.q]
+    d = np.maximum(d - float(f.radius), 1e-18)
+    w = 1.0 / d.reshape(5, f.q).min(axis=0)
+    return None, complex(np.dot(w, np.array(f.values)) / w.sum())
+
+
+def _lookup_tubes(kind):
+    """A tube function whose ball 3 is centred on the first coordinate 0,
+    so that it straddles the 0/1 wrap."""
+    a = golden_mean(bits=128).value
+    eps = Fraction(1, 10)
+    if kind == "rotation-1d":
+        system, q = Rotation([a]), 8
+    elif kind == "rotation-2d":
+        system, q = Rotation([a, a + Fraction(1, 2)]), 8
+    else:
+        system, q = SkewShift(a), 4
+    step = system.shift[0] if isinstance(system, Rotation) else 2 * system.a
+    coords = [-3 * step] + [Fraction(1, 3)] * (system.dim - 1)
+    center = TorusPoint(coords)
+    br = ball_radius(system, center, q, eps)
+    values = [0.5 * cmath.exp(2j * math.pi * j / q) for j in range(q)]
+    return tube_function(system, center, q, br.radius, values)
+
+
+def _lookup_points(f, rng):
+    """Seeded points in six styles: inside a ball, on its boundary, just
+    outside it, anywhere on the torus, across the wrap of ball 3, and off
+    the 1/D grid (inside a ball and anywhere)."""
+    r, dim = f.radius, f.center.dim
+
+    def ball_point(n, offset):
+        base = TorusPoint([c + o for c, o in zip(f.center.coords, offset)])
+        return iterate(f.system, base, n)
+
+    def inner():
+        return [r * Fraction(rng.randrange(-64, 65), 64) for _ in range(dim)]
+
+    pts = []
+    for _ in range(12):
+        n = rng.randrange(1, 5 * f.q + 1)
+        pts.append(("inside", ball_point(n, inner())))
+        edge = inner()
+        edge[rng.randrange(dim)] = rng.choice([-r, r])
+        pts.append(("boundary", ball_point(n, edge)))
+        edge[rng.randrange(dim)] = rng.choice([-1, 1]) * r * Fraction(1001, 1000)
+        pts.append(("outside", ball_point(n, edge)))
+        pts.append(("anywhere", TorusPoint(
+            [Fraction(rng.randrange(1024), 1024) for _ in range(dim)])))
+        wrap = inner()
+        wrap[0] = -r * Fraction(rng.randrange(1, 65), 64)
+        pts.append(("wrap", ball_point(3, wrap)))
+        pts.append(("off-grid", ball_point(n, [o * Fraction(1, 3**41)
+                                               for o in inner()])))
+        pts.append(("off-grid", TorusPoint(
+            [Fraction(rng.randrange(10**9 + 7), 10**9 + 7) for _ in range(dim)])))
+    return pts
+
+
+@pytest.mark.parametrize("kind", ["rotation-1d", "rotation-2d", "skew"])
+def test_tube_lookup_matches_fraction_oracle(kind):
+    f = _lookup_tubes(kind)
+    rng = random.Random(20261018)
+    hits = {}
+    for style, p in _lookup_points(f, rng):
+        n, value = oracle_value(f, p)
+        assert f.ball_index(p) == n, (style, p)
+        assert f.tube_of(p) == (None if n is None else (n - 1) % f.q + 1)
+        # bit for bit, on and off the tubes
+        assert f(p) == value, (style, p)
+        hits.setdefault(style, []).append(n is not None)
+    assert all(hits["inside"]) and all(hits["boundary"]) and all(hits["wrap"])
+    assert not any(hits["outside"])
+    assert any(hits["off-grid"]) and not all(hits["off-grid"])
+    assert not all(hits["anywhere"])
+    # ball 3 is centred on 0, so the wrap points, just below 1, reach it
+    # only across the wrap
+    assert f.tube_balls(3)[0].coords[0] == 0
 
 
 @pytest.mark.parametrize("system,center", [

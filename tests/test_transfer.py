@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -690,3 +691,15 @@ def test_evidence_max_log10_norm():
     norms = [max(r.norm_forward, r.norm_double, r.norm_backward)
              for r in table.rows]
     assert table.max_log10_norm == float(np.log10(max(norms)))
+
+
+def test_evidence_on_a_q1024_window_warns_nothing():
+    # the three-plane candidate s = sqrt((1 - |foot|^2) / ee) overflows on
+    # some rows here; the candidate is discarded, so it must stay silent
+    q = 1024
+    seq = periodic_seq(np.random.default_rng(q), q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = no_point_spectrum_evidence(seq, q=q)
+    assert table.nonfinite_rows == 0
+    assert np.isfinite(table.min_c)
