@@ -11,9 +11,9 @@ an arithmetic progression in n.  The maximum of <c + n d> over a discrete
 range is computed exactly from the crossing structure instead of scanning
 the orbit, which keeps certificates honest even for windows of 10^8 points.
 
-Exact orbit geometry elsewhere (re-validation scans here, the tube checks
-and lookups of ``sampling``, the orbit table of ``artifacts``) runs on
-integer residues over one common denominator, through ``integer_map``.
+Exact orbit geometry (the re-validation scans here, the tube checks and
+lookups of ``sampling``, the orbit table of ``artifacts``) runs on integer
+residues through ``integer_map``.
 """
 
 from __future__ import annotations

@@ -209,8 +209,8 @@ def test_criterion_6_skew_shift_construction():
 
 
 def test_skew_tube_chain_at_q100():
-    # golden skew-shift, epsilon = 1/10: the Fraction lookup needed 8 s for
-    # tube_function alone at this q
+    # golden skew-shift, epsilon = 1/10: the Fraction lookup needed over 7 s
+    # for tube_function alone at this q
     q = 100
     with Budget(15):
         system = SkewShift(golden_mean(bits=256).value)
