@@ -303,8 +303,6 @@ def _cmd_run(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.precision_bits is not None:
-        cfg.precision_bits = args.precision_bits
     doc, code = run(cfg, args.out)
     print(
         f"run[{cfg.scenario}]: {doc['overall']} "
@@ -325,18 +323,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, precision=False):
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=20240601)
-        p.add_argument(
-            "--precision-bits", type=int, default=DEFAULT_PRECISION_BITS
-        )
+        if precision:
+            p.add_argument(
+                "--precision-bits", type=int, default=DEFAULT_PRECISION_BITS
+            )
 
     p = sub.add_parser("frequency", help="continued-fraction analysis")
     p.add_argument("--value", help="decimal, p/q, or 'golden'")
     p.add_argument("--liouville", metavar="BASE,DEPTH")
     p.add_argument("--max-q", type=int, default=1000)
-    common(p)
+    common(p, precision=True)
     p.set_defaults(func=_cmd_frequency)
 
     p = sub.add_parser("orbit", help="even-repetition search")
@@ -346,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", default="1/100")
     p.add_argument("--s", default="4")
     p.add_argument("--qmax", type=int, default=1000)
-    common(p)
+    common(p, precision=True)
     p.set_defaults(func=_cmd_orbit)
 
     p = sub.add_parser("sample", help="coefficient windows")
@@ -357,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--freq", default="golden")
     p.add_argument("--omega", default="0")
     p.add_argument("--window", default="-8:8", metavar="N_MIN:N_MAX")
-    common(p)
+    common(p, precision=True)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("gordon", help="certification and evidence")
@@ -382,7 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default="out")
     p.add_argument("--seed", type=int)
-    p.add_argument("--precision-bits", type=int)
     p.set_defaults(func=_cmd_run)
 
     return ap

@@ -8,8 +8,9 @@ correct to the working precision.
 Repetition searches use the fact that for both systems the displacement
 dist(T^(n+q) w, T^n w) is, per coordinate, the distance to the integers of
 an arithmetic progression in n.  The maximum of <c + n d> over a discrete
-range is computed exactly from the crossing structure instead of scanning
-the orbit, which keeps certificates honest even for windows of 10^8 points.
+range, and its first argmax, are computed exactly by a Euclid-style walk
+instead of scanning the orbit, so every certificate is exact and a window
+of 10^8 points costs about as much as a short one.
 
 Exact orbit geometry (the re-validation scans here, the tube checks and
 lookups of ``sampling``, the orbit table of ``artifacts``) runs on integer
@@ -30,7 +31,6 @@ from .arith import (
     mod1,
     residue_dist,
     scaled,
-    signed_frac,
 )
 from .errors import DomainError, PrecisionError
 from .frequency import Frequency
@@ -182,22 +182,60 @@ def scaled_deviations(system: TorusDynamics, omega: TorusPoint, q: int,
 # ---------------------------------------------------------------------------
 # Exact maximum of <c + n d> over n = 0..N
 # ---------------------------------------------------------------------------
+#
+# Over the common denominator D of c and d, with M = 2D, the point c + n d
+# lies at distance (D - m_n) / (2D) from the integers, where m_n is the
+# circle distance to 0 of (b + n a) mod M for a = 2 dD and b = 2 cD - D.
+# Maximising the distance is minimising m_n: the smaller of the minima of
+# (a n + b) mod M and (-a n - b) mod M.  Each minimum is found by walking
+# its record lows, one Euclid descent per change of step.
+
+
+def _first_hit(a: int, m: int, lo: int, hi: int) -> Optional[int]:
+    """Smallest k >= 1 with lo <= a k mod m <= hi (1 <= lo <= hi < m), or
+    None.  Each round at least halves the modulus."""
+    frames = []
+    while True:
+        a %= m
+        if a == 0:
+            return None
+        if 2 * a > m:
+            # a k mod m = m - (m - a) k mod m away from 0, and lo >= 1
+            a, lo, hi = m - a, m - hi, m - lo
+        k = -(-lo // a)
+        if a * k <= hi:
+            break
+        # a k = lo' + m y with lo <= lo' <= hi: the smallest y solves the
+        # same problem for (-m) y mod a, since [lo, hi] holds no multiple of a
+        frames.append((lo, m, a))
+        a, m, lo, hi = -m % a, a, lo % a, hi % a
+    for lo, m, a in reversed(frames):
+        k = -(-(lo + m * k) // a)
+    return k
+
+
+def _ap_min(a: int, b: int, m: int, n_max: int) -> tuple[int, int]:
+    """(min, first argmin) of (a n + b) mod m over n = 0..n_max."""
+    x, v = 0, b % m
+    while v:
+        # the next record low is k steps on, k the first with a k mod m
+        # in [m - v, m - 1]; that step keeps lowering v while v >= delta
+        k = _first_hit(a, m, m - v, m - 1)
+        if k is None or x + k > n_max:
+            break
+        delta = m - a * k % m
+        j = min(v // delta, (n_max - x) // k)
+        x, v = x + j * k, v - j * delta
+    return v, x
 
 
 @dataclass(frozen=True)
 class APMax:
-    """Max of dist-to-integers along c + n d, n in [0, N].
+    """Max of dist-to-integers along c + n d, n in [0, N], attained first at
+    ``argmax``."""
 
-    When the progression wraps the circle the exact argmax is not located;
-    ``lower``/``upper`` then bracket the maximum (the sweep passes within
-    one step of a half-integer).  ``exact`` is True when lower == upper is
-    the true maximum, attained at ``argmax``.
-    """
-
-    lower: Fraction
-    upper: Fraction
-    argmax: Optional[int]
-    exact: bool
+    value: Fraction
+    argmax: int
 
 
 def ap_max_dist(c, d, n_max: int) -> APMax:
@@ -205,32 +243,12 @@ def ap_max_dist(c, d, n_max: int) -> APMax:
     d = as_fraction(d)
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    s = signed_frac(d)
-    c0 = mod1(c)
-    if s == 0 or n_max == 0:
-        v = dist_to_int(c0)
-        return APMax(v, v, 0, True)
-    span = n_max * abs(s)
-    if span < 1:
-        cands = {0, n_max}
-        for h in (Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)):
-            t = (h - c0) / s
-            if 0 <= t <= n_max:
-                n0 = t.numerator // t.denominator
-                cands.add(n0)
-                if n0 + 1 <= n_max:
-                    cands.add(n0 + 1)
-        best_v = None
-        best_n = 0
-        for n in sorted(cands):
-            v = dist_to_int(c0 + n * s)
-            if best_v is None or v > best_v:
-                best_v, best_n = v, n
-        return APMax(best_v, best_v, best_n, True)
-    # Full wrap: consecutive points are |s| apart and sweep past every half
-    # integer, so the max is within |s|/2 of 1/2.
-    lower = Fraction(1, 2) - abs(s) / 2
-    return APMax(lower, Fraction(1, 2), None, False)
+    den = common_denominator(c, d)
+    m = 2 * den
+    a = 2 * scaled(d, den) % m
+    b = (2 * scaled(c, den) - den) % m
+    low, n = min(_ap_min(a, b, m, n_max), _ap_min(-a % m, -b % m, m, n_max))
+    return APMax(Fraction(den - low, m), n)
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +260,10 @@ def ap_max_dist(c, d, n_max: int) -> APMax:
 class RepetitionCertificate:
     """Measured near-repetition of an orbit after an even time shift.
 
-    max_deviation is the measured max over n = 0..window of
-    dist(T^n w, T^(n+q) w); ``threshold`` is the bound it was certified
-    against (epsilon for plain searches, 5*epsilon for the skew-shift
-    construction).  ``deviation_upper`` differs from max_deviation only
-    when the maximum was bracketed rather than located.
+    max_deviation is the exact max over n = 0..window of
+    dist(T^n w, T^(n+q) w), first attained at ``argmax``; ``threshold`` is
+    the bound it was certified against (epsilon for plain searches,
+    5*epsilon for the skew-shift construction).
     """
 
     q: int
@@ -255,9 +272,7 @@ class RepetitionCertificate:
     window: int
     threshold: Fraction
     max_deviation: Fraction
-    deviation_upper: Fraction
-    argmax: Optional[int]
-    exact: bool
+    argmax: int
     validated: str = "none"
     m: Optional[int] = None
     base_q: Optional[int] = None
@@ -269,32 +284,26 @@ class RepetitionCertificate:
             raise DomainError("certificate period must be even and >= 2")
         if self.q < 1:
             raise DomainError("certificate period must be >= 1")
-        if not self.deviation_upper < self.threshold:
+        if not self.max_deviation < self.threshold:
             raise DomainError(
-                f"deviation {float(self.deviation_upper)} not below "
+                f"deviation {float(self.max_deviation)} not below "
                 f"threshold {float(self.threshold)}"
             )
 
 
 def _orbit_deviation(system: TorusDynamics, omega: TorusPoint, q: int,
-                     window: int):
-    """(lower, upper, argmax, exact) for max_n dist(T^n w, T^(n+q) w)."""
+                     window: int) -> tuple[Fraction, int]:
+    """(max, first argmax) over n = 0..window of dist(T^n w, T^(n+q) w)."""
     if isinstance(system, Rotation):
-        v = max(dist_to_int(q * s) for s in system.shift)
-        return v, v, 0, True
+        return max(dist_to_int(q * s) for s in system.shift), 0
     a = system.a
     w1 = omega.coords[0]
     coord1 = dist_to_int(2 * q * a)
-    c = q * w1 + q * q * a - q * a
-    d = 2 * q * a
-    m = ap_max_dist(c, d, window)
-    if m.exact:
-        if m.lower >= coord1:
-            return m.lower, m.lower, m.argmax, True
-        return coord1, coord1, 0, True
-    lower = max(coord1, m.lower)
-    upper = max(coord1, m.upper)
-    return lower, upper, m.argmax, False
+    m = ap_max_dist(q * w1 + q * q * a - q * a, 2 * q * a, window)
+    # the first coordinate is constant in n, so it is already attained at 0
+    if m.value > coord1:
+        return m.value, m.argmax
+    return coord1, 0
 
 
 def _scan_deviation(system: TorusDynamics, omega: TorusPoint, q: int,
@@ -307,29 +316,23 @@ def _scan_deviation(system: TorusDynamics, omega: TorusPoint, q: int,
     return Fraction(k, d), n
 
 
-def _validate_certificate(system, omega, q, window, dev_upper, argmax,
-                          exact, rng_seed=1):
+def _validate_certificate(system, omega, q, window, deviation, argmax):
+    """Re-check a closed-form maximum against integer iterates: a full scan
+    up to FULL_SCAN_CAP points, else the endpoints, the argmax and its
+    neighbours and seeded random spots."""
     if window <= FULL_SCAN_CAP:
-        scan_max, scan_arg = _scan_deviation(system, omega, q, window)
-        if exact and scan_max != dev_upper:
+        scan = _scan_deviation(system, omega, q, window)
+        if scan != (deviation, argmax):
             raise PrecisionError(
                 "orbit-scan revalidation disagrees with closed-form maximum"
             )
-        if not exact and scan_max > dev_upper:
-            raise PrecisionError("orbit scan exceeded the bracketed maximum")
         return "full-scan"
-    r = random.Random(rng_seed)
-    spots = {0, window}
-    if argmax is not None:
-        spots |= {max(argmax - 1, 0), argmax, min(argmax + 1, window)}
+    r = random.Random(1)
+    spots = {0, window, max(argmax - 1, 0), argmax, min(argmax + 1, window)}
     spots |= {r.randrange(window + 1) for _ in range(_SPOT_SAMPLES)}
     scan_max, _ = _scan_deviation(system, omega, q, window, sorted(spots))
-    if scan_max > dev_upper:
-        raise PrecisionError("spot scan exceeded the certified maximum")
-    if exact and argmax is not None:
-        v, _ = _scan_deviation(system, omega, q, window, [argmax])
-        if v != dev_upper:
-            raise PrecisionError("closed-form argmax value failed revalidation")
+    if scan_max != deviation:
+        raise PrecisionError("spot scan disagrees with the closed-form maximum")
     return "spot-scan"
 
 
@@ -346,8 +349,8 @@ def find_even_repetition(
 
     For rotations the per-q test is the O(1) shortcut max_i <q a_i>, which
     equals the orbit scan because rotation displacements do not depend on
-    n; the returned certificate is still re-validated by an independent
-    scan.
+    n; for the skew-shift it is the exact progression maximum.  The returned
+    certificate is re-validated by an independent scan.
     """
     epsilon = as_fraction(epsilon)
     s = as_fraction(s)
@@ -359,47 +362,20 @@ def find_even_repetition(
     start = 2 if parity == "even" else 1
     for q in range(start, q_max + 1, step):
         window = int((s * q).numerator // (s * q).denominator)
-        lower, upper, argmax, exact = _orbit_deviation(system, omega, q, window)
-        if upper < epsilon:
-            validated = _validate_certificate(
-                system, omega, q, window, upper, argmax, exact
-            )
+        deviation, argmax = _orbit_deviation(system, omega, q, window)
+        if deviation < epsilon:
             return RepetitionCertificate(
                 q=q,
                 epsilon=epsilon,
                 window_factor=s,
                 window=window,
                 threshold=epsilon,
-                max_deviation=lower,
-                deviation_upper=upper,
+                max_deviation=deviation,
                 argmax=argmax,
-                exact=exact,
-                validated=validated,
+                validated=_validate_certificate(
+                    system, omega, q, window, deviation, argmax
+                ),
                 parity=parity,
-            )
-        if lower >= epsilon:
-            continue
-        # Bracket straddles epsilon: settle by exact scan if feasible.
-        if window <= FULL_SCAN_CAP:
-            scan_max, scan_arg = _scan_deviation(system, omega, q, window)
-            if scan_max < epsilon:
-                return RepetitionCertificate(
-                    q=q,
-                    epsilon=epsilon,
-                    window_factor=s,
-                    window=window,
-                    threshold=epsilon,
-                    max_deviation=scan_max,
-                    deviation_upper=scan_max,
-                    argmax=scan_arg,
-                    exact=True,
-                    validated="full-scan",
-                    parity=parity,
-                )
-        else:
-            raise PrecisionError(
-                f"cannot settle repetition test at q={q}: maximum bracketed "
-                f"across epsilon and window {window} exceeds the scan cap"
             )
     return None
 
@@ -408,9 +384,9 @@ def find_even_repetition(
 class SkewRepetitionTimes:
     """Outcome of the multiplier construction for skew-shift repetition.
 
-    certificates hold the levels whose measured deviation beat 5 epsilon;
-    rejected holds (level, base_q, m, q_tilde, deviation_lower) for the
-    levels that did not (expected for small levels, where the designated
+    certificates hold the levels whose exact deviation beat 5 epsilon;
+    rejected holds (level, base_q, m, q_tilde, deviation) for the levels
+    that did not (expected for small levels, where the designated
     denominators are not yet good enough).
     """
 
@@ -465,18 +441,8 @@ def skew_repetition_times(
             )
         q_tilde = m_sel * q_even
         window = int((r * q_tilde).numerator // (r * q_tilde).denominator)
-        lower, upper, argmax, exact = _orbit_deviation(
-            system, omega, q_tilde, window
-        )
-        if not exact and lower < threshold <= upper and window <= FULL_SCAN_CAP:
-            # bracket straddles the bound: settle by exact scan
-            scan_max, argmax = _scan_deviation(system, omega, q_tilde, window)
-            lower = upper = scan_max
-            exact = True
-        if upper < threshold:
-            validated = _validate_certificate(
-                system, omega, q_tilde, window, upper, argmax, exact
-            )
+        deviation, argmax = _orbit_deviation(system, omega, q_tilde, window)
+        if deviation < threshold:
             certs.append(
                 RepetitionCertificate(
                     q=q_tilde,
@@ -484,18 +450,18 @@ def skew_repetition_times(
                     window_factor=r,
                     window=window,
                     threshold=threshold,
-                    max_deviation=lower,
-                    deviation_upper=upper,
+                    max_deviation=deviation,
                     argmax=argmax,
-                    exact=exact,
-                    validated=validated,
+                    validated=_validate_certificate(
+                        system, omega, q_tilde, window, deviation, argmax
+                    ),
                     m=m_sel,
                     base_q=q_even,
                     level=level,
                 )
             )
         else:
-            rejected.append((level, q_even, m_sel, q_tilde, float(lower)))
+            rejected.append((level, q_even, m_sel, q_tilde, float(deviation)))
     return SkewRepetitionTimes(
         epsilon=epsilon,
         window_factor=r,

@@ -14,10 +14,10 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -45,13 +45,39 @@ REPORT_SCHEMA = "qpcmv-report/1"
 SCENARIOS = ("free", "liouville-rotation", "impurity-control")
 
 
+def _json_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _decode(hint, v):
+    """JSON value ``v`` as a value of the config field type ``hint``;
+    TypeError when its JSON type does not fit."""
+    if get_origin(hint) is tuple:
+        items = get_args(hint)
+        if isinstance(v, list) and items[-1] is Ellipsis:
+            items = items[:1] * len(v)
+        if isinstance(v, list) and len(v) == len(items):
+            return tuple(_decode(h, x) for h, x in zip(items, v))
+    elif hint is complex:
+        if _json_number(v):
+            return complex(v)
+        if isinstance(v, list) and len(v) == 2 and all(map(_json_number, v)):
+            return complex(float(v[0]), float(v[1]))
+    elif hint is float and _json_number(v):
+        return float(v)
+    elif hint is int and isinstance(v, int) and not isinstance(v, bool):
+        return v
+    elif hint is str and isinstance(v, str):
+        return v
+    raise TypeError(v)
+
+
 @dataclass
 class ExperimentConfig:
     """Validated run configuration; see README for the JSON schema."""
 
     scenario: str
     seed: int = 20240601
-    precision_bits: int = 256
     z_grid: int = 512
     k_list: tuple[int, ...] = (1, 2, 3)
     # free scenario
@@ -75,20 +101,17 @@ class ExperimentConfig:
     # validation stage
     lipschitz_r: float = 0.5
     lipschitz_samples: int = 20000
-    evidence_threshold: float = 0.25
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise QpcmvError(f"unknown scenario {self.scenario!r}")
 
-    @staticmethod
-    def _complex(v) -> complex:
-        if isinstance(v, (list, tuple)):
-            return complex(float(v[0]), float(v[1]))
-        return complex(v)
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Each field from the JSON value of its key, by the field's type:
+        integers, numbers, strings, complex numbers as a number or an
+        [re, im] pair, tuples as lists.  Unknown keys and values of the
+        wrong JSON type raise QpcmvError."""
         if not isinstance(d, dict):
             raise QpcmvError("config must be a JSON object")
         if d.get("schema") != CONFIG_SCHEMA:
@@ -97,30 +120,20 @@ class ExperimentConfig:
             )
         if "scenario" not in d:
             raise QpcmvError("config lacks scenario")
-        kw: dict[str, Any] = {"scenario": d["scenario"]}
-        for key in ("seed", "precision_bits", "z_grid", "score_q_max",
-                    "repetition_q_max", "cmv_n", "impurity_q",
-                    "liouville_base", "liouville_depth", "lipschitz_samples"):
-            if key in d:
-                kw[key] = int(d[key])
-        for key in ("k_list", "free_q_list"):
-            if key in d:
-                kw[key] = tuple(int(x) for x in d[key])
-        for key in ("free_value", "impurity_background", "impurity_value"):
-            if key in d:
-                kw[key] = cls._complex(d[key])
-        if "boundary" in d:
-            kw["boundary"] = (
-                cls._complex(d["boundary"][0]),
-                cls._complex(d["boundary"][1]),
-            )
-        if "omega" in d:
-            kw["omega"] = tuple(str(x) for x in d["omega"])
-        for key in ("tube_value_radius", "lipschitz_r", "evidence_threshold"):
-            if key in d:
-                kw[key] = float(d[key])
-        if "window_factor" in d:
-            kw["window_factor"] = str(d["window_factor"])
+        hints = get_type_hints(cls)
+        unknown = sorted(set(d) - set(hints) - {"schema"})
+        if unknown:
+            raise QpcmvError(f"unknown config field(s): {', '.join(unknown)}")
+        kw: dict[str, Any] = {}
+        for f in fields(cls):
+            if f.name in d:
+                try:
+                    kw[f.name] = _decode(hints[f.name], d[f.name])
+                except TypeError:
+                    raise QpcmvError(
+                        f"config field {f.name!r} must be {f.type}, "
+                        f"got {json.dumps(d[f.name])}"
+                    ) from None
         return cls(**kw)
 
     def to_dict(self) -> dict:

@@ -180,7 +180,7 @@ def test_criterion_6_skew_shift_construction():
             for cert in res.certificates:
                 assert cert.q % 2 == 0
                 assert 1 <= cert.m <= int(1 / eps) + 1
-                assert cert.deviation_upper <= 5 * eps
+                assert cert.max_deviation <= 5 * eps
         # displacement formula vs iterate subtraction, carried out in
         # genuine 256-bit float arithmetic (not exact rationals), so the
         # comparison measures the rounding of the two computation paths

@@ -5,12 +5,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from qpcmv.arith import as_fraction, dist_to_int, mpf_to_fraction
+from qpcmv import dynamics
+from qpcmv.arith import (
+    as_fraction,
+    circle_dist,
+    common_denominator,
+    dist_to_int,
+    mpf_to_fraction,
+    scaled,
+    signed_frac,
+)
 from qpcmv.dynamics import (
+    FULL_SCAN_CAP,
     RepetitionCertificate,
     Rotation,
     SkewShift,
     TorusPoint,
+    _orbit_deviation,
+    _scan_deviation,
+    _validate_certificate,
     ap_max_dist,
     block_displacement,
     find_even_repetition,
@@ -18,7 +31,7 @@ from qpcmv.dynamics import (
     scaled_deviations,
     skew_repetition_times,
 )
-from qpcmv.errors import DomainError
+from qpcmv.errors import DomainError, PrecisionError
 from qpcmv.frequency import golden_mean, liouville_frequency
 
 GOLDEN = golden_mean()
@@ -147,7 +160,7 @@ def test_find_even_repetition_half():
 
 def test_skew_badly_approximable_finds_nothing():
     # golden-mean skew-shift: no even repetition time up to 100 for small
-    # epsilon (brute-force confirmed by the scan fallback inside)
+    # epsilon (every q decided by its exact progression maximum)
     T = SkewShift(GOLDEN.value)
     w = TorusPoint.exact("0.3", "0.7")
     assert find_even_repetition(T, w, Fraction(1, 20), 4, 100) is None
@@ -222,12 +235,77 @@ def test_even_search_reduces_to_doubled_frequency(num):
 @settings(max_examples=150, deadline=None)
 def test_ap_max_matches_brute_force(c, d, n_max):
     m = ap_max_dist(c, d, n_max)
-    brute = max(dist_to_int(c + n * d) for n in range(n_max + 1))
-    if m.exact:
-        assert m.lower == brute
-        assert dist_to_int(c + m.argmax * d) == brute
-    else:
-        assert m.lower <= brute <= m.upper
+    dists = [dist_to_int(c + n * d) for n in range(n_max + 1)]
+    assert m.value == max(dists)
+    assert m.argmax == dists.index(m.value)
+
+
+@given(
+    den=st.integers(min_value=1, max_value=2**80),
+    c_num=st.integers(min_value=-(2**80), max_value=2**80),
+    d_num=st.integers(min_value=-(2**80), max_value=2**80),
+    n_max=st.integers(min_value=0, max_value=3000),
+)
+@settings(max_examples=80, deadline=None)
+def test_ap_max_first_argmax_large_denominators(den, c_num, d_num, n_max):
+    # integer brute force over the common denominator: value and first
+    # argmax of D * dist(c + n d), signed steps, many wraps of the circle
+    c, d = Fraction(c_num, den), Fraction(d_num, den)
+    m = ap_max_dist(c, d, n_max)
+    D = common_denominator(c, d)
+    dists = [circle_dist(scaled(c, D) + n * scaled(d, D), D)
+             for n in range(n_max + 1)]
+    assert m.value == Fraction(max(dists), D)
+    assert m.argmax == dists.index(max(dists))
+
+
+@given(
+    a=st.fractions(min_value=0, max_value=1, max_denominator=40),
+    w1=st.fractions(min_value=0, max_value=1, max_denominator=12),
+    q=st.integers(min_value=1, max_value=8),
+    window=st.integers(min_value=0, max_value=40),
+)
+@settings(max_examples=150, deadline=None)
+def test_orbit_deviation_matches_scan(a, w1, q, window):
+    # small rationals make the first coordinate tie the progression term
+    # often; the first argmax is then n = 0, as the scan finds it
+    system = SkewShift(a)
+    omega = TorusPoint([w1, Fraction(2, 7)])
+    assert (_orbit_deviation(system, omega, q, window)
+            == _scan_deviation(system, omega, q, window))
+
+
+@pytest.mark.parametrize("q", [2, 4, 6])
+def test_orbit_deviation_matches_scan_above_scan_cap(q):
+    # golden-256 skew windows of 40000..120000 points, past FULL_SCAN_CAP
+    system = SkewShift(golden_mean(bits=256).value)
+    omega = TorusPoint.exact("1/5", "2/3")
+    window = 20_000 * q
+    assert window > FULL_SCAN_CAP
+    exact = _orbit_deviation(system, omega, q, window)
+    assert exact == _scan_deviation(system, omega, q, window)
+    assert exact[0] > Fraction(49, 100)
+
+
+def test_full_scan_validation_checks_the_first_argmax():
+    system = SkewShift(Fraction(4, 21))
+    omega = TorusPoint.exact("2/3", "6/7")
+    value, argmax = _orbit_deviation(system, omega, 8, 1)
+    # the constant first coordinate ties the progression term at n = 1
+    assert (value, argmax) == (Fraction(1, 21), 0)
+    assert _validate_certificate(system, omega, 8, 1, value,
+                                 argmax) == "full-scan"
+    with pytest.raises(PrecisionError):
+        _validate_certificate(system, omega, 8, 1, value, 1)
+
+
+def test_wide_skew_window_without_repetition_returns_none():
+    # every maximum wraps the circle, lies in [0.499997, 1/2] and the
+    # windows exceed FULL_SCAN_CAP: the exact maxima decide without a scan
+    system = SkewShift(golden_mean(bits=256).value)
+    omega = TorusPoint.exact("1/5", "2/3")
+    assert find_even_repetition(system, omega, Fraction(49, 100), 20_000,
+                                6) is None
 
 
 def test_skew_repetition_times_liouville():
@@ -239,11 +317,31 @@ def test_skew_repetition_times_liouville():
     for cert in res.certificates:
         assert cert.q % 2 == 0
         assert 1 <= cert.m <= 11
-        assert cert.deviation_upper < 5 * Fraction(1, 10)
+        assert cert.max_deviation < 5 * Fraction(1, 10)
         assert cert.validated in ("full-scan", "spot-scan")
     # the deepest level repeats exactly up to the w1 term
     top = res.certificates[-1]
     assert top.base_q == 2**24
+
+
+def test_straddling_skew_level_scanned_once(monkeypatch):
+    # a level whose progression wraps the circle is decided by its exact
+    # maximum: each certificate gets exactly its validation scan and a
+    # rejected level gets none
+    freq = liouville_frequency(2, 4)
+    w = TorusPoint.exact("0.3", "0.7")
+    scans = []
+
+    def counting_scan(system, omega, q, window, samples=None):
+        scans.append(q)
+        return _scan_deviation(system, omega, q, window, samples)
+
+    monkeypatch.setattr(dynamics, "_scan_deviation", counting_scan)
+    res = skew_repetition_times(freq, w, Fraction(1, 10), 1)
+    wrapped = [c for c in res.certificates
+               if c.window * abs(signed_frac(2 * c.q * freq.value)) >= 1]
+    assert wrapped
+    assert sorted(scans) == sorted(c.q for c in res.certificates)
 
 
 def test_skew_repetition_times_zero_w1():
@@ -285,12 +383,11 @@ def test_certificate_rejects_odd_or_failing():
     with pytest.raises(DomainError):
         RepetitionCertificate(
             q=3, epsilon=Fraction(1), window_factor=Fraction(1), window=1,
-            threshold=Fraction(1, 2), max_deviation=Fraction(0),
-            deviation_upper=Fraction(0), argmax=0, exact=True,
+            threshold=Fraction(1, 2), max_deviation=Fraction(0), argmax=0,
         )
     with pytest.raises(DomainError):
         RepetitionCertificate(
             q=2, epsilon=Fraction(1, 10), window_factor=Fraction(1), window=1,
             threshold=Fraction(1, 10), max_deviation=Fraction(1, 2),
-            deviation_upper=Fraction(1, 2), argmax=0, exact=True,
+            argmax=0,
         )

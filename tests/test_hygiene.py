@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
 and none imports another package module's private (underscore) names;
-importing the CLI leaves scipy unloaded.
+importing the CLI leaves scipy unloaded; the README's config table names
+exactly the config fields.
 
 Standard library only (``ast``, ``subprocess``).  ``__init__.py`` is
 exempt from the unused-import check: its imports are the package's
@@ -9,13 +10,15 @@ re-exports.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "qpcmv"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "qpcmv"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -94,3 +97,20 @@ def test_cli_import_leaves_scipy_unloaded():
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_readme_config_table_lists_the_config_fields():
+    # the fields of ExperimentConfig, read from its class body, against
+    # the backticked names in the first column of the README table
+    tree = ast.parse((SRC / "pipeline.py").read_text())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef)
+               and n.name == "ExperimentConfig")
+    config_fields = {n.target.id for n in cls.body
+                     if isinstance(n, ast.AnnAssign)}
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("### Config schema")[1].split("\n#")[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    listed = [name for row in rows
+              for name in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert len(listed) == len(set(listed))
+    assert set(listed) == config_fields

@@ -366,14 +366,24 @@ def test_cli_rejects_header_only_coefficient_csv(tmp_path, capsys, command):
     assert err.startswith("error:") and "no rows" in err
 
 
+FREE = {"schema": CONFIG_SCHEMA, "scenario": "free"}
+
+
 @pytest.mark.parametrize(
     "config,message",
     [
         ({"schema": CONFIG_SCHEMA, "seed": 3}, "lacks scenario"),
         ([{"schema": CONFIG_SCHEMA, "scenario": "free"}], "JSON object"),
         ("free", "JSON object"),
+        (FREE | {"boundary": 1}, "'boundary' must be"),
+        (FREE | {"k_list": 5}, "'k_list' must be"),
+        (FREE | {"seed": None}, "'seed' must be int, got null"),
+        (FREE | {"omega": "1/3"}, "'omega' must be"),
+        (FREE | {"z_gird": 64}, "unknown config field(s): z_gird"),
+        (FREE | {"evidence_threshold": 0.25}, "evidence_threshold"),
     ],
-    ids=["no-scenario", "list", "string"],
+    ids=["no-scenario", "list", "string", "boundary-number", "k_list-number",
+         "seed-null", "omega-string", "unknown-key", "retired-key"],
 )
 def test_cli_run_rejects_malformed_config(tmp_path, capsys, config, message):
     cfg_path = tmp_path / "cfg.json"
