@@ -48,12 +48,15 @@ def as_fraction(x) -> Fraction:
     Strings accept both decimal ("0.3") and ratio ("3/10") forms and are
     parsed exactly.  Floats convert via their binary expansion, which is
     exact but usually not the decimal the user typed; prefer strings for
-    decimal inputs.
+    decimal inputs.  A zero denominator ("1/0") is a DomainError.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, float, str)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise DomainError(f"zero denominator in {x!r}") from None
     if isinstance(x, mp.mpf):
         return mpf_to_fraction(x)
     return Fraction(x)

@@ -304,6 +304,9 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
     doc, code = run(cfg, args.out)
+    for name, st in doc["stages"].items():
+        if st["status"] == "failed":
+            print(f"error: {name} stage: {st['error']}", file=sys.stderr)
     print(
         f"run[{cfg.scenario}]: {doc['overall']} "
         f"(verdicts: {', '.join(f'{k}={v}' for k, v in sorted(doc['verdicts'].items()))})"

@@ -157,11 +157,18 @@ def integer_map(system: TorusDynamics, d: int):
     return image
 
 
+def _require_dim(system: TorusDynamics, point: TorusPoint):
+    """DomainError unless the point has one coordinate per dimension of the
+    system's torus."""
+    if point.dim != system.dim:
+        raise DomainError(f"{system.kind} on T^{system.dim} needs a point "
+                          f"with {system.dim} coordinates, got {point.dim}")
+
+
 def integer_kernel(system: TorusDynamics, point: TorusPoint, *extra):
     """(d, point over d, T^n over d) for d the common denominator of the
     system, the point and the rationals ``extra``."""
-    if not isinstance(system, Rotation) and point.dim != 2:
-        raise DomainError("skew-shift needs a T^2 point")
+    _require_dim(system, point)
     freq = system.shift if isinstance(system, Rotation) else (system.a,)
     d = common_denominator(*point.coords, *freq, *extra)
     return d, tuple(scaled(c, d) for c in point.coords), integer_map(system, d)
@@ -356,6 +363,7 @@ def find_even_repetition(
     s = as_fraction(s)
     if epsilon <= 0 or s <= 0:
         raise DomainError("epsilon and s must be positive")
+    _require_dim(system, omega)
     if parity not in ("even", "any"):
         raise DomainError("parity must be 'even' or 'any'")
     step = 2 if parity == "even" else 1
@@ -419,6 +427,7 @@ def skew_repetition_times(
         raise DomainError("frequency carries no designated denominators")
     if system is None:
         system = SkewShift(freq.value)
+    _require_dim(system, omega)
     w1 = omega.coords[0]
     m_top = int(1 / epsilon) + 1
     threshold = 5 * epsilon

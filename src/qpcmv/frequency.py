@@ -259,4 +259,4 @@ def parse_frequency(text: str, bits: int = DEFAULT_PRECISION_BITS,
         spec = text.split(":", 1)[1]
         base_s, depth_s = spec.split(",")
         return liouville_frequency(int(base_s), int(depth_s), terms=terms)
-    return continued_fraction(Fraction(text), terms=terms, precision_bits=None)
+    return continued_fraction(as_fraction(text), terms=terms, precision_bits=None)

@@ -247,10 +247,12 @@ def _frequency_stage(rep: _Report, cfg: ExperimentConfig) -> Frequency:
     return freq
 
 
-def _repetition_stage(rep: _Report, cfg: ExperimentConfig, system, omega):
-    """Even repetition times for each level k (epsilon = 1/k)."""
+def _repetition_stage(rep: _Report, cfg: ExperimentConfig, system):
+    """The orbit start omega and the even repetition times for each level k
+    (epsilon = 1/k)."""
     results = {}
     with rep.stage("repetition") as st:
+        omega = TorusPoint([as_fraction(cfg.omega[0])])
         s = as_fraction(cfg.window_factor)
         rows = []
         for k in cfg.k_list:
@@ -283,7 +285,7 @@ def _repetition_stage(rep: _Report, cfg: ExperimentConfig, system, omega):
         )
         st["periods"] = {str(k): results[k].q for k in results}
         st["validated"] = {str(k): results[k].validated for k in results}
-    return results
+    return omega, results
 
 
 def _tube_stage(rep: _Report, cfg: ExperimentConfig, system, omega, reps):
@@ -461,8 +463,7 @@ def _run_free(rep: _Report, cfg: ExperimentConfig):
 def _run_liouville_rotation(rep: _Report, cfg: ExperimentConfig):
     freq = _frequency_stage(rep, cfg)
     system = Rotation([freq.value])
-    omega = TorusPoint([as_fraction(cfg.omega[0])])
-    reps = _repetition_stage(rep, cfg, system, omega)
+    omega, reps = _repetition_stage(rep, cfg, system)
     sequences, constructions = _tube_stage(rep, cfg, system, omega, reps)
     certs = {}
     with rep.stage("gordon"):

@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -146,11 +146,12 @@ def ball_radius(
     plus the bounding-box growth of the dynamics (rotations are isometries;
     the skew-shift shears the second coordinate by the iteration count),
     then re-verified on a boundary grid of the ball by :func:`verify_ball`.
-    Every separation and bound is computed on integers over one common
-    denominator D (of the centre, the frequency and 10 epsilon) and
-    returned as an exact Fraction; ``denominator_bits`` is the bit length
-    of the D the verification ran on (which also covers the radius and
-    the boundary grid).
+    Only the centre pairs whose first coordinates lie within the smallest
+    gap found so far are compared.  Every separation and bound is computed
+    on integers over one common denominator D (of the centre, the frequency
+    and 10 epsilon) and returned as an exact Fraction; ``denominator_bits``
+    is the bit length of the D the verification ran on (which also covers
+    the radius and the boundary grid).
     """
     epsilon = as_fraction(epsilon)
     if q < 1:
@@ -161,42 +162,31 @@ def ball_radius(
     rotation = isinstance(system, Rotation)
     d, c, image = integer_kernel(system, center, 10 * epsilon)
     orbit = [image(c, n) for n in range(0, 5 * q + 1)]
-    min_gap: Optional[int] = None
 
-    if rotation:
-        # separations of a rotation orbit depend only on the index gap m;
-        # image(zero, m) is m * shift mod d
-        zero = (0,) * center.dim
-        for m in range(1, 5 * q):
-            cheb = max(circle_dist(x, d) for x in image(zero, m))
-            if cheb == 0:
-                raise DegenerateOrbitError(
-                    f"orbit returns exactly after {m} steps inside the 5q horizon"
-                )
-            if min_gap is None or cheb < min_gap:
-                min_gap = cheb
-        disjoint_bound = Fraction(min_gap, 2 * d)
-    else:
-        # the pair bound max(s1 / 2, s2 / (i + j + 2)) / d is kept as an
-        # integer (numerator, denominator) and compared cross-multiplied
-        bound: Optional[tuple[int, int]] = None
-        for i in range(1, 5 * q + 1):
-            for j in range(i + 1, 5 * q + 1):
-                s1, s2 = (circle_dist(x - y, d) for x, y in zip(orbit[i], orbit[j]))
-                cheb = max(s1, s2)
-                if cheb == 0:
-                    raise DegenerateOrbitError(
-                        f"orbit points {i} and {j} collide within the 5q horizon"
-                    )
-                if min_gap is None or cheb < min_gap:
-                    min_gap = cheb
-                # images stay in boxes of half-width r resp. (n+1) r; the
-                # pair is split as soon as one coordinate separates them
-                w = i + j + 2
-                pair = (s1, 2) if s1 * w >= 2 * s2 else (s2, w)
-                if bound is None or pair[0] * bound[1] < bound[0] * pair[1]:
-                    bound = pair
-        disjoint_bound = Fraction(bound[0], bound[1] * d)
+    # T^n B stays in a box of half-width r in every coordinate, except the
+    # skew-shift's second, sheared to (n + 1) r.  Balls i and j are apart
+    # once one circle gap s_k exceeds w_k r, the sum of their half-widths,
+    # so the pair bound is max_k s_k / w_k, kept as an integer (numerator,
+    # denominator) and compared cross-multiplied.  With w_1 = 2 it is at
+    # least s_1 / 2 and at most half the pair's gap, so pairs whose first
+    # coordinates are more than min_gap apart cannot lower it.
+    min_gap, bound = d, (d, 1)
+    for i, j in _BallCentres(orbit, d).close_pairs(lambda: min_gap):
+        gaps = [circle_dist(x - y, d) for x, y in zip(orbit[i], orbit[j])]
+        if max(gaps) == 0:
+            raise DegenerateOrbitError(
+                f"orbit points {min(i, j)} and {max(i, j)} collide within "
+                "the 5q horizon"
+            )
+        min_gap = min(min_gap, max(gaps))
+        weights = (2,) * len(gaps) if rotation else (2, i + j + 2)
+        pair = (0, 1)
+        for s, w in zip(gaps, weights):
+            if s * pair[1] > pair[0] * w:
+                pair = (s, w)
+        if pair[0] * bound[1] < bound[0] * pair[1]:
+            bound = pair
+    disjoint_bound = Fraction(bound[0], bound[1] * d)
 
     # room left in the 5 epsilon ball is (10 epsilon d - spread) / (2 d); the
     # skew-shift shears the box of ball n = j + 4q, so divides it by n + 1
@@ -236,18 +226,60 @@ def ball_radius(
     )
 
 
+class _BallCentres:
+    """The ball centres T^n c, n = 1..N, held as residues mod d and sorted
+    by their first coordinate.  Two balls, or a ball and a point, are
+    within a max-metric distance only if their first coordinates are, so
+    the point lookup and the pair checks each read one stretch of this
+    order."""
+
+    def __init__(self, orbit, d: int):
+        self.d = d
+        self.order = sorted(range(1, len(orbit)), key=lambda n: orbit[n][0])
+        self.firsts = [orbit[n][0] for n in self.order]
+
+    def window(self, x, half) -> list[int]:
+        """Balls n whose first residue lies within ``half`` of the residue
+        x on the circle mod d (a bisection)."""
+        d = self.d
+        if 2 * half >= d:
+            return self.order
+        lo, hi = (x - half) % d, (x + half) % d
+        i, j = bisect_left(self.firsts, lo), bisect_right(self.firsts, hi)
+        if lo <= hi:
+            return self.order[i:j]
+        return self.order[i:] + self.order[:j]
+
+    def close_pairs(self, limit):
+        """Pairs (i, j) of balls whose first residues are at most
+        ``limit()`` apart on the circle.  From every ball a forward walk,
+        wrapping past d, stops at the first gap above ``limit()``, which is
+        read again after every pair."""
+        order, count = self.order, len(self.order)
+        # the first residues, then once more one turn up
+        firsts = self.firsts + [x + self.d for x in self.firsts]
+        for a in range(count):
+            for b in range(a + 1, a + count):
+                if firsts[b] - firsts[a] > limit():
+                    break
+                yield order[a], order[b % count]
+
+
+def _grid(radius: Fraction, grid: int) -> list[Fraction]:
+    """``grid`` equally spaced values from -radius to radius; 0 alone for
+    grid <= 1."""
+    if grid > 1:
+        return [radius * Fraction(2 * t, grid - 1) - radius for t in range(grid)]
+    return [Fraction(0)]
+
+
 def _boundary_offsets(dim: int, radius: Fraction, grid: int):
     """Offsets from the center to boundary grid points of a max-metric ball."""
     if dim == 1:
         return [(-radius,), (radius,)]
     if dim == 2:
-        ts = (
-            [radius * Fraction(2 * t, grid - 1) - radius for t in range(grid)]
-            if grid > 1
-            else [Fraction(0)]
-        )
         offs = []
-        for t in ts:
+        for t in _grid(radius, grid):
             for e in (-radius, radius):
                 offs.append((t, e))
                 offs.append((e, t))
@@ -341,12 +373,13 @@ class TubeFunction:
     U_{l=0..4} T^(j+lq) B(center, radius), j = 1..q, and blended elsewhere.
 
     Membership tests are exact, on integer residues over the common
-    denominator D of the system, the centre and the radius: the 5q ball
-    centres are held as residues sorted by their first coordinate, and a
-    point is tested only against the balls whose first coordinate can
-    reach it.  Off the tubes the value is an inverse-distance weighted
-    blend of the tube values, which is continuous and stays inside the
-    convex hull of the values, hence inside the disk.
+    denominator D of the system, the centre and the radius.  A point p lies
+    in the closed ball T^n(B) when D * dist(T^-n p, c) <= D r; for a
+    rotation T^-n is a translation, so this is its distance to T^n(c).
+    Only the balls whose first coordinate can reach p are tested (see
+    ``_BallCentres``).  Off the tubes the value is an inverse-distance
+    weighted blend of the tube values, which is continuous and stays inside
+    the convex hull of the values, hence inside the disk.
     """
 
     kind = "tube"
@@ -363,94 +396,57 @@ class TubeFunction:
         self.center = center
         self.q = q
         self.radius = as_fraction(radius)
+        if self.radius <= 0:
+            raise DomainError("tube radius must be positive")
         self.values = values
         self.sup_norm = vmax
         d, c, image = integer_kernel(system, center, self.radius)
         self._d, self._r, self._image = d, scaled(self.radius, d), image
         # ball n is centred at the residues _orbit[n]; _orbit[0] is the centre
         self._orbit = [image(c, n) for n in range(0, 5 * q + 1)]
-        self._by_first = sorted(range(1, 5 * q + 1),
-                                key=lambda n: self._orbit[n][0])
-        self._firsts = [self._orbit[n][0] for n in self._by_first]
+        self._centres = _BallCentres(self._orbit, d)
+        self._orbit_f = None
         if isinstance(system, Rotation):
             # int / int is correctly rounded, as float(Fraction) is
             self._orbit_f = np.array([[x / d for x in self._orbit[n]]
                                       for n in range(1, 5 * q + 1)])
-        self._check_disjoint()
-
-    def _window(self, x, half) -> list[int]:
-        """Balls n whose centre's first residue lies within ``half`` of the
-        residue x on the circle mod D."""
-        d = self._d
-        if 2 * half >= d:
-            return self._by_first
-        lo, hi = (x - half) % d, (x + half) % d
-        i, j = bisect_left(self._firsts, lo), bisect_right(self._firsts, hi)
-        if lo <= hi:
-            return self._by_first[i:j]
-        return self._by_first[i:] + self._by_first[:j]
-
-    def _check_disjoint(self):
-        d, two_r = self._d, 2 * self._r
-        if isinstance(self.system, Rotation):
-            zero = (0,) * self.center.dim
-            for m in range(1, 5 * self.q):
-                if max(circle_dist(x, d) for x in self._image(zero, m)) <= two_r:
-                    raise ConstructionError(
-                        f"balls {m} apart overlap at radius {float(self.radius)}"
-                    )
-            return
-        # centres within 2r in the max metric are within 2r in the first
-        # coordinate, so only window pairs are compared
-        orbit = self._orbit
-        for i in range(1, 5 * self.q + 1):
-            for j in sorted(self._window(orbit[i][0], two_r)):
-                if j > i and residue_dist(orbit[i], orbit[j], d) <= two_r:
-                    raise ConstructionError(
-                        f"balls {i} and {j} overlap at radius {float(self.radius)}"
-                    )
+        # closed balls overlap when their centres are within 2r
+        two_r = 2 * self._r
+        for i, j in self._centres.close_pairs(lambda: two_r):
+            if residue_dist(self._orbit[i], self._orbit[j], d) <= two_r:
+                raise ConstructionError(
+                    f"balls {min(i, j)} and {max(i, j)} overlap at radius "
+                    f"{float(self.radius)}"
+                )
 
     # -- geometry -----------------------------------------------------
 
-    def _locate(self, point: TorusPoint):
-        """(n, None) for the first n in [1, 5q] with point in closed T^n(B),
-        decided exactly; else (None, d), d[n - 1] the float distance from
-        the point to T^n(c) (for the skew-shift, from its n-th preimage to
-        c).
-
-        The point is scaled by D exactly; a coordinate off the 1/D grid
-        stays an exact rational residue.  T^n(B) meets the point only if
-        their first coordinates are within r: for a rotation T^n(B) is the
-        ball around T^n(c), and for the skew-shift the first coordinate of
-        T^n(B) is the circle interval of half-width r around that of
-        T^n(c).  Only those balls are tested, in increasing n.
-        """
+    def _scaled(self, point: TorusPoint) -> tuple:
+        """The point's residues over D, exact; a coordinate off the 1/D
+        grid stays an exact rational residue."""
         if point.dim != self.center.dim:
             raise DomainError("dimension mismatch")
-        d, r = self._d, self._r
-        p = tuple(scaled(x, d) for x in point.coords)
-        rotation = isinstance(self.system, Rotation)
+        return tuple(scaled(x, self._d) for x in point.coords)
 
-        def dist(n):
-            if rotation:
-                return residue_dist(p, self._orbit[n], d)
-            return residue_dist(self._image(p, -n), self._orbit[0], d)
+    def _dist(self, p, n: int):
+        """D * dist(T^-n p, c) for the residues p."""
+        return residue_dist(self._image(p, -n), self._orbit[0], self._d)
 
+    def _locate(self, p):
+        """(n, tested) for the residues p: n the first ball in [1, 5q]
+        whose closed ball holds p, decided exactly, or None; tested maps
+        every ball tested to its ``_dist``.  The balls of p's window are
+        tested in increasing n."""
         tested = {}
-        for n in sorted(self._window(p[0], r)):
-            tested[n] = dist(n)
-            if tested[n] <= r:
-                return n, None
-        if rotation:
-            x = np.array(point.as_floats())
-            return None, self._cheb_float(x, self._orbit_f)
-        # one preimage per ball: those tested above are reused
-        return None, np.array([float((tested[n] if n in tested else dist(n)) / d)
-                               for n in range(1, 5 * self.q + 1)])
+        for n in sorted(self._centres.window(p[0], self._r)):
+            tested[n] = self._dist(p, n)
+            if tested[n] <= self._r:
+                return n, tested
+        return None, tested
 
     def ball_index(self, point: TorusPoint) -> Optional[int]:
         """n in [1, 5q] with point in closed T^n(B), or None (exact)."""
-        return self._locate(point)[0]
+        return self._locate(self._scaled(point))[0]
 
     @staticmethod
     def _cheb_float(x: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -495,9 +491,18 @@ class TubeFunction:
     # -- evaluation ---------------------------------------------------
 
     def __call__(self, point: TorusPoint) -> complex:
-        n, d = self._locate(point)
+        p = self._scaled(point)
+        n, tested = self._locate(p)
         if n is not None:
             return self.values[(n - 1) % self.q]
+        if self._orbit_f is not None:
+            d = self._cheb_float(np.array(point.as_floats()), self._orbit_f)
+        else:
+            # one pull-back per ball: those tested above are reused
+            d = np.array([
+                float((tested[n] if n in tested else self._dist(p, n)) / self._d)
+                for n in range(1, 5 * self.q + 1)
+            ])
         d = np.maximum(d - float(self.radius), 1e-18)
         # flat index n-1 = (j-1) + l*q, so reshape(5, q) groups l-rows and
         # column j-1 collects the five balls of tube j
@@ -517,16 +522,15 @@ def tube_function(
     """Build the piecewise-constant-on-tubes sampling function.
 
     ``radius`` should come from :func:`ball_radius`; overlapping tubes are
-    a construction error.  Membership of the result in its own class is
-    re-verified by sampling each tube.
+    a construction error.  The lookup is re-verified on the residues of
+    the 5q ball centres: each must fall in its own ball.
     """
     f = TubeFunction(system, center, q, radius, values)
-    for j in range(1, q + 1):
-        for p in f.tube_balls(j):
-            if f(p) != f.values[j - 1]:
-                raise ConstructionError(
-                    f"tube {j} sample does not return its prescribed value"
-                )
+    for n in range(1, 5 * q + 1):
+        if f._locate(f._orbit[n])[0] != n:
+            raise ConstructionError(
+                f"tube {(n - 1) % q + 1} centre {n} is not found in its ball"
+            )
     return f
 
 
@@ -701,22 +705,12 @@ def min_enclosing_circle(points: Sequence[complex]) -> tuple[complex, float]:
 
 def tube_sample_points(tubes: TubeFunction, j: int, grid: int) -> list[TorusPoint]:
     """Grid of points inside the closed balls of tube j."""
-    pts = []
-    r = tubes.radius
-    offs = (
-        [r * Fraction(2 * t, grid - 1) - r for t in range(grid)]
-        if grid > 1
-        else [Fraction(0)]
-    )
-    for c in tubes.tube_balls(j):
-        if c.dim == 1:
-            for t in offs:
-                pts.append(TorusPoint([c.coords[0] + t]))
-        else:
-            for t in offs:
-                for u in offs:
-                    pts.append(TorusPoint([c.coords[0] + t, c.coords[1] + u]))
-    return pts
+    offs = _grid(tubes.radius, grid)
+    return [
+        TorusPoint([x + t for x, t in zip(c.coords, off)])
+        for c in tubes.tube_balls(j)
+        for off in product(offs, repeat=c.dim)
+    ]
 
 
 @dataclass(frozen=True)

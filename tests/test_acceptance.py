@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from qpcmv import sampling
 from qpcmv.arith import working_precision
 from qpcmv.cmv import assemble, eigenvector_profile, spectrum
 from qpcmv.dynamics import (
@@ -221,6 +222,27 @@ def test_skew_tube_chain_at_q100():
         seq = verblunsky_window(f, system, f.gordon_point(), -2 * q, 3 * q + 1)
         for n in range(-2 * q + 1, 2 * q + 1):
             assert seq.alpha(n) == seq.alpha(n + q)
+
+
+def test_skew_ball_radius_at_q100_walks_few_pairs(monkeypatch):
+    # golden skew-shift, epsilon = 1/10: the scan of all 124 750 centre
+    # pairs took 0.35 s on a 2-core Xeon; the walk compares about 1000 of
+    # them, and most of the budget goes to verify_ball
+    q = 100
+    walked = []
+    close_pairs = sampling._BallCentres.close_pairs
+
+    def counted(self, limit):
+        for pair in close_pairs(self, limit):
+            walked.append(pair)
+            yield pair
+
+    monkeypatch.setattr(sampling._BallCentres, "close_pairs", counted)
+    with Budget(5):
+        br = ball_radius(SkewShift(golden_mean(bits=256).value),
+                         TorusPoint.exact(0, 0), q, Fraction(1, 10))
+    assert br.verified
+    assert len(walked) < 4 * 5 * q
 
 
 def test_criterion_7_tube_mechanism_end_to_end():

@@ -391,3 +391,26 @@ def test_certificate_rejects_odd_or_failing():
             threshold=Fraction(1, 10), max_deviation=Fraction(1, 2),
             argmax=0,
         )
+
+
+@pytest.mark.parametrize("system,omega", [
+    # a 1-D rotation once certified (0, 1/3) from its first coordinate alone
+    (Rotation([GOLDEN.value]), TorusPoint.exact(0, "1/3")),
+    # a 1-D point on the skew-shift once returned None
+    (SkewShift(GOLDEN.value), TorusPoint.exact(0)),
+])
+def test_repetition_search_rejects_a_point_of_the_wrong_dimension(system,
+                                                                  omega):
+    with pytest.raises(DomainError, match="coordinates"):
+        find_even_repetition(system, omega, Fraction(1, 10), 4, 100)
+
+
+def test_skew_repetition_times_rejects_a_1d_point():
+    with pytest.raises(DomainError, match="coordinates"):
+        skew_repetition_times(liouville_frequency(2, 4), TorusPoint.exact(0),
+                              Fraction(1, 10), 1)
+
+
+def test_zero_denominator_is_a_domain_error():
+    with pytest.raises(DomainError, match="zero denominator"):
+        as_fraction("1/0")

@@ -12,6 +12,7 @@ from qpcmv.frequency import (
     distance_to_integers,
     golden_mean,
     liouville_frequency,
+    parse_frequency,
 )
 
 
@@ -252,6 +253,8 @@ def test_domain_errors():
         continued_fraction(Fraction(1, 2), terms=0)
     with pytest.raises(DomainError):
         liouville_frequency(1, 3)
+    with pytest.raises(DomainError, match="zero denominator"):
+        parse_frequency("1/0")
 
 
 def test_precision_limited_expansion_stops():

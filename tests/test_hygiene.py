@@ -1,14 +1,16 @@
 """Source hygiene: no module of the package imports a name it never uses,
 and none imports another package module's private (underscore) names;
 importing the CLI leaves scipy unloaded; the README's config table names
-exactly the config fields.
+exactly the config fields; every subcommand ends malformed input with exit
+1 and an ``error:`` line, never a traceback.
 
-Standard library only (``ast``, ``subprocess``).  ``__init__.py`` is
-exempt from the unused-import check: its imports are the package's
-re-exports.
+The source checks use the standard library only (``ast``,
+``subprocess``).  ``__init__.py`` is exempt from the unused-import check:
+its imports are the package's re-exports.
 """
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -16,6 +18,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from qpcmv import cli
+from qpcmv.pipeline import CONFIG_SCHEMA
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qpcmv"
@@ -114,3 +119,68 @@ def test_readme_config_table_lists_the_config_fields():
               for name in re.findall(r"`(\w+)`", row.split("|")[1])]
     assert len(listed) == len(set(listed))
     assert set(listed) == config_fields
+
+
+def tube_spec(**fields):
+    """A valid --construct-ck spec with ``fields`` replaced."""
+    spec = {"system": "rotation", "freq": "golden", "center": ["0"],
+            "period": 2, "radius": "1/1000", "values": [[0.1, 0], [0.2, 0]]}
+    return {**spec, **fields}
+
+
+# (id, argv, contents of the file "{input}" names or None); each row must
+# end with exit 1 and an error line on stderr
+MALFORMED_ARGV = [
+    ("frequency-zero-denominator", ["frequency", "--value", "1/0"], None),
+    ("orbit-freq-zero-denominator", ["orbit", "--freq", "1/0"], None),
+    ("orbit-epsilon-zero-denominator",
+     ["orbit", "--freq", "golden", "--epsilon", "1/0"], None),
+    ("orbit-s-zero-denominator",
+     ["orbit", "--freq", "golden", "--s", "1/0"], None),
+    ("orbit-omega-zero-denominator",
+     ["orbit", "--freq", "golden", "--omega", "1/0"], None),
+    ("orbit-skew-1d-omega",
+     ["orbit", "--system", "skew", "--freq", "golden", "--omega", "0"], None),
+    ("sample-omega-zero-denominator",
+     ["sample", "--family", "constant", "--omega", "1/0"], None),
+    ("sample-construct-freq-zero-denominator",
+     ["sample", "--construct-ck", "{input}"], tube_spec(freq="1/0")),
+    ("sample-construct-center-zero-denominator",
+     ["sample", "--construct-ck", "{input}"], tube_spec(center=["1/0"])),
+    ("sample-construct-radius-zero-denominator",
+     ["sample", "--construct-ck", "{input}"], tube_spec(radius="1/0")),
+    ("sample-construct-epsilon-zero-denominator",
+     ["sample", "--construct-ck", "{input}"],
+     tube_spec(radius="auto", epsilon="1/0")),
+    ("sample-construct-radius-zero",
+     ["sample", "--construct-ck", "{input}"], tube_spec(radius="0")),
+    ("sample-construct-radius-negative",
+     ["sample", "--construct-ck", "{input}"], tube_spec(radius="-1/100")),
+    ("gordon-missing-sequence", ["gordon", "--seq-file", "{missing}"], None),
+    ("cmv-sequence-without-header", ["cmv", "--seq-file", "{input}"],
+     "n,re,im\n0,0,0\n"),
+    ("run-omega-zero-denominator", ["run", "--config", "{input}"],
+     {"schema": CONFIG_SCHEMA, "scenario": "liouville-rotation",
+      "omega": ["1/0"]}),
+]
+
+
+def test_malformed_table_covers_every_subcommand():
+    # the subcommands as the CLI's module docstring lists them
+    commands = set(re.findall(r"^  (\w+) ", cli.__doc__, re.M))
+    assert len(commands) == 6
+    assert commands == {row[1][0] for row in MALFORMED_ARGV}
+
+
+@pytest.mark.parametrize("argv,contents", [row[1:] for row in MALFORMED_ARGV],
+                         ids=[row[0] for row in MALFORMED_ARGV])
+def test_cli_rejects_malformed_input(tmp_path, capsys, argv, contents):
+    path = tmp_path / "input"
+    if contents is not None:
+        path.write_text(contents if isinstance(contents, str)
+                        else json.dumps(contents))
+    argv = [a.format(input=path, missing=tmp_path / "missing.csv")
+            for a in argv]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err

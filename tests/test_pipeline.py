@@ -241,6 +241,19 @@ def test_failed_stage_keeps_earlier_artifacts(tmp_path):
     assert set(timings["stages"]) == {"frequency", "repetition"}
 
 
+def test_malformed_omega_fails_the_repetition_stage(tmp_path):
+    # omega is parsed inside the stage, so the run still writes its report
+    cfg = ExperimentConfig.from_dict({
+        "schema": CONFIG_SCHEMA, "scenario": "liouville-rotation",
+        "omega": ["1/0"],
+    })
+    doc, code = run(cfg, tmp_path)
+    assert (code, doc["overall"]) == (1, "ERROR")
+    assert doc["stages"]["repetition"]["error"] == (
+        "DomainError: zero denominator in '1/0'")
+    assert (tmp_path / "report.json").is_file()
+
+
 def test_report_carries_seed_and_version(tmp_path):
     doc, _ = run(small_free_config(seed=99), tmp_path)
     assert doc["seed"] == 99

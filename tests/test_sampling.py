@@ -7,17 +7,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qpcmv.arith import as_fraction, dist_to_int
+from qpcmv.arith import as_fraction, circle_dist, dist_to_int
 from qpcmv.dynamics import (
     Rotation,
     SkewShift,
     TorusPoint,
+    integer_kernel,
     integer_map,
     iterate,
 )
 from qpcmv.errors import (
     ConstructionError,
     DegenerateOrbitError,
+    DomainError,
     InvariantViolation,
 )
 from qpcmv.frequency import golden_mean
@@ -28,6 +30,7 @@ from qpcmv.sampling import (
     TentBump,
     TubeFunction,
     VerblunskySequence,
+    _BallCentres,
     _boundary_offsets,
     ball_radius,
     distance_to_tubes,
@@ -186,6 +189,173 @@ def test_large_skew_q_is_fast_and_periodic():
     for n in range(-2 * q + 1, 2 * q + 1):
         assert seq.alpha(n) == seq.alpha(n + q)
     assert elapsed < 5.0, f"q = 16 skew tube took {elapsed:.1f}s"
+
+
+# ---------------------------------------------------------------------------
+# the centre pair walk against the disjointness loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def loop_disjointness(system, center, q, epsilon):
+    """Test oracle: (min_center_gap, disjoint_bound) from the two loops the
+    pair walk replaced, the index gaps m * shift of a rotation and every
+    centre pair of the skew-shift; DegenerateOrbitError on a collision."""
+    d, c, image = integer_kernel(system, center, 10 * epsilon)
+    if isinstance(system, Rotation):
+        zero = (0,) * center.dim
+        gaps = [max(circle_dist(x, d) for x in image(zero, m))
+                for m in range(1, 5 * q)]
+        if 0 in gaps:
+            raise DegenerateOrbitError("collision")
+        return Fraction(min(gaps), d), Fraction(min(gaps), 2 * d)
+    orbit = [image(c, n) for n in range(5 * q + 1)]
+    min_gap = bound = None
+    for i in range(1, 5 * q + 1):
+        for j in range(i + 1, 5 * q + 1):
+            s1, s2 = (circle_dist(x - y, d) for x, y in zip(orbit[i], orbit[j]))
+            if max(s1, s2) == 0:
+                raise DegenerateOrbitError("collision")
+            if min_gap is None or max(s1, s2) < min_gap:
+                min_gap = max(s1, s2)
+            pair = max(Fraction(s1, 2), Fraction(s2, i + j + 2))
+            if bound is None or pair < bound:
+                bound = pair
+    return Fraction(min_gap, d), bound / d
+
+
+def closest_pair_wraps(system, center, q):
+    """Does a closest pair of the 5q centres (max metric) lie on both sides
+    of 0 in the first coordinate, so that only a wrapping walk meets it?"""
+    pts = [iterate(system, center, n).coords for n in range(1, 5 * q + 1)]
+    pairs = [(max(dist_to_int(x - y) for x, y in zip(a, b)), a[0], b[0])
+             for i, a in enumerate(pts) for b in pts[i + 1:]]
+    gap = min(p[0] for p in pairs)
+    return any(dist_to_int(x - y) < abs(x - y)
+               for g, x, y in pairs if g == gap)
+
+
+def _walk_cases():
+    """Seeded ball_radius inputs for rotations on T^1 and T^2 and the
+    skew-shift: generic frequencies, orbits translated so that a closest
+    pair straddles 0, and rational frequencies whose orbits collide."""
+    rng = random.Random(20261019)
+    cases = []
+    for kind, count in (("rotation-1d", 24), ("rotation-2d", 12), ("skew", 24)):
+        dim = 1 if kind == "rotation-1d" else 2
+        for v in range(count):
+            style = ("generic", "wrap", "collision")[v % 3]
+            q = rng.randrange(1, 13 if kind == "skew" else 41)
+            if style == "collision":
+                den = rng.randrange(2, 5 * q)
+                freq = [Fraction(rng.randrange(1, den), den) for _ in range(dim)]
+                coords = [Fraction(rng.randrange(den), den) for _ in range(dim)]
+            else:
+                freq = [Fraction(rng.randrange(1, 2**20), 2**20 + 1)
+                        for _ in range(dim)]
+                coords = [Fraction(rng.randrange(1024), 1024) for _ in range(dim)]
+            system = SkewShift(freq[0]) if kind == "skew" else Rotation(freq)
+            center = TorusPoint(coords)
+            if style == "wrap":
+                # move the first coordinates so that a closest pair sits
+                # at -g/2 and g/2
+                pts = [iterate(system, center, n) for n in range(1, 5 * q + 1)]
+                a, b = min(((a, b) for i, a in enumerate(pts)
+                            for b in pts[i + 1:]), key=lambda ab: ab[0].dist(ab[1]))
+                x, y = sorted((a.coords[0], b.coords[0]))
+                mid = (x + y) / 2 if y - x <= Fraction(1, 2) else (x + y + 1) / 2
+                center = TorusPoint([coords[0] - mid] + coords[1:])
+            cases.append((kind, style, system, center, q))
+    return cases
+
+
+def test_ball_radius_pair_walk_matches_the_loops_it_replaced():
+    eps = Fraction(1, 2)  # a tube can never outgrow 5 epsilon
+    wraps = {}
+    for kind, style, system, center, q in _walk_cases():
+        try:
+            expected = loop_disjointness(system, center, q, eps)
+        except DegenerateOrbitError:
+            with pytest.raises(DegenerateOrbitError, match="collide"):
+                ball_radius(system, center, q, eps, grid=2)
+            assert style == "collision", (kind, system, center, q)
+            continue
+        report = ball_radius(system, center, q, eps, grid=2)
+        assert (report.min_center_gap, report.disjoint_bound) == expected, (
+            kind, style, system, center, q)
+        wraps.setdefault(kind, []).append(closest_pair_wraps(system, center, q))
+    for kind in ("rotation-1d", "rotation-2d", "skew"):
+        assert len(wraps[kind]) >= 8 and 3 <= sum(wraps[kind]), kind
+
+
+def test_close_pairs_match_brute_force():
+    rng = random.Random(5)
+    for _ in range(200):
+        d = rng.choice([7, 64, 1000])
+        count = rng.randrange(2, 30)
+        # residues on a few values, so equal first coordinates and the
+        # ends 0 and d - 1 occur
+        pool = [0, d - 1] + [rng.randrange(d) for _ in range(4)]
+        orbit = [None] + [(rng.choice(pool), rng.randrange(d))
+                          for _ in range(count)]
+        limit = rng.randrange(d // 2 + 1)
+        centres = _BallCentres(orbit, d)
+        got = [frozenset(p) for p in centres.close_pairs(lambda: limit)]
+        expected = {frozenset((i, j)) for i in range(1, count + 1)
+                    for j in range(i + 1, count + 1)
+                    if circle_dist(orbit[i][0] - orbit[j][0], d) <= limit}
+        # every close pair once, when 2 * limit < d
+        assert set(got) == expected
+        if 2 * limit < d:
+            assert len(got) == len(expected)
+
+
+@pytest.mark.parametrize("kind", ["rotation-1d", "rotation-2d", "skew"])
+def test_tube_overlap_matches_brute_force(kind):
+    rng = random.Random(kind)
+    decided = []
+    for _ in range(6):
+        q = rng.randrange(1, 9)
+        dim = 1 if kind == "rotation-1d" else 2
+        freq = [Fraction(rng.randrange(1, 2**20), 2**20 + 1) for _ in range(dim)]
+        system = SkewShift(freq[0]) if kind == "skew" else Rotation(freq)
+        center = TorusPoint([Fraction(rng.randrange(64), 64) for _ in range(dim)])
+        # oracle: the closest pair of the 5q centres, in Fraction arithmetic
+        pts = [iterate(system, center, n) for n in range(1, 5 * q + 1)]
+        gap = min(a.dist(b) for i, a in enumerate(pts) for b in pts[i + 1:])
+        for radius in (gap / 2, gap / 2 - Fraction(1, 2**40), gap / 3,
+                       gap * Fraction(rng.randrange(1, 200), 100),
+                       Fraction(1, 4)):
+            overlap = gap <= 2 * radius
+            if overlap:
+                with pytest.raises(ConstructionError, match="overlap"):
+                    TubeFunction(system, center, q, radius, [0.1] * q)
+            else:
+                TubeFunction(system, center, q, radius, [0.1] * q)
+            decided.append(overlap)
+    assert 6 <= decided.count(True) and 6 <= decided.count(False)
+
+
+@pytest.mark.parametrize("radius", [0, Fraction(-1, 100)])
+def test_tube_radius_must_be_positive(radius):
+    with pytest.raises(DomainError, match="positive"):
+        TubeFunction(ROT, ORIGIN, 2, radius, [0.1, 0.2])
+
+
+@pytest.mark.parametrize("system,center", [
+    (ROT, ORIGIN),
+    (SkewShift(golden_mean(bits=64).value), TorusPoint.exact("1/5", "1/3")),
+])
+def test_tube_self_check_reads_residues(monkeypatch, system, center):
+    # the self-check locates the residues of the ball centres; building
+    # Fraction points from them (tube_balls) only to scale them back is gone
+    def no_points(self, j):
+        raise AssertionError("the self-check must not build Fraction points")
+
+    q = 3
+    br = ball_radius(system, center, q, Fraction(1, 2))
+    monkeypatch.setattr(TubeFunction, "tube_balls", no_points)
+    f = tube_function(system, center, q, br.radius, [0.1, 0.2, 0.3])
+    assert f(iterate(system, center, 4)) == 0.1
 
 
 # ---------------------------------------------------------------------------
