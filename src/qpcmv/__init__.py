@@ -51,7 +51,6 @@ from .frequency import (
     Frequency,
     badly_approximable_score,
     continued_fraction,
-    distance_to_integers,
     golden_mean,
     liouville_frequency,
 )
@@ -73,15 +72,12 @@ from .sampling import (
 from .transfer import (
     EvidenceTable,
     GordonCertificate,
-    block_product,
     certify_gordon,
     coefficient_tolerance,
-    gordon_lower_bound,
     min_max_over_unit_vectors,
     no_point_spectrum_evidence,
     spectral_norm_2x2,
     szego_matrix,
     three_step_lipschitz,
-    validate_periodic_floor,
     validate_three_step_lipschitz,
 )

@@ -78,6 +78,7 @@ class Rotation:
         self.dim = len(self.shift)
 
     def iterate(self, omega: TorusPoint, n: int) -> TorusPoint:
+        _require_dim(self, omega)
         return TorusPoint([c + n * s for c, s in zip(omega.coords, self.shift)])
 
     def __repr__(self):
@@ -94,8 +95,7 @@ class SkewShift:
         self.a = mod1(a)
 
     def iterate(self, omega: TorusPoint, n: int) -> TorusPoint:
-        if omega.dim != 2:
-            raise DomainError("skew-shift needs a T^2 point")
+        _require_dim(self, omega)
         w1, w2 = omega.coords
         return TorusPoint([w1 + 2 * n * self.a, w2 + n * w1 + n * (n - 1) * self.a])
 

@@ -139,11 +139,6 @@ def golden_mean(bits: int = DEFAULT_PRECISION_BITS, terms: int = 64) -> Frequenc
     return continued_fraction(mpf_to_fraction(g), terms, precision_bits=bits)
 
 
-def distance_to_integers(x):
-    """min over integers m of |x - m|; exact for Fraction input."""
-    return dist_to_int(as_fraction(x) if isinstance(x, str) else x)
-
-
 @dataclass(frozen=True)
 class ScoreScan:
     """The minimum of q * <q a> over 1 <= q <= Q.

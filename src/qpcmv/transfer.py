@@ -26,6 +26,7 @@ from .errors import DomainError
 
 EVIDENCE_PASS_THRESHOLD = 0.25  # half of the periodic-case floor 1/2
 _UNDERFLOW_LOG10 = -300.0
+_CHUNK = 4096  # Lipschitz samples per block, to bound the entry arrays
 
 
 # ---------------------------------------------------------------------------
@@ -33,47 +34,52 @@ _UNDERFLOW_LOG10 = -300.0
 # ---------------------------------------------------------------------------
 
 
+def _inv_rho(alpha):
+    """1 / rho(alpha) = (1 - |alpha|^2)^(-1/2), elementwise."""
+    m = np.abs(alpha)
+    return 1.0 / np.sqrt((1.0 - m) * (1.0 + m))
+
+
+def _szego_step(a, ac, inv_rho, z, top, bot):
+    """Rows (top, bot) of S(a, z) P from the rows of P, elementwise, with
+    ac = conj(a): S(a, z) = rho^-1 [[1, -conj(a)], [-a, 1]] diag(z, 1)."""
+    u = z * top
+    return (u - ac * bot) * inv_rho, (bot - a * u) * inv_rho
+
+
+def _szego(alpha, z):
+    """Entries (s00, s01, s10, s11) of S(alpha, z), elementwise: the step
+    applied to the columns of the identity."""
+    alpha = np.asarray(alpha, dtype=complex)
+    step = (alpha, alpha.conj(), _inv_rho(alpha), np.asarray(z, dtype=complex))
+    s00, s10 = _szego_step(*step, 1.0, 0.0)
+    s01, s11 = _szego_step(*step, 0.0, 1.0)
+    return s00, s01, s10, s11
+
+
 def szego_matrix(alpha: complex, z: complex) -> np.ndarray:
     if abs(alpha) >= 1:
         raise DomainError("|alpha| must be < 1")
     if abs(abs(z) - 1.0) > 1e-9:
         raise DomainError("z must lie on the unit circle")
-    return szego_batch(alpha, z)
-
-
-def szego_batch(alpha: np.ndarray, z) -> np.ndarray:
-    """S(alpha_i, z_i) as an (..., 2, 2) stack."""
-    alpha = np.asarray(alpha, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    r = np.sqrt((1.0 - np.abs(alpha)) * (1.0 + np.abs(alpha)))
-    out = np.empty(np.broadcast(alpha, z).shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = z
-    out[..., 0, 1] = -np.conj(alpha)
-    out[..., 1, 0] = -alpha * z
-    out[..., 1, 1] = 1.0
-    return out / r[..., None, None]
-
-
-def block_product(seq, z: complex, n_from: int, n_to: int) -> np.ndarray:
-    """Ordered product S(a(n_to-1), z) ... S(a(n_from), z); empty = identity."""
-    return block_product_grid(seq, np.array([z]), n_from, n_to)[0]
+    return np.array(_szego(alpha, z)).reshape(2, 2)
 
 
 def block_product_grid(
     seq, zs: np.ndarray, n_from: int, n_to: int,
     start: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """block_product for a whole z-grid at once: (len(zs), 2, 2).
+    """Ordered products S(a(n_to-1), z) ... S(a(n_from), z) over a z-grid:
+    (len(zs), 2, 2); the empty product is the identity.
 
     With ``start`` (a (len(zs), 2, 2) stack) the result is the product
     times ``start``, so a product over [m, n) continued from the one over
     [l, m) equals the product over [l, n) bit for bit.
 
     The two rows of P are carried as arrays over the grid and each step
-    applies S(a, z) = rho^-1 [[1, -conj(a)], [-a, 1]] diag(z, 1) to them
-    elementwise, in the order that makes a one-step product equal
-    ``szego_batch`` exactly.  No BLAS call is made, so the rounding does
-    not depend on the BLAS build.
+    applies ``_szego_step`` to them elementwise, so a one-step product
+    equals ``szego_matrix`` exactly.  No BLAS call is made, so the rounding
+    does not depend on the BLAS build.
     """
     if n_to < n_from:
         raise DomainError("n_to must be >= n_from")
@@ -83,14 +89,11 @@ def block_product_grid(
     if n_to == n_from:
         return np.array(start, dtype=complex)
     alphas = seq.slice(n_from, n_to - 1)
-    inv_rho = 1.0 / np.sqrt((1.0 - np.abs(alphas)) * (1.0 + np.abs(alphas)))
     top = np.moveaxis(start[..., 0, :], -1, 0)
     bot = np.moveaxis(start[..., 1, :], -1, 0)
     for a, ac, s in zip(alphas.tolist(), alphas.conj().tolist(),
-                        inv_rho.tolist()):
-        u = zs * top
-        top = (u - ac * bot) * s
-        bot = (bot - a * u) * s
+                        _inv_rho(alphas).tolist()):
+        top, bot = _szego_step(a, ac, s, zs, top, bot)
     return np.moveaxis(np.stack([top, bot]), (0, 1), (-2, -1))
 
 
@@ -169,10 +172,38 @@ class LipschitzValidation:
     violations: int
 
 
+def _mul(A, B):
+    """Product of two 2x2 matrices held as entry tuples (x00, x01, x10,
+    x11) of arrays, elementwise over the arrays."""
+    a00, a01, a10, a11 = A
+    b00, b01, b10, b11 = B
+    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+
+
+def _three_step_difference(a: np.ndarray, at: np.ndarray, z: np.ndarray):
+    """P - P~ for the three-step products of the coefficient triples
+    a[:, i] and at[:, i] at z, as an (N, 2, 2) stack.
+
+    The difference is telescoped as S2 S1 D0 + S2 D1 S~0 + D2 S~1 S~0 with
+    D_i = S_i - S~_i, the sum that L3's proof bounds term by term: every
+    term carries a small D_i, so no two O(1) products are subtracted.
+    """
+    S = [_szego(a[:, i], z) for i in range(3)]
+    St = [_szego(at[:, i], z) for i in range(3)]
+    D = [tuple(x - y for x, y in zip(s, st)) for s, st in zip(S, St)]
+    terms = (_mul(S[2], _mul(S[1], D[0])), _mul(S[2], _mul(D[1], St[0])),
+             _mul(D[2], _mul(St[1], St[0])))
+    return np.stack([sum(e) for e in zip(*terms)], axis=-1).reshape(-1, 2, 2)
+
+
 def validate_three_step_lipschitz(
     r: float, samples: int = 100_000, seed: int = 20240601
 ) -> LipschitzValidation:
     """Finite-difference sampling against L3(r); ratios must stay <= 1."""
+    if samples < 1 or seed < 0:
+        raise DomainError(f"need samples >= 1 and seed >= 0, got {samples} "
+                          f"samples and seed {seed}")
     bound = three_step_lipschitz(r)
     if r == 0.0:
         return LipschitzValidation(r, bound, 0, 0.0, 0)
@@ -188,13 +219,13 @@ def validate_three_step_lipschitz(
     at = a + step
     m = np.abs(at)
     at = np.where(m > r, at * (r / np.where(m == 0, 1.0, m)), at)
-    S = [szego_batch(a[:, i], z) for i in range(3)]
-    St = [szego_batch(at[:, i], z) for i in range(3)]
-    P = S[2] @ S[1] @ S[0]
-    Pt = St[2] @ St[1] @ St[0]
+    diff = np.concatenate([
+        _three_step_difference(a[i:i + _CHUNK], at[i:i + _CHUNK], z[i:i + _CHUNK])
+        for i in range(0, samples, _CHUNK)
+    ])
     dmax = np.abs(at - a).max(axis=1)
     ok = dmax > 0
-    ratio = spectral_norm_2x2(P[ok] - Pt[ok]) / (bound * dmax[ok])
+    ratio = spectral_norm_2x2(diff[ok]) / (bound * dmax[ok])
     return LipschitzValidation(
         r=r,
         bound=bound,
@@ -367,7 +398,8 @@ def _bloch_candidates(beta: np.ndarray, a: np.ndarray) -> np.ndarray:
 def min_max_over_unit_vectors(
     mats: np.ndarray, grid: int = 32, rounds: int = 6
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """min over unit v in C^2 of max_k ||mats[..., k, :, :] v||, exactly.
+    """min over unit v in C^2 of max_k ||mats[b, k] v|| for each b, exactly,
+    for a (B, K, 2, 2) stack.
 
     With H_k = M_k* M_k and v v* = (I + n.sigma)/2, ||M_k v||^2 =
     beta_k + a_k . n for beta_k = tr H_k / 2 and a_k = (Re H_k[0,1],
@@ -384,9 +416,6 @@ def min_max_over_unit_vectors(
     pass or inspect them.
     """
     mats = np.asarray(mats, dtype=complex)
-    single = mats.ndim == 3
-    if single:
-        mats = mats[None]
     finite = np.isfinite(mats).all(axis=(1, 2, 3))
     M = np.where(finite[:, None, None, None], mats, 0.0)
     scale = np.abs(M).max(axis=(1, 2, 3))
@@ -407,8 +436,6 @@ def min_max_over_unit_vectors(
     best = np.where(finite, vals[rows, idx] * scale, np.inf)
     bt = np.where(finite, t[rows, idx], np.nan)
     bp = np.where(finite, p[rows, idx], np.nan)
-    if single:
-        return best[0], bt[0], bp[0]
     return best, bt, bp
 
 
@@ -419,60 +446,6 @@ def _three_blocks(seq, zs: np.ndarray, q: int):
     fwd = block_product_grid(seq, zs, 0, q)
     dbl = block_product_grid(seq, zs, q, 2 * q, start=fwd)
     return np.stack([fwd, dbl, inv_2x2(back)], axis=1), back
-
-
-@dataclass(frozen=True)
-class LowerBoundResult:
-    z: complex
-    c: float
-    norm_forward: float
-    norm_double: float
-    norm_backward: float
-
-
-def gordon_lower_bound(seq, q: int, z: complex) -> LowerBoundResult:
-    """c(z) = min over unit v of max(||B+ v||, ||B++ v||, ||B- v||).
-
-    B+ propagates 0 -> q, B++ propagates 0 -> 2q and B- propagates
-    0 -> -q (the inverse of the product over [-q, 0)).  For a window that
-    is exactly q-periodic these are A, A^2, A^-1, and the Cayley-Hamilton
-    argument for unit-modulus determinants floors the value at 1/2.
-    """
-    if q < 2 or q % 2 != 0:
-        raise DomainError("q must be even and >= 2")
-    seq.require(-q, 2 * q)
-    mats, _ = _three_blocks(seq, np.array([z]), q)
-    c, _, _ = min_max_over_unit_vectors(mats[0])
-    nf, nd, nb = spectral_norm_2x2(mats[0])
-    return LowerBoundResult(complex(z), float(c), float(nf), float(nd), float(nb))
-
-
-def validate_periodic_floor(
-    samples: int = 10_000, seed: int = 20240601, chunk: int = 512
-) -> float:
-    """Brute-force floor check: random 2x2 matrices with |det| = 1 give
-    min over unit v of max(||A v||, ||A^2 v||, ||A^-1 v||) >= 1/2.
-
-    Returns the smallest value seen.  The solver is exact and each value is
-    attained at a unit vector, so a dip below 1/2 beyond rounding would
-    expose an error in either the bound or the solver.
-    """
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    left = samples
-    while left > 0:
-        b = min(chunk, left)
-        left -= b
-        A = rng.normal(size=(b, 2, 2)) + 1j * rng.normal(size=(b, 2, 2))
-        det = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
-        bad = np.abs(det) < 1e-12
-        A[bad] = np.eye(2)
-        det[bad] = 1.0
-        A = A / np.sqrt(np.abs(det))[:, None, None]
-        mats = np.stack([A, A @ A, inv_2x2(A)], axis=1)
-        vals, _, _ = min_max_over_unit_vectors(mats)
-        worst = min(worst, float(vals.min()))
-    return worst
 
 
 @dataclass(frozen=True)
@@ -528,6 +501,11 @@ def no_point_spectrum_evidence(
 ) -> EvidenceTable:
     """Tabulate c(z) on a uniform unit-circle grid (plus optional extra
     angles) at the largest certified period, or at an explicit q.
+
+    c(z) = min over unit v of max(||B+ v||, ||B++ v||, ||B- v||), where B+
+    propagates 0 -> q, B++ 0 -> 2q and B- 0 -> -q.  For an exactly
+    q-periodic window these are A, A^2 and A^-1, and the Cayley-Hamilton
+    argument for unit-modulus determinants floors c at 1/2.
 
     Verdict is PASS when the minimum stays at or above 1/4, half the
     periodic-case constant; FAIL otherwise.

@@ -33,6 +33,7 @@ from qpcmv.dynamics import (
 )
 from qpcmv.errors import DomainError, PrecisionError
 from qpcmv.frequency import golden_mean, liouville_frequency
+from qpcmv.sampling import HarmonicFunction, verblunsky_window
 
 GOLDEN = golden_mean()
 
@@ -403,6 +404,19 @@ def test_repetition_search_rejects_a_point_of_the_wrong_dimension(system,
                                                                   omega):
     with pytest.raises(DomainError, match="coordinates"):
         find_even_repetition(system, omega, Fraction(1, 10), 4, 100)
+
+
+@pytest.mark.parametrize("system,omega", [
+    # a 1-D rotation once dropped the second coordinate: (0, 1/3) -> (2/3,)
+    (Rotation([Fraction(1, 3)]), TorusPoint.exact(0, "1/3")),
+    (Rotation([Fraction(1, 3), Fraction(1, 5)]), TorusPoint.exact(0)),
+    (SkewShift(GOLDEN.value), TorusPoint.exact(0)),
+])
+def test_iterate_rejects_a_point_of_the_wrong_dimension(system, omega):
+    with pytest.raises(DomainError, match="coordinates"):
+        iterate(system, omega, 2)
+    with pytest.raises(DomainError, match="coordinates"):
+        verblunsky_window(HarmonicFunction(0.5), system, omega, 0, 2)
 
 
 def test_skew_repetition_times_rejects_a_1d_point():

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpcmv.arith import dist_to_int
 from qpcmv.errors import DomainError, PrecisionError
 from qpcmv.frequency import (
     badly_approximable_score,
     continued_fraction,
-    distance_to_integers,
     golden_mean,
     liouville_frequency,
     parse_frequency,
@@ -68,10 +68,10 @@ def test_sympy_oracle_euclid_loop():
 
 
 def test_distance_to_integers_examples():
-    assert distance_to_integers(0.75) == 0.25
-    assert distance_to_integers(3.0) == 0
-    assert distance_to_integers(-0.4) == pytest.approx(0.4, abs=1e-15)
-    assert distance_to_integers(Fraction(7, 2)) == Fraction(1, 2)
+    assert dist_to_int(0.75) == 0.25
+    assert dist_to_int(3.0) == 0
+    assert dist_to_int(-0.4) == pytest.approx(0.4, abs=1e-15)
+    assert dist_to_int(Fraction(7, 2)) == Fraction(1, 2)
 
 
 def brute_force_score(a: Fraction, q_max: int):
@@ -121,7 +121,7 @@ def test_score_golden_at_huge_q_max():
     g = golden_mean()
     scan = badly_approximable_score(g, 10**12)
     assert scan.argmin_q == 1
-    assert scan.min_score == distance_to_integers(g.value)
+    assert scan.min_score == dist_to_int(g.value)
     assert scan.per_convergent[-1][0] == 956722026041  # F_59 <= 1e12 < F_60
 
 
@@ -192,7 +192,7 @@ def test_best_approximation_property_brute_force():
 def test_convergent_score_bound():
     g = golden_mean(terms=30)
     for (_, qk), (_, qn) in zip(g.convergents, g.convergents[1:]):
-        assert distance_to_integers(qk * g.value) < Fraction(1, qn)
+        assert dist_to_int(qk * g.value) < Fraction(1, qn)
 
 
 @given(
@@ -207,25 +207,25 @@ def test_doubling_inequality(num, den, q):
     a = Fraction(num % den, den)
     if a == 0:
         a = Fraction(1, den + 1)
-    s = q * distance_to_integers(q * a)
-    assert 2 * q * distance_to_integers(2 * q * a) <= 4 * s
+    s = q * dist_to_int(q * a)
+    assert 2 * q * dist_to_int(2 * q * a) <= 4 * s
     # rotation by 2a at time q sees exactly the same distance as rotation
     # by a at time 2q
-    assert distance_to_integers(q * (2 * a)) == distance_to_integers((2 * q) * a)
+    assert dist_to_int(q * (2 * a)) == dist_to_int((2 * q) * a)
 
 
 def test_liouville_designated_scores():
     f = liouville_frequency(10, 3)
     assert f.value == Fraction(110001, 10**6)
     scores = {
-        q: q * distance_to_integers(q * f.value)
+        q: q * dist_to_int(q * f.value)
         for q in f.designated_denominators
     }
     assert scores[10] == Fraction(10001, 10**4)
     assert scores[100] == Fraction(1, 100)
     assert scores[10**6] == 0
     # non-designated q = 1000 scores exactly 1
-    assert 1000 * distance_to_integers(1000 * f.value) == 1
+    assert 1000 * dist_to_int(1000 * f.value) == 1
 
 
 def test_liouville_degenerate_depth_two():

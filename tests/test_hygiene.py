@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
 and none imports another package module's private (underscore) names;
 importing the CLI leaves scipy unloaded; the README's config table names
-exactly the config fields; every subcommand ends malformed input with exit
-1 and an ``error:`` line, never a traceback.
+exactly the config fields, and its library tour only names that exist;
+every subcommand ends malformed input with exit 1 and an ``error:`` line,
+never a traceback.
 
 The source checks use the standard library only (``ast``,
 ``subprocess``).  ``__init__.py`` is exempt from the unused-import check:
@@ -10,6 +11,8 @@ its imports are the package's re-exports.
 """
 
 import ast
+import dataclasses
+import importlib
 import json
 import os
 import re
@@ -121,6 +124,34 @@ def test_readme_config_table_lists_the_config_fields():
     assert set(listed) == config_fields
 
 
+def tour_names(module) -> set[str]:
+    """What a Library tour bullet on ``module`` may name: the module's
+    names, and the attributes and dataclass fields of its classes."""
+    names = set(vars(module))
+    for cls in vars(module).values():
+        if isinstance(cls, type) and cls.__module__ == module.__name__:
+            names.update(dir(cls))
+            if dataclasses.is_dataclass(cls):
+                names.update(f.name for f in dataclasses.fields(cls))
+    return names
+
+
+def test_readme_library_tour_names_resolve():
+    # each bullet opens with `qpcmv.<module>`; every other backticked span
+    # that is a bare identifier must be a name that module provides
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library tour")[1].split("\n## ")[0]
+    bullets = re.split(r"^- ", section, flags=re.M)[1:]
+    assert bullets
+    stale = []
+    for bullet in bullets:
+        head, *spans = re.findall(r"`([^`]+)`", bullet)
+        names = tour_names(importlib.import_module(head))
+        stale += [f"{head}: {s}" for s in spans
+                  if re.fullmatch(r"[A-Za-z_]\w*", s) and s not in names]
+    assert stale == []
+
+
 def tube_spec(**fields):
     """A valid --construct-ck spec with ``fields`` replaced."""
     spec = {"system": "rotation", "freq": "golden", "center": ["0"],
@@ -162,6 +193,14 @@ MALFORMED_ARGV = [
     ("run-omega-zero-denominator", ["run", "--config", "{input}"],
      {"schema": CONFIG_SCHEMA, "scenario": "liouville-rotation",
       "omega": ["1/0"]}),
+    # zero samples once reported lipschitz PASS from no evidence, and a
+    # negative seed failed inside numpy
+    ("run-lipschitz-samples-zero", ["run", "--config", "{input}"],
+     {"schema": CONFIG_SCHEMA, "scenario": "free", "cmv_n": 20,
+      "z_grid": 16, "lipschitz_samples": 0}),
+    ("run-seed-negative", ["run", "--config", "{input}"],
+     {"schema": CONFIG_SCHEMA, "scenario": "free", "cmv_n": 20,
+      "z_grid": 16, "seed": -1}),
 ]
 
 

@@ -6,11 +6,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from mpmath import mp
+from oracles import (
+    matmul_three_step_difference,
+    szego_batch,
+    validate_periodic_floor,
+)
 
 from qpcmv.cmv import assemble, eigenvector_profile, spectrum
 from qpcmv.dynamics import Rotation, TorusPoint
 from qpcmv.errors import DomainError, WindowError
 from qpcmv.frequency import golden_mean
+from qpcmv.pipeline import ExperimentConfig
 from qpcmv.sampling import (
     VerblunskySequence,
     ball_radius,
@@ -19,18 +25,16 @@ from qpcmv.sampling import (
 )
 from qpcmv.transfer import (
     _three_blocks,
-    block_product,
+    _three_step_difference,
     block_product_grid,
     certify_gordon,
     coefficient_tolerance,
-    gordon_lower_bound,
     min_max_over_unit_vectors,
     no_point_spectrum_evidence,
     spectral_norm_2x2,
-    szego_batch,
     szego_matrix,
+    szego_norm_bound,
     three_step_lipschitz,
-    validate_periodic_floor,
     validate_three_step_lipschitz,
 )
 
@@ -75,6 +79,16 @@ def test_szego_domain_errors():
         szego_matrix(0.5, 1.5)
 
 
+def test_szego_matrix_matches_the_stack_oracle():
+    # the step kernel multiplies by 1/rho where the oracle divides by rho
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        a = complex(*rng.uniform(-0.6, 0.6, 2))
+        z = cmath.exp(2j * np.pi * rng.random())
+        S = szego_matrix(a, z)
+        assert np.abs(S - szego_batch(a, z)).max() <= 4 * np.finfo(float).eps
+
+
 # ---------------------------------------------------------------------------
 # block products
 # ---------------------------------------------------------------------------
@@ -83,8 +97,10 @@ def test_szego_domain_errors():
 def test_block_product_empty_and_single():
     seq = VerblunskySequence.constant(0.3, -5, 5)
     z = cmath.exp(1.1j)
-    assert np.array_equal(block_product(seq, z, 2, 2), np.eye(2))
-    assert np.array_equal(block_product(seq, z, 2, 3), szego_matrix(0.3, z))
+    zs = np.array([z])
+    assert np.array_equal(block_product_grid(seq, zs, 2, 2)[0], np.eye(2))
+    assert np.array_equal(block_product_grid(seq, zs, 2, 3)[0],
+                          szego_matrix(0.3, z))
 
 
 def test_block_product_periodic_exact_equality():
@@ -93,16 +109,16 @@ def test_block_product_periodic_exact_equality():
     cell = np.sqrt(rng.random(q)) * 0.8 * np.exp(2j * np.pi * rng.random(q))
     vals = np.tile(cell, 4)
     seq = VerblunskySequence(0, 4 * q - 1, vals)
-    z = cmath.exp(0.37j)
-    P1 = block_product(seq, z, 0, q)
-    P2 = block_product(seq, z, q, 2 * q)
+    zs = np.array([cmath.exp(0.37j)])
+    P1 = block_product_grid(seq, zs, 0, q)
+    P2 = block_product_grid(seq, zs, q, 2 * q)
     assert np.array_equal(P1, P2)
 
 
 def test_block_product_window_error():
     seq = VerblunskySequence.constant(0.3, 0, 5)
     with pytest.raises(WindowError):
-        block_product(seq, 1.0, 0, 10)
+        block_product_grid(seq, np.array([1.0]), 0, 10)
 
 
 def test_block_determinant_identity():
@@ -114,7 +130,7 @@ def test_block_determinant_identity():
     for alpha, L, tol in [(0.0, 10**4, 1e-12), (0.3, 10**3, 1e-12),
                           (0.3, 10**4, 5e-12)]:
         seq = VerblunskySequence.constant(alpha, 0, L)
-        P = block_product(seq, z, 0, L)
+        P = block_product_grid(seq, np.array([z]), 0, L)[0]
         assert spectral_norm_2x2(P) < 5.0
         assert abs(np.linalg.det(P) - z**L) <= tol
 
@@ -297,6 +313,65 @@ def test_lipschitz_validation_degenerate_radius():
     assert val.max_ratio == 0.0
 
 
+@pytest.mark.parametrize("samples, seed", [(0, 7), (-1, 7), (10, -1)])
+def test_lipschitz_validation_rejects_what_it_cannot_sample(samples, seed):
+    # zero samples would report no violation from no evidence
+    with pytest.raises(DomainError):
+        validate_three_step_lipschitz(0.5, samples=samples, seed=seed)
+
+
+def random_triples(rng, n, r):
+    """z, a and a perturbed a~ as the validation draws them, a quarter of
+    the steps exactly 1e-6 r."""
+    z = np.exp(2j * np.pi * rng.random(n))
+    a = np.sqrt(rng.random((n, 3))) * r * np.exp(2j * np.pi * rng.random((n, 3)))
+    scale = 10.0 ** rng.uniform(-6, 0, (n, 3))
+    scale[: n // 4] = 1e-6
+    at = a + scale * r * np.exp(2j * np.pi * rng.random((n, 3)))
+    m = np.abs(at)
+    return z, a, np.where(m > r, at * (r / m), at)
+
+
+def mp_three_step_difference(a, at, z):
+    """Reference: P - P~ in mpmath at the working precision."""
+    def product(coeffs):
+        P, zz = mp.eye(2), mp.mpc(z)
+        for c in map(mp.mpc, coeffs):
+            P = mp.matrix([[zz, -mp.conj(c)], [-c * zz, 1]]) / mp.sqrt(
+                1 - abs(c) ** 2) * P
+        return P
+    return np.array((product(a) - product(at)).tolist(), dtype=complex)
+
+
+@pytest.mark.parametrize("r", [0.1, 0.5, 0.9, 0.99])
+def test_telescoped_difference_matches_the_product_oracle(r):
+    # Both forms round each entry of S a few times and each 2x2 product
+    # once, so each is within a small multiple of eps M(r)^3 of the exact
+    # P - P~ (M(r) = max ||S||), whatever the step.  The two differ by at
+    # most 2.5 eps M^3 on these draws (at r = 0.1); the bound is 8.  Against
+    # 50-digit products on the 1e-6 r steps the telescoped form stays
+    # within 1.4 eps M^3; the bound is 4.
+    eps_m3 = np.finfo(float).eps * szego_norm_bound(r) ** 3
+    z, a, at = random_triples(np.random.default_rng(5), 20000, r)
+    diff = _three_step_difference(a, at, z)
+    oracle = matmul_three_step_difference(a, at, z)
+    assert spectral_norm_2x2(diff - oracle).max() <= 8 * eps_m3
+    with mp.workdps(50):
+        for i in range(20):
+            exact = mp_three_step_difference(a[i], at[i], z[i])
+            assert spectral_norm_2x2(diff[i] - exact) <= 4 * eps_m3
+
+
+def test_default_config_lipschitz_ratio_is_pinned():
+    # the report's lipschitz-validation max_ratio for every shipped config
+    cfg = ExperimentConfig(scenario="free", seed=20240601)
+    val = validate_three_step_lipschitz(
+        cfg.lipschitz_r, samples=cfg.lipschitz_samples, seed=cfg.seed
+    )
+    assert val.max_ratio == 0.5067251681062763
+    assert (val.samples, val.violations) == (20000, 0)
+
+
 def test_tolerance_values():
     t1 = coefficient_tolerance(1, 99, 0.5)
     assert t1.value == pytest.approx(1.0 / three_step_lipschitz(0.5), rel=1e-12)
@@ -461,14 +536,14 @@ def test_min_max_exact_below_grid_oracle_on_tube_triple():
     seq, cert = certified_tube_sequence()
     q = cert.levels[0].q
     for th in (0.3, 1.7, 4.0):
-        z = cmath.exp(1j * th)
+        zs = np.array([cmath.exp(1j * th)])
         mats = np.stack([
-            block_product(seq, z, 0, q),
-            block_product(seq, z, 0, 2 * q),
-            np.linalg.inv(block_product(seq, z, -q, 0)),
-        ])
+            block_product_grid(seq, zs, 0, q),
+            block_product_grid(seq, zs, 0, 2 * q),
+            np.linalg.inv(block_product_grid(seq, zs, -q, 0)),
+        ], axis=1)
         exact, _, _ = min_max_over_unit_vectors(mats)
-        assert exact <= grid_min_max(mats[None])[0] + 1e-12
+        assert exact[0] <= grid_min_max(mats)[0] + 1e-12
 
 
 def test_min_max_value_attained_at_returned_angles():
@@ -485,8 +560,8 @@ def test_min_max_unit_vectors_sanity():
     # single matrix: the min over unit v of ||Av|| is the smallest
     # singular value
     A = np.diag([2.0, 0.5]).astype(complex)
-    val, _, _ = min_max_over_unit_vectors(A[None])
-    assert val == pytest.approx(0.5, abs=1e-12)
+    val, _, _ = min_max_over_unit_vectors(A[None, None])
+    assert val[0] == pytest.approx(0.5, abs=1e-12)
     rng = np.random.default_rng(5)
     mats = rng.normal(size=(300, 1, 2, 2)) + 1j * rng.normal(size=(300, 1, 2, 2))
     vals, _, _ = min_max_over_unit_vectors(mats)
@@ -506,16 +581,16 @@ def test_min_max_on_circle_of_constant_value():
         mats = np.array(
             [np.diag([2.0, 0.5]), np.diag([0.5, 3.0]), third], dtype=complex
         )
-        val, _, _ = min_max_over_unit_vectors(mats)
-        assert val == pytest.approx(np.sqrt(2.875), rel=1e-12)
+        val, _, _ = min_max_over_unit_vectors(mats[None])
+        assert val[0] == pytest.approx(np.sqrt(2.875), rel=1e-12)
 
 
 def test_min_max_unitary_triple_is_one():
     rng = np.random.default_rng(9)
     G = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
     U = np.linalg.qr(G)[0]
-    val, _, _ = min_max_over_unit_vectors(U)
-    assert val == pytest.approx(1.0, abs=1e-15)
+    val, _, _ = min_max_over_unit_vectors(U[None])
+    assert val[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_min_max_non_finite_rows_are_inf():
@@ -528,10 +603,17 @@ def test_min_max_non_finite_rows_are_inf():
     assert np.isfinite(vals[2]) and vals[2] >= 0.5e300
 
 
+def single_point_row(seq, q, theta):
+    """The evidence row at the angle theta alone (row 0 is angle 0)."""
+    return no_point_spectrum_evidence(
+        seq, q=q, z_grid=1, extra_angles=[theta]
+    ).rows[1]
+
+
 def test_lower_bound_free_case_is_one():
     seq = VerblunskySequence.constant(0.0, -40, 40)
     for th in (0.0, 0.7, 2.2):
-        res = gordon_lower_bound(seq, 8, cmath.exp(1j * th))
+        res = single_point_row(seq, 8, th)
         assert res.c == pytest.approx(1.0, abs=1e-12)
         assert res.norm_forward == pytest.approx(1.0, abs=1e-12)
 
@@ -543,7 +625,7 @@ def test_lower_bound_periodic_floor():
     vals = np.tile(cell, 5)[: 4 * q + 1]
     seq = VerblunskySequence(-2 * q, 2 * q, vals)
     for th in (0.2, 1.0, 2.5):
-        res = gordon_lower_bound(seq, q, cmath.exp(1j * th))
+        res = single_point_row(seq, q, th)
         assert res.c >= 0.5 - 1e-9
 
 
@@ -557,7 +639,7 @@ def test_lower_bound_certified_sequence_reports_both_sides():
     lev = cert.levels[0]
     eta = float(lev.k) ** -lev.q * max(1.0, lev.r)
     for th in (0.3, 1.7):
-        res = gordon_lower_bound(seq, lev.q, cmath.exp(1j * th))
+        res = single_point_row(seq, lev.q, th)
         assert res.c >= 0.5 - eta
 
 
@@ -676,7 +758,7 @@ def test_evidence_extra_angles_match_single_point_bound():
     thetas = [0.3, 1.7, 4.0]
     table = no_point_spectrum_evidence(seq, q=q, z_grid=16, extra_angles=thetas)
     for row, th in zip(table.rows[16:], thetas):
-        res = gordon_lower_bound(seq, q, complex(np.exp(1j * th)))
+        res = single_point_row(seq, q, th)
         assert (row.c, row.norm_forward, row.norm_double, row.norm_backward) == (
             res.c, res.norm_forward, res.norm_double, res.norm_backward
         )
