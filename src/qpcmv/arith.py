@@ -10,6 +10,7 @@ mpmath working precision.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -98,6 +99,26 @@ def circle_dist(x: int, d: int) -> int:
     """Integer form of ``dist_to_int``: D * dist_to_int(x / D), for D = d."""
     r = x % d
     return min(r, d - r)
+
+
+def circle_diameter(values, d: int) -> int:
+    """max circle_dist(x - y, d) over pairs of the integer residues
+    ``values`` (0 for a single value), exact, in O(m log m).
+
+    The circle distance from x to y is d/2 less the distance from y to
+    x's antipode x + d/2, so the residue farthest from x is a cyclic
+    neighbour of that antipode.  Over all x the successor, the first
+    residue at or after the antipode (found by bisection), suffices: if
+    the y farthest from x precedes x's antipode by some gap, x follows
+    y's antipode by the same gap.
+    """
+    s = sorted(set(values))
+    # residues at or after x + d/2 are those at or after its ceiling
+    half = (d + 1) // 2
+    return max(
+        circle_dist(x - s[bisect_left(s, (x + half) % d) % len(s)], d)
+        for x in s
+    )
 
 
 def residue_dist(p, r, d: int) -> int:

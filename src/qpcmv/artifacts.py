@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -66,13 +67,20 @@ def write_orbit_csv(path, comment: str, system, omega, cert) -> None:
 
 
 def write_verblunsky_csv(path, seq, seed: Optional[int] = None) -> None:
-    """Coefficients alpha(n) and rho(n) over the sequence's window."""
-    ns = range(seq.n_min, seq.n_max + 1)
+    """Coefficients alpha(n) and rho(n) over the sequence's window.
+
+    The value array is read once; rho is sqrt((1 - |a|)(1 + |a|)), the
+    formula of ``VerblunskySequence.rho``, on the same Python complex.
+    """
+    def row(n, a):
+        m = abs(a)
+        return [n, repr(a.real), repr(a.imag),
+                repr(math.sqrt((1.0 - m) * (1.0 + m)))]
+
     write_csv(
         path, None if seed is None else f"seed={seed}",
         ["n", "re_alpha", "im_alpha", "rho"],
-        ([n, repr(a.real), repr(a.imag), repr(seq.rho(n))]
-         for n, a in zip(ns, map(seq.alpha, ns))),
+        map(row, range(seq.n_min, seq.n_max + 1), seq.values.tolist()),
     )
 
 

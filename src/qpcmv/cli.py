@@ -55,6 +55,18 @@ def _parse_complex(text: str) -> complex:
     return complex(float(re), float(im))
 
 
+def _parse_pair(text: str, sep: str, parse, flag: str, form: str) -> tuple:
+    """The two ``sep``-separated fields of a flag's value, each read by
+    ``parse``; anything else is an error naming the flag and its form."""
+    fields = text.split(sep)
+    try:
+        if len(fields) == 2:
+            return tuple(parse(x.strip()) for x in fields)
+    except ValueError:
+        pass
+    raise QpcmvError(f"{flag} expects {form}, got {text!r}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -189,7 +201,7 @@ def _read_construct_spec(path) -> dict:
 
 def _cmd_sample(args) -> int:
     out = _out_dir(args)
-    n_min, n_max = (int(x) for x in args.window.split(":"))
+    n_min, n_max = _parse_pair(args.window, ":", int, "--window", "N_MIN:N_MAX")
     if args.construct_ck:
         spec = _read_construct_spec(args.construct_ck)
         freq = parse_frequency(str(spec["freq"]), bits=args.precision_bits)
@@ -232,11 +244,9 @@ def _cmd_sample(args) -> int:
 
 def _cmd_gordon(args) -> int:
     out = _out_dir(args)
+    pairs = [_parse_pair(item, ":", int, "--k-list", "K:Q,K:Q,...")
+             for item in args.k_list.split(",")]
     seq = VerblunskySequence.from_csv(args.seq_file)
-    pairs = []
-    for item in args.k_list.split(","):
-        k_s, q_s = item.split(":")
-        pairs.append((int(k_s), int(q_s)))
     cert = certify_gordon(seq, pairs, sequence_id=Path(args.seq_file).stem)
     table = None
     if cert.largest_passing() is not None:
@@ -265,12 +275,11 @@ def _cmd_gordon(args) -> int:
 
 def _cmd_cmv(args) -> int:
     out = _out_dir(args)
+    n_min, n_max = _parse_pair(args.window, ":", int, "--window", "N_MIN:N_MAX")
+    boundary = _parse_pair(args.boundary, ";", _parse_complex, "--boundary",
+                           "RE,IM;RE,IM (b-;b+)")
     seq = VerblunskySequence.from_csv(args.seq_file)
-    n_min, n_max = (int(x) for x in args.window.split(":"))
-    bm, bp = (s.strip() for s in args.boundary.split(";"))
-    op = assemble(
-        seq, n_min, n_max, boundary=(_parse_complex(bm), _parse_complex(bp))
-    )
+    op = assemble(seq, n_min, n_max, boundary=boundary)
     if args.profile == "all":
         indices = range(op.size)
     elif args.profile:

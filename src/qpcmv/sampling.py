@@ -20,13 +20,21 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import as_fraction, circle_dist, residue_dist, scaled
+from .arith import (
+    as_fraction,
+    circle_diameter,
+    circle_dist,
+    common_denominator,
+    residue_dist,
+    scaled,
+)
 from .artifacts import read_csv, write_verblunsky_csv
 from .dynamics import (
     Rotation,
     TorusDynamics,
     TorusPoint,
     integer_kernel,
+    integer_map,
     iterate,
 )
 from .errors import (
@@ -46,7 +54,28 @@ _RADIUS_MARGIN = Fraction(99, 100)  # stay off the exact disjointness bound
 # ---------------------------------------------------------------------------
 
 
-class ConstantFunction:
+class _ResidueEvaluated:
+    """Evaluation on integer residues, shared by the sampling functions.
+
+    ``at_residues(p, d)`` is the value at the torus point p / d, for p a
+    tuple of residues mod d: ints, or exact Fractions for a point off the
+    1/d grid.  ``denominator(d0)`` is the d a function evaluates on when
+    its points lie on the 1/d0 grid: d0 itself, unless the function holds
+    its own (a ``TubeFunction``).  Calling the function on a TorusPoint
+    scales the point to those residues and evaluates them, so each class
+    has one evaluation body, and ``verblunsky_window`` walks an orbit on
+    residues without building a point.
+    """
+
+    def denominator(self, d0: int) -> int:
+        return d0
+
+    def __call__(self, point: TorusPoint) -> complex:
+        d = self.denominator(common_denominator(*point.coords))
+        return self.at_residues(tuple(scaled(x, d) for x in point.coords), d)
+
+
+class ConstantFunction(_ResidueEvaluated):
     """f == c."""
 
     kind = "constant"
@@ -58,11 +87,11 @@ class ConstantFunction:
         self.value = value
         self.sup_norm = abs(value)
 
-    def __call__(self, point: TorusPoint) -> complex:
+    def at_residues(self, p, d: int) -> complex:
         return self.value
 
 
-class HarmonicFunction:
+class HarmonicFunction(_ResidueEvaluated):
     """f(w) = coefficient * exp(2 pi i w_1), w_1 the first coordinate.
 
     sup |f| = |coefficient| exactly, so the norm needs no grid.
@@ -77,12 +106,13 @@ class HarmonicFunction:
         self.coefficient = coefficient
         self.sup_norm = abs(coefficient)
 
-    def __call__(self, point: TorusPoint) -> complex:
-        phase = float(point.coords[0])
+    def at_residues(self, p, d: int) -> complex:
+        # int / int is correctly rounded, as float(Fraction) is
+        phase = float(p[0] / d)
         return self.coefficient * cmath.exp(2j * math.pi * phase)
 
 
-class TentBump:
+class TentBump(_ResidueEvaluated):
     """h * max(0, 1 - dist(x, x0)/radius): a tent supported on a ball."""
 
     def __init__(self, center: TorusPoint, radius, amplitude: complex):
@@ -92,14 +122,18 @@ class TentBump:
         if self.radius <= 0:
             raise DomainError("bump radius must be positive")
 
-    def __call__(self, point: TorusPoint) -> complex:
-        d = point.dist(self.center)
-        if d >= self.radius:
+    def at_residues(self, p, d: int) -> complex:
+        if len(p) != self.center.dim:
+            raise DomainError("dimension mismatch")
+        # d * dist and d * radius, exact; their ratio is dist / radius
+        k = residue_dist(p, [scaled(c, d) for c in self.center.coords], d)
+        r = scaled(self.radius, d)
+        if k >= r:
             return 0j
-        return self.amplitude * (1.0 - float(d / self.radius))
+        return self.amplitude * (1.0 - float(k / r))
 
 
-class PerturbedFunction:
+class PerturbedFunction(_ResidueEvaluated):
     """base + bump, with the triangle-inequality norm bound."""
 
     kind = "perturbed"
@@ -111,8 +145,12 @@ class PerturbedFunction:
         if self.sup_norm >= 1:
             raise DomainError("perturbation pushes the range onto the circle")
 
-    def __call__(self, point: TorusPoint) -> complex:
-        return self.base(point) + self.bump(point)
+    def denominator(self, d0: int) -> int:
+        # the bump is exact over any denominator
+        return self.base.denominator(d0)
+
+    def at_residues(self, p, d: int) -> complex:
+        return self.base.at_residues(p, d) + self.bump.at_residues(p, d)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +341,10 @@ def verify_ball(system, center, q, epsilon, radius, grid: int = 8) -> bool:
     over the common denominator D of the centre, the frequency, the
     samples and 10 epsilon.  Skew-shift images are hashed by their residues
     mod D, so collisions cost one lookup per sample, and each tube's
-    diameter is checked over all pairs of its distinct samples, one
-    coordinate at a time.  A rotation compares the index gaps m * shift
+    diameter is the largest of its one-coordinate circle diameters, each
+    found by sorting the distinct residues and bisecting for the residue
+    next to each antipode (``circle_diameter``), O(m log m) for m samples
+    instead of all pairs.  A rotation compares the index gaps m * shift
     with the distinct offset differences, and its tube diameter needs only
     the shifts k q, k = -4..4.
 
@@ -354,12 +394,8 @@ def verify_ball(system, center, q, epsilon, radius, grid: int = 8) -> bool:
     for j in range(1, q + 1):
         tube = set().union(*(images[j + l * q] for l in range(5)))
         # the max-metric diameter is the largest one-coordinate diameter
-        for values in zip(*tube):
-            if any(
-                circle_dist(x - y, d) > ten_eps
-                for x, y in combinations(set(values), 2)
-            ):
-                return False
+        if any(circle_diameter(values, d) > ten_eps for values in zip(*tube)):
+            return False
     return True
 
 
@@ -368,7 +404,7 @@ def verify_ball(system, center, q, epsilon, radius, grid: int = 8) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class TubeFunction:
+class TubeFunction(_ResidueEvaluated):
     """Continuous f equal to values[j-1] on the closed tube
     U_{l=0..4} T^(j+lq) B(center, radius), j = 1..q, and blended elsewhere.
 
@@ -377,9 +413,11 @@ class TubeFunction:
     in the closed ball T^n(B) when D * dist(T^-n p, c) <= D r; for a
     rotation T^-n is a translation, so this is its distance to T^n(c).
     Only the balls whose first coordinate can reach p are tested (see
-    ``_BallCentres``).  Off the tubes the value is an inverse-distance
-    weighted blend of the tube values, which is continuous and stays inside
-    the convex hull of the values, hence inside the disk.
+    ``_BallCentres``).  Points are evaluated as residues over this D, the
+    function's ``denominator`` whatever grid they come from.  Off the tubes
+    the value is an inverse-distance weighted blend of the tube values,
+    which is continuous and stays inside the convex hull of the values,
+    hence inside the disk.
     """
 
     kind = "tube"
@@ -490,23 +528,31 @@ class TubeFunction:
 
     # -- evaluation ---------------------------------------------------
 
+    def denominator(self, d0: int) -> int:
+        return self._d
+
     def __call__(self, point: TorusPoint) -> complex:
-        p = self._scaled(point)
+        return self.at_residues(self._scaled(point), self._d)
+
+    def at_residues(self, p, d: int) -> complex:
+        """The value at p / d, for p the residues over d = ``_d``."""
         n, tested = self._locate(p)
         if n is not None:
             return self.values[(n - 1) % self.q]
         if self._orbit_f is not None:
-            d = self._cheb_float(np.array(point.as_floats()), self._orbit_f)
+            # the point's floats, correctly rounded as float(Fraction) is
+            x = np.array([float(c / d) for c in p])
+            dist = self._cheb_float(x, self._orbit_f)
         else:
             # one pull-back per ball: those tested above are reused
-            d = np.array([
-                float((tested[n] if n in tested else self._dist(p, n)) / self._d)
+            dist = np.array([
+                float((tested[n] if n in tested else self._dist(p, n)) / d)
                 for n in range(1, 5 * self.q + 1)
             ])
-        d = np.maximum(d - float(self.radius), 1e-18)
+        dist = np.maximum(dist - float(self.radius), 1e-18)
         # flat index n-1 = (j-1) + l*q, so reshape(5, q) groups l-rows and
         # column j-1 collects the five balls of tube j
-        tube_d = d.reshape(5, self.q).min(axis=0)
+        tube_d = dist.reshape(5, self.q).min(axis=0)
         w = 1.0 / tube_d
         vals = np.array(self.values)
         return complex(np.dot(w, vals) / w.sum())
@@ -612,18 +658,41 @@ def verblunsky_window(
     n_min: int,
     n_max: int,
 ) -> VerblunskySequence:
-    """alpha(n) = f(T^n omega) for n in [n_min, n_max]."""
+    """alpha(n) = f(T^n omega) for n in [n_min, n_max].
+
+    The orbit is walked on integer residues: omega is scaled once to the
+    denominator d that f evaluates on (``f.denominator`` of the common
+    denominator of the system and omega), T^n omega is the closed-form
+    ``integer_map`` image of those residues, and f evaluates it with
+    ``at_residues``, so no torus point is built.  A plain callable of
+    torus points is called on the point p / d.
+    """
     if n_min > n_max:
         raise WindowError("n_min must be <= n_max")
+    if not hasattr(f, "at_residues"):
+        f = _PointCallable(f)
+    d = f.denominator(integer_kernel(system, omega)[0])
+    image = integer_map(system, d)
+    p = tuple(scaled(x, d) for x in omega.coords)
     vals = np.empty(n_max - n_min + 1, dtype=complex)
     for k, n in enumerate(range(n_min, n_max + 1)):
-        v = f(iterate(system, omega, n))
+        v = f.at_residues(image(p, n), d)
         if abs(v) >= 1:
             raise InvariantViolation(
                 f"sampling function left the unit disk at n={n}"
             )
         vals[k] = v
     return VerblunskySequence(n_min, n_max, vals)
+
+
+class _PointCallable(_ResidueEvaluated):
+    """Any callable of TorusPoints, evaluated at the point p / d."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def at_residues(self, p, d: int) -> complex:
+        return self.f(TorusPoint([Fraction(x) / d for x in p]))
 
 
 # ---------------------------------------------------------------------------
@@ -760,14 +829,12 @@ def periodic_defect_maxima(f, system: TorusDynamics, omega: TorusPoint,
         max_{1<=j<=q} |f(T^(j+m q) w) - f(T^(j+(m+1) q) w)|,  m = -2..1.
 
     For omega on the designated orbit point of a tube function these are
-    exactly zero; for functions within d of the class they are < 2d.
+    exactly zero; for functions within d of the class they are < 2d.  The
+    values come from one coefficient window over [-2q + 1, 3q].
     """
-    out = []
-    for m in (-2, -1, 0, 1):
-        worst = 0.0
-        for j in range(1, q + 1):
-            a = f(iterate(system, omega, j + m * q))
-            b = f(iterate(system, omega, j + (m + 1) * q))
-            worst = max(worst, abs(a - b))
-        out.append(worst)
-    return tuple(out)
+    alpha = verblunsky_window(f, system, omega, -2 * q + 1, 3 * q).alpha
+    return tuple(
+        max(abs(alpha(j + m * q) - alpha(j + (m + 1) * q))
+            for j in range(1, q + 1))
+        for m in (-2, -1, 0, 1)
+    )

@@ -200,13 +200,17 @@ def _three_step_difference(a: np.ndarray, at: np.ndarray, z: np.ndarray):
 def validate_three_step_lipschitz(
     r: float, samples: int = 100_000, seed: int = 20240601
 ) -> LipschitzValidation:
-    """Finite-difference sampling against L3(r); ratios must stay <= 1."""
+    """Finite-difference sampling against L3(r); ratios must stay <= 1.
+
+    r must lie in (0, 1): at r = 0 no coefficient can move, so every
+    sample would be dropped and the validation would pass on no evidence.
+    """
     if samples < 1 or seed < 0:
         raise DomainError(f"need samples >= 1 and seed >= 0, got {samples} "
                           f"samples and seed {seed}")
+    if not 0 < r < 1:
+        raise DomainError(f"need a radius r in (0, 1), got {r}")
     bound = three_step_lipschitz(r)
-    if r == 0.0:
-        return LipschitzValidation(r, bound, 0, 0.0, 0)
     rng = np.random.default_rng(seed)
     z = np.exp(2j * np.pi * rng.random(samples))
     a = (

@@ -2,12 +2,87 @@
 
 They build the Szego matrices as (..., 2, 2) stacks by the textbook formula
 and multiply them with batched ``@``, independently of the elementwise step
-kernel in ``qpcmv.transfer``.
+kernel in ``qpcmv.transfer``; they iterate orbits point by point in
+``Fraction`` arithmetic and evaluate sampling functions by their point
+formulas, independently of the integer residue walk and the residue
+evaluation in ``qpcmv.sampling``; and they measure circle diameters over
+all pairs.
 """
+
+import cmath
+import math
 
 import numpy as np
 
+from qpcmv.arith import circle_dist
+from qpcmv.dynamics import Rotation, iterate
+from qpcmv.sampling import (
+    ConstantFunction,
+    HarmonicFunction,
+    PerturbedFunction,
+    TentBump,
+    TubeFunction,
+)
 from qpcmv.transfer import inv_2x2, min_max_over_unit_vectors
+
+
+def oracle_value(f, point):
+    """(n, f(point)) for a TubeFunction f: n the first ball in [1, 5q]
+    that holds the point, found in Fraction arithmetic (a float
+    prefilter and exact distances for rotations, 5q pull-backs for the
+    skew-shift), or None; the value is the tube value, or the blend."""
+    orbit = [iterate(f.system, f.center, n) for n in range(5 * f.q + 1)]
+    if isinstance(f.system, Rotation):
+        x = np.array(point.as_floats())
+        pts = np.array([p.as_floats() for p in orbit[1:]])
+        d = TubeFunction._cheb_float(x, pts)
+        for k in np.nonzero(d <= float(f.radius) + 1e-9)[0]:
+            n = int(k) + 1
+            if point.dist(orbit[n]) <= f.radius:
+                return n, f.values[(n - 1) % f.q]
+    else:
+        d = []
+        for n in range(1, 5 * f.q + 1):
+            dist = iterate(f.system, point, -n).dist(f.center)
+            if dist <= f.radius:
+                return n, f.values[(n - 1) % f.q]
+            d.append(float(dist))
+    d = np.maximum(np.array(d) - float(f.radius), 1e-18)
+    w = 1.0 / d.reshape(5, f.q).min(axis=0)
+    return None, complex(np.dot(w, np.array(f.values)) / w.sum())
+
+
+def fraction_window(f, system, omega, n_min, n_max) -> np.ndarray:
+    """f(T^n omega) for n = n_min..n_max, each T^n omega built as a
+    TorusPoint by ``iterate`` in Fraction arithmetic and evaluated by its
+    family's point formula, the float of an exact coordinate or distance
+    (tube functions by ``oracle_value``); any other callable is called on
+    the point."""
+
+    def value(g, point):
+        if isinstance(g, ConstantFunction):
+            return g.value
+        if isinstance(g, HarmonicFunction):
+            phase = float(point.coords[0])
+            return g.coefficient * cmath.exp(2j * math.pi * phase)
+        if isinstance(g, TentBump):
+            d = point.dist(g.center)
+            if d >= g.radius:
+                return 0j
+            return g.amplitude * (1.0 - float(d / g.radius))
+        if isinstance(g, PerturbedFunction):
+            return value(g.base, point) + value(g.bump, point)
+        if isinstance(g, TubeFunction):
+            return oracle_value(g, point)[1]
+        return g(point)
+
+    return np.array([value(f, iterate(system, omega, n))
+                     for n in range(n_min, n_max + 1)], dtype=complex)
+
+
+def pairwise_circle_diameter(values, d: int) -> int:
+    """max circle_dist(x - y, d) over all pairs of the residues."""
+    return max(circle_dist(x - y, d) for x in values for y in values)
 
 
 def szego_batch(alpha, z) -> np.ndarray:

@@ -226,6 +226,23 @@ def test_skew_tube_chain_at_q100():
             assert seq.alpha(n) == seq.alpha(n + q)
 
 
+def test_skew_tube_chain_at_q100_within_2s():
+    # golden skew-shift, epsilon = 1/10: the all-pairs tube diameters of
+    # verify_ball took 0.53-0.57 s of ball_radius; with sorted diameters
+    # and the residue window the whole chain took 0.11 s on a 2-core Xeon
+    q = 100
+    with Budget(2):
+        system = SkewShift(golden_mean(bits=256).value)
+        center = TorusPoint.exact(0, 0)
+        br = ball_radius(system, center, q, Fraction(1, 10))
+        values = [0.5 * cmath.exp(2j * math.pi * j / q) for j in range(q)]
+        f = tube_function(system, center, q, br.radius, values)
+        seq = verblunsky_window(f, system, f.gordon_point(), -2 * q, 3 * q + 1)
+    assert br.verified
+    assert all(seq.alpha(n) == seq.alpha(n + q)
+               for n in range(-2 * q + 1, 2 * q + 1))
+
+
 def test_skew_ball_radius_at_q100_walks_few_pairs(monkeypatch):
     # golden skew-shift, epsilon = 1/10: the scan of all 124 750 centre
     # pairs took 0.35 s on a 2-core Xeon; the walk compares about 1000 of

@@ -3,7 +3,8 @@ and none imports another package module's private (underscore) names;
 importing the CLI leaves scipy unloaded; the README's config table names
 exactly the config fields, and its library tour only names that exist;
 every subcommand ends malformed input with exit 1 and an ``error:`` line,
-never a traceback.
+never a traceback; every oracle in ``tests/oracles.py`` is imported by a
+test module.
 
 The source checks use the standard library only (``ast``,
 ``subprocess``).  ``__init__.py`` is exempt from the unused-import check:
@@ -159,8 +160,9 @@ def tube_spec(**fields):
     return {**spec, **fields}
 
 
-# (id, argv, contents of the file "{input}" names or None); each row must
-# end with exit 1 and an error line on stderr
+# (id, argv, contents of the file "{input}" names or None[, the start of
+# one stderr line]); each row must end with exit 1 and an error line on
+# stderr, and a row that names a line must print it
 MALFORMED_ARGV = [
     ("frequency-zero-denominator", ["frequency", "--value", "1/0"], None),
     ("orbit-freq-zero-denominator", ["orbit", "--freq", "1/0"], None),
@@ -201,6 +203,31 @@ MALFORMED_ARGV = [
     ("run-seed-negative", ["run", "--config", "{input}"],
      {"schema": CONFIG_SCHEMA, "scenario": "free", "cmv_n": 20,
       "z_grid": 16, "seed": -1}),
+    # at r = 0 every sampled triple was dropped, and lipschitz read PASS
+    ("run-lipschitz-r-zero", ["run", "--config", "{input}"],
+     {"schema": CONFIG_SCHEMA, "scenario": "free", "cmv_n": 20,
+      "z_grid": 16, "lipschitz_r": 0},
+     "error: lipschitz-validation stage:"),
+    # malformed flag values once surfaced as "invalid literal for int()"
+    # or "not enough values to unpack"; the flags are read before any file
+    ("sample-window-not-integers",
+     ["sample", "--family", "constant", "--window=a:b"], None,
+     "error: --window expects N_MIN:N_MAX"),
+    ("sample-window-one-field",
+     ["sample", "--family", "constant", "--window=5"], None,
+     "error: --window expects N_MIN:N_MAX"),
+    ("cmv-window-three-fields",
+     ["cmv", "--seq-file", "{missing}", "--window=1:2:3"], None,
+     "error: --window expects N_MIN:N_MAX"),
+    ("cmv-boundary-one-field",
+     ["cmv", "--seq-file", "{missing}", "--boundary", "1"], None,
+     "error: --boundary expects RE,IM;RE,IM"),
+    ("cmv-boundary-not-a-number",
+     ["cmv", "--seq-file", "{missing}", "--boundary", "1,a;1,0"], None,
+     "error: --boundary expects RE,IM;RE,IM"),
+    ("gordon-k-list-one-field",
+     ["gordon", "--seq-file", "{missing}", "--k-list", "1:2,3"], None,
+     "error: --k-list expects K:Q"),
 ]
 
 
@@ -211,9 +238,11 @@ def test_malformed_table_covers_every_subcommand():
     assert commands == {row[1][0] for row in MALFORMED_ARGV}
 
 
-@pytest.mark.parametrize("argv,contents", [row[1:] for row in MALFORMED_ARGV],
+@pytest.mark.parametrize("argv,contents,line",
+                         [(*row[1:3], (row[3:] or ["error: "])[0])
+                          for row in MALFORMED_ARGV],
                          ids=[row[0] for row in MALFORMED_ARGV])
-def test_cli_rejects_malformed_input(tmp_path, capsys, argv, contents):
+def test_cli_rejects_malformed_input(tmp_path, capsys, argv, contents, line):
     path = tmp_path / "input"
     if contents is not None:
         path.write_text(contents if isinstance(contents, str)
@@ -223,3 +252,19 @@ def test_cli_rejects_malformed_input(tmp_path, capsys, argv, contents):
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err, err
+    assert any(x.startswith(line) for x in err.splitlines()), err
+
+
+def test_every_oracle_is_imported_by_a_test():
+    # an oracle that no test module imports checks nothing; the top-level
+    # functions of tests/oracles.py against the names test modules import
+    tests = ROOT / "tests"
+    tree = ast.parse((tests / "oracles.py").read_text())
+    oracles = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert oracles
+    imported = set()
+    for path in tests.glob("test_*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "oracles":
+                imported.update(a.name for a in node.names)
+    assert sorted(oracles - imported) == []

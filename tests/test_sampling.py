@@ -6,8 +6,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import (
+    fraction_window,
+    oracle_value,
+    pairwise_circle_diameter,
+)
 
-from qpcmv.arith import as_fraction, circle_dist, dist_to_int
+from qpcmv.artifacts import read_csv
+from qpcmv.arith import (
+    as_fraction,
+    circle_diameter,
+    circle_dist,
+    dist_to_int,
+    scaled,
+)
 from qpcmv.dynamics import (
     Rotation,
     SkewShift,
@@ -84,6 +96,19 @@ def test_rho_alpha_identity():
         assert abs(seq.rho(n) ** 2 + abs(a) ** 2 - 1.0) <= 1e-15
 
 
+def test_csv_rows_are_the_sequence_values(tmp_path):
+    # the writer reads the value array once; every row must still be the
+    # repr of alpha(n) and of rho(n) as the sequence computes them
+    rng = np.random.default_rng(20261018)
+    vals = np.sqrt(rng.random(500)) * 0.999 * np.exp(2j * np.pi * rng.random(500))
+    seq = VerblunskySequence(-250, 249, vals)
+    seq.to_csv(tmp_path / "verblunsky.csv", seed=3)
+    header, rows = read_csv(tmp_path / "verblunsky.csv")
+    assert header == ["n", "re_alpha", "im_alpha", "rho"]
+    assert rows == [[str(n), repr(seq.alpha(n).real), repr(seq.alpha(n).imag),
+                     repr(seq.rho(n))] for n in range(-250, 250)]
+
+
 def test_window_rejects_escaping_function():
     class Bad:
         sup_norm = 1.0
@@ -93,6 +118,146 @@ def test_window_rejects_escaping_function():
 
     with pytest.raises(InvariantViolation):
         verblunsky_window(Bad(), ROT, ORIGIN, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# the residue walk of verblunsky_window against the Fraction window
+# ---------------------------------------------------------------------------
+
+
+def _window_tubes(rng):
+    """Tube functions, epsilon = 1/10, on golden-256 rotations of T^1 and
+    T^2 and the skew-shift, centred at seeded dyadic points."""
+    a = golden_mean(bits=256).value
+    out = []
+    for kind, system, q in (("rotation-1d", Rotation([a]), 8),
+                            ("rotation-2d", Rotation([a, a + Fraction(1, 2)]), 5),
+                            ("skew", SkewShift(a), 4)):
+        center = TorusPoint([Fraction(rng.randrange(1024), 1024)
+                             for _ in range(system.dim)])
+        br = ball_radius(system, center, q, Fraction(1, 10))
+        values = [rng.uniform(0.1, 0.6) * cmath.exp(2j * math.pi * rng.random())
+                  for _ in range(q)]
+        out.append((kind, tube_function(system, center, q, br.radius, values)))
+    return out
+
+
+def _window_cases():
+    """(label, f, system, omega, n_min, n_max), seeded: each tube function
+    from its Gordon point, with and without an offset off its 1/D grid,
+    over [-2q + 1, 3q] and over windows reaching past it on both sides
+    (so the rotation's float blend and the skew-shift's exact blend run);
+    harmonic, constant, perturbed and plain-callable functions."""
+    rng = random.Random(20261018)
+    a = golden_mean(bits=256).value
+    cases = []
+    tubes = _window_tubes(rng)
+    for kind, f in tubes:
+        q, r = f.q, f.radius
+        offset = [r * Fraction(rng.randrange(1, 10**4), 10**9 + 7)
+                  for _ in range(f.center.dim)]
+        omegas = {"gordon": f.gordon_point(),
+                  "gordon-off-grid": f.gordon_point(offset)}
+        assert any(isinstance(scaled(x, f.denominator(1)), Fraction)
+                   for x in omegas["gordon-off-grid"].coords)
+        for label, w in omegas.items():
+            for n_min, n_max in ((-2 * q + 1, 3 * q), (-2 * q - 5, 3 * q + 7),
+                                 (-40, -2 * q), (3 * q + 1, 50)):
+                cases.append((f"tube-{kind}-{label}", f, f.system, w,
+                              n_min, n_max))
+        bump = TentBump(f.tube_balls(1)[1], r, 0.05)
+        cases.append((f"perturbed-tube-{kind}", PerturbedFunction(f, bump),
+                      f.system, f.gordon_point(offset), -2 * q - 5, 3 * q + 7))
+    w1 = TorusPoint([Fraction(rng.randrange(10**9 + 7), 10**9 + 7)])
+    w2 = TorusPoint.exact("1/3", "2/7")
+    rot, skew = Rotation([a]), SkewShift(a)
+    harmonic = HarmonicFunction(0.8 * cmath.exp(0.3j))
+    cases += [
+        ("harmonic-rotation", harmonic, rot, w1, -300, 300),
+        ("harmonic-skew", harmonic, skew, w2, -100, 100),
+        ("constant", ConstantFunction(0.3 - 0.4j), rot, w1, -20, 20),
+        ("perturbed-harmonic",
+         PerturbedFunction(HarmonicFunction(0.5),
+                           TentBump(TorusPoint.exact("1/7"), "1/50", 0.2)),
+         rot, w1, -200, 200),
+        ("plain-callable", lambda p: 0.5 * float(p.coords[-1]), skew, w2,
+         -30, 30),
+    ]
+    return cases
+
+
+def test_residue_window_matches_fraction_window():
+    cases = _window_cases()
+    assert len(cases) == 3 * (2 * 4 + 1) + 5
+    for label, f, system, omega, n_min, n_max in cases:
+        seq = verblunsky_window(f, system, omega, n_min, n_max)
+        expected = fraction_window(f, system, omega, n_min, n_max)
+        assert seq.values.tobytes() == expected.tobytes(), (label, n_min)
+
+
+def test_residue_window_walks_no_fraction_points(monkeypatch):
+    import qpcmv.sampling as sampling
+
+    def no_iterate(*args):
+        raise AssertionError("the window must not iterate in Fractions")
+
+    monkeypatch.setattr(sampling, "iterate", no_iterate)
+    f, _, _ = build_tubes(k=3)
+    w0 = TorusPoint.exact(0)
+    seq = verblunsky_window(f, ROT, iterate(ROT, w0, 2 * f.q), -5, 5)
+    assert seq.values.shape == (11,)
+
+
+# ---------------------------------------------------------------------------
+# the sorted-residue circle diameter against all pairs
+# ---------------------------------------------------------------------------
+
+
+def _diameter_cases():
+    """Seeded (d, residues) for odd and even d: singletons, pairs exactly
+    (or, for odd d, as nearly as can be) d/2 apart, sets wrapping past 0,
+    three clusters spread over more than d/3, and random sets."""
+    rng = random.Random(20261018)
+    cases = []
+    for d in (1, 2, 3, 4, 5, 7, 10, 11, 64, 101, 1000, 2**20 + 1, 2**21):
+        w = max(1, d // 10)
+        for _ in range(5):
+            x = rng.randrange(d)
+            cases.append((d, [x]))
+            cases.append((d, [x, (x + d // 2) % d]))
+            cases.append((d, [x, (x + (d + 1) // 2) % d, x]))
+            cases.append((d, [(x + d // 2) % d, x, rng.randrange(d)]))
+            cases.append((d, [(-rng.randrange(1, w + 1)) % d for _ in range(3)]
+                          + [rng.randrange(w) for _ in range(3)]))
+            cases.append((d, [(k * d // 3 + rng.randrange(w)) % d
+                              for k in range(3) for _ in range(2)]))
+        for _ in range(150):
+            size = rng.randrange(1, 25)
+            cases.append((d, [rng.randrange(d) for _ in range(size)]))
+    return cases
+
+
+def test_circle_diameter_matches_all_pairs():
+    cases = _diameter_cases()
+    assert len(cases) == 13 * (5 * 6 + 150)
+    for d, values in cases:
+        assert circle_diameter(values, d) == pairwise_circle_diameter(
+            values, d), (d, values)
+
+    def arc(d, values):
+        """Length of the shortest arc holding the residues: d less the
+        largest cyclic gap."""
+        s = sorted(set(values))
+        return d - max((y - x) % d or d for x, y in zip(s, s[1:] + s[:1]))
+
+    # the styles the docstring names are present: a diameter of exactly
+    # d/2, sets that wrap past 0, and sets no arc of their diameter holds
+    # (the sort-and-largest-gap shortcut would overstate their diameter)
+    assert any(d % 2 == 0 and circle_diameter(v, d) == d // 2
+               for d, v in cases)
+    assert any(max(v) - min(v) > d // 2 and 0 < circle_diameter(v, d) < d // 4
+               for d, v in cases)
+    assert any(d > 3 and circle_diameter(v, d) < arc(d, v) for d, v in cases)
 
 
 # ---------------------------------------------------------------------------
@@ -612,38 +777,6 @@ def test_skew_off_tube_value_takes_one_pull_back_per_ball(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def fraction_locate(f, point):
-    """Test oracle: ``TubeFunction._locate`` in Fraction arithmetic, a
-    float prefilter for rotations and 5q pull-backs for the skew-shift."""
-    orbit = [iterate(f.system, f.center, n) for n in range(5 * f.q + 1)]
-    if isinstance(f.system, Rotation):
-        x = np.array(point.as_floats())
-        pts = np.array([p.as_floats() for p in orbit[1:]])
-        d = TubeFunction._cheb_float(x, pts)
-        for k in np.nonzero(d <= float(f.radius) + 1e-9)[0]:
-            n = int(k) + 1
-            if point.dist(orbit[n]) <= f.radius:
-                return n, None
-        return None, d
-    dists = []
-    for n in range(1, 5 * f.q + 1):
-        dist = iterate(f.system, point, -n).dist(f.center)
-        if dist <= f.radius:
-            return n, None
-        dists.append(float(dist))
-    return None, np.array(dists)
-
-
-def oracle_value(f, point):
-    """f(point) from the oracle lookup: the tube value, or the blend."""
-    n, d = fraction_locate(f, point)
-    if n is not None:
-        return n, f.values[(n - 1) % f.q]
-    d = np.maximum(d - float(f.radius), 1e-18)
-    w = 1.0 / d.reshape(5, f.q).min(axis=0)
-    return None, complex(np.dot(w, np.array(f.values)) / w.sum())
-
-
 def _lookup_tubes(kind):
     """A tube function whose ball 3 is centred on the first coordinate 0,
     so that it straddles the 0/1 wrap."""
@@ -807,6 +940,13 @@ def test_perturbed_member_distance_bracket():
     g = PerturbedFunction(f, bump)
     rep = distance_to_tubes(g, f, grid=9)
     assert h / 2 - 1e-9 <= rep.distance <= h + 1e-9
+
+
+def test_bump_rejects_a_point_of_another_dimension():
+    bump = TentBump(TorusPoint.exact("1/3", "1/5"), "1/50", 0.1)
+    assert bump(TorusPoint.exact("1/3", "1/5")) == 0.1
+    with pytest.raises(DomainError, match="dimension"):
+        bump(TorusPoint.exact("1/3"))
 
 
 def test_tolerance_verdict_for_member_and_outsider():

@@ -308,9 +308,11 @@ def test_lipschitz_validation_no_violations():
         assert 0 < val.max_ratio <= 1.0
 
 
-def test_lipschitz_validation_degenerate_radius():
-    val = validate_three_step_lipschitz(0.0, samples=100, seed=7)
-    assert val.max_ratio == 0.0
+def test_lipschitz_validation_rejects_a_radius_outside_0_1():
+    # r = 0 once returned zero samples, which a run reported as PASS
+    for r in (0.0, -0.5, 1.0, 1.5, float("nan")):
+        with pytest.raises(DomainError, match="radius"):
+            validate_three_step_lipschitz(r, samples=100, seed=7)
 
 
 @pytest.mark.parametrize("samples, seed", [(0, 7), (-1, 7), (10, -1)])
