@@ -22,10 +22,7 @@ from .cmv import (
     SpectralDecomposition,
     assemble,
     eigenvector_profile,
-    gauge_rotate,
-    parity_gauge_matrix,
     spectrum,
-    theta_block,
 )
 from .dynamics import (
     RepetitionCertificate,

@@ -55,16 +55,39 @@ def _parse_complex(text: str) -> complex:
     return complex(float(re), float(im))
 
 
+def _parse_flag(text: str, parse, flag: str, form: str):
+    """A flag's value read by ``parse``.  A malformed value is an error
+    naming the flag and its form; a well-formed one outside its domain
+    (a zero denominator, say) keeps its own message."""
+    try:
+        return parse(text)
+    except QpcmvError:
+        raise
+    except ValueError:
+        raise QpcmvError(f"{flag} expects {form}, got {text!r}") from None
+
+
 def _parse_pair(text: str, sep: str, parse, flag: str, form: str) -> tuple:
     """The two ``sep``-separated fields of a flag's value, each read by
-    ``parse``; anything else is an error naming the flag and its form."""
-    fields = text.split(sep)
-    try:
-        if len(fields) == 2:
-            return tuple(parse(x.strip()) for x in fields)
-    except ValueError:
-        pass
-    raise QpcmvError(f"{flag} expects {form}, got {text!r}")
+    ``parse``, as ``_parse_flag`` reads one."""
+
+    def pair(text):
+        fields = text.split(sep)
+        if len(fields) != 2:
+            raise ValueError(text)
+        return tuple(parse(x.strip()) for x in fields)
+
+    return _parse_flag(text, pair, flag, form)
+
+
+_FREQUENCY_FORM = "golden, liouville:BASE,DEPTH, P/Q or a decimal"
+_RATIONAL_FORM = "P/Q or a decimal"
+_POINT_FORM = "X[,Y] (P/Q or decimals)"
+
+
+def _parse_frequency_flag(text: str, bits: int, flag: str = "--freq"):
+    return _parse_flag(text, lambda t: parse_frequency(t, bits=bits), flag,
+                       _FREQUENCY_FORM)
 
 
 # ---------------------------------------------------------------------------
@@ -73,14 +96,14 @@ def _parse_pair(text: str, sep: str, parse, flag: str, form: str) -> tuple:
 
 
 def _cmd_frequency(args) -> int:
-    out = _out_dir(args)
     if args.liouville:
-        spec = f"liouville:{args.liouville}"
+        base, depth = _parse_pair(args.liouville, ",", int, "--liouville", "BASE,DEPTH")
+        freq = parse_frequency(f"liouville:{base},{depth}", bits=args.precision_bits)
     elif args.value:
-        spec = args.value
+        freq = _parse_frequency_flag(args.value, args.precision_bits, "--value")
     else:
         raise QpcmvError("need --value or --liouville")
-    freq = parse_frequency(spec, bits=args.precision_bits)
+    out = _out_dir(args)
     scan = badly_approximable_score(freq, args.max_q)
     artifacts.write_frequency_csv(out / "frequency.csv", args.seed, freq, scan)
     artifacts.write_json(
@@ -108,15 +131,15 @@ def _cmd_frequency(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
+    freq = _parse_frequency_flag(args.freq, args.precision_bits)
+    omega = _parse_flag(args.omega, _parse_point, "--omega", _POINT_FORM)
+    eps = _parse_flag(args.epsilon, as_fraction, "--epsilon", _RATIONAL_FORM)
+    s = _parse_flag(args.s, as_fraction, "--s", _RATIONAL_FORM)
     out = _out_dir(args)
-    freq = parse_frequency(args.freq, bits=args.precision_bits)
-    omega = _parse_point(args.omega)
     if args.system == "rotation":
         system = Rotation([freq.value] * omega.dim)
     else:
         system = SkewShift(freq.value)
-    eps = as_fraction(args.epsilon)
-    s = as_fraction(args.s)
     cert = find_even_repetition(system, omega, eps, s, args.qmax)
     if cert is None:
         artifacts.write_json(
@@ -200,7 +223,6 @@ def _read_construct_spec(path) -> dict:
 
 
 def _cmd_sample(args) -> int:
-    out = _out_dir(args)
     n_min, n_max = _parse_pair(args.window, ":", int, "--window", "N_MIN:N_MAX")
     if args.construct_ck:
         spec = _read_construct_spec(args.construct_ck)
@@ -224,15 +246,15 @@ def _cmd_sample(args) -> int:
         f = tube_function(system, center, period, radius, values)
         omega = f.gordon_point()
     else:
-        if args.family == "constant":
-            f = ConstantFunction(_parse_complex(args.params))
-        elif args.family == "harmonic":
-            f = HarmonicFunction(_parse_complex(args.params))
-        else:
+        families = {"constant": ConstantFunction, "harmonic": HarmonicFunction}
+        if args.family not in families:
             raise QpcmvError(f"unknown family {args.family!r}")
-        freq = parse_frequency(args.freq, bits=args.precision_bits)
-        omega = _parse_point(args.omega)
+        f = families[args.family](
+            _parse_flag(args.params, _parse_complex, "--params", "RE[,IM]"))
+        freq = _parse_frequency_flag(args.freq, args.precision_bits)
+        omega = _parse_flag(args.omega, _parse_point, "--omega", _POINT_FORM)
         system = Rotation([freq.value] * omega.dim)
+    out = _out_dir(args)
     seq = verblunsky_window(f, system, omega, n_min, n_max)
     seq.to_csv(out / "verblunsky.csv", seed=args.seed)
     print(
@@ -243,9 +265,9 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_gordon(args) -> int:
-    out = _out_dir(args)
     pairs = [_parse_pair(item, ":", int, "--k-list", "K:Q,K:Q,...")
              for item in args.k_list.split(",")]
+    out = _out_dir(args)
     seq = VerblunskySequence.from_csv(args.seq_file)
     cert = certify_gordon(seq, pairs, sequence_id=Path(args.seq_file).stem)
     table = None
@@ -274,10 +296,10 @@ def _cmd_gordon(args) -> int:
 
 
 def _cmd_cmv(args) -> int:
-    out = _out_dir(args)
     n_min, n_max = _parse_pair(args.window, ":", int, "--window", "N_MIN:N_MAX")
     boundary = _parse_pair(args.boundary, ";", _parse_complex, "--boundary",
                            "RE,IM;RE,IM (b-;b+)")
+    out = _out_dir(args)
     seq = VerblunskySequence.from_csv(args.seq_file)
     op = assemble(seq, n_min, n_max, boundary=boundary)
     if args.profile == "all":
@@ -302,7 +324,7 @@ def _cmd_cmv(args) -> int:
         if args.profile:
             artifacts.write_profiles_csv(
                 out / "profile.csv", args.seed,
-                (eigenvector_profile(op, dec, i) for i in indices),
+                eigenvector_profile(op, dec, indices),
             )
     print(msg)
     return 0

@@ -17,7 +17,6 @@ below costs O(N) per column.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,39 +27,43 @@ from .sampling import VerblunskySequence
 
 _EIG_TOL = 1e-10
 _BOUNDARY_TOL = 1e-12
-# Reference angle of H_phi = (e^(-i phi) E + e^(i phi) E*) / 2.  One radian
-# is not a rational multiple of pi, so neither the conjugation symmetry of
-# real coefficients (theta <-> -theta) nor the rotation symmetry of
-# equally spaced spectra puts whole families of pairs on the collision
-# line theta_j + theta_k = 2 phi.
+# Reference angle of H_phi = (e^(-i phi) E + e^(i phi) E*) / 2, whose
+# eigenvalues cos(theta - phi) name the candidate angles phi +- arccos.  One
+# radian is not a rational multiple of pi, so neither the conjugation
+# symmetry of real coefficients (theta <-> -theta) nor the rotation
+# symmetry of equally spaced spectra puts whole families of eigenvalue pairs
+# on one H_phi eigenvalue (theta_j + theta_k = 2 phi); the pairs that do
+# meet there are told apart by the count.
 _PHI = 1.0
-# H_phi eigenvalues closer than this are re-diagonalised together (see
-# ``spectrum``).  A computed H_phi eigenvector leaks into eigenvectors at
-# gap g by about eta / g, eta the solver's backward error, and the leak
-# shows in the E-residual at full size.  Measured worst residuals scale as
-# 8e-16 / gap (1.2e-10 at 1e-6, 7.8e-13 at 1e-3), so the gap must stay well
-# above 8e-16 / _EIG_TOL = 8e-6; it must also stay below the local spacing
-# 2 pi |sin(theta - phi)| / N, or clusters chain (1e-2 merges the whole
-# spectrum at N = 600).  1e-3 keeps residuals 100 times below _EIG_TOL.
-_CLUSTER_GAP = 1e-3
+# Eigenvectors whose angles are closer than this are re-diagonalised
+# together (see ``spectrum``).  A twisted vector leaks into eigenvectors at
+# gap g by about r / g, r its residual (1e-15 to 1e-14): without this step
+# the vectors of the N = 600 harmonic window and of a random one with
+# |alpha| <= 0.5 were orthonormal only to 1.6e-12 and 7.2e-12.  Over 1008
+# seeded windows (N <= 600, |alpha| <= 0.999) 1e-3 left one pair at gap
+# 1.2e-3 orthonormal only to 1.2e-12; 2e-3 keeps the worst at 5.2e-13.  It
+# must stay well below the spacing 2 pi / N, or runs chain: at 2e-3 the
+# longest holds 22 vectors (N = 600 harmonic) and 11 (N = 2000).
+_CLUSTER_GAP = 2e-3
 # Eigenvalues closer than this are one eigenvalue at working precision: the
 # residual gate cannot tell their vectors apart, and any solver returns an
 # arbitrary, rounding-dependent basis of their span (edge states at the two
 # ends of a window are an example).  That span gets a fixed basis instead:
 # the one diagonalising the position operator, i.e. the most localised
 # one.  Rotating inside the span moves a residual by at most this gap.
+# Candidate angles this close form one group for the count, and the
+# twisted vectors of one group are joined at distinct sites.
 _DEGENERATE_GAP = 1e-12
 # Weights this close to the largest one count as a tie for the profile
 # peak, which goes to the smallest such index.  Flat vectors (the free
 # operator's, |u_n|^2 = 1/N) and symmetric bound states have exact ties
 # that rounding would otherwise break in either direction.
 _PEAK_RTOL = 1e-9
-
-
-def theta_block(alpha: complex) -> np.ndarray:
-    a = complex(alpha)
-    r = math.sqrt((1.0 - abs(a)) * (1.0 + abs(a)))
-    return np.array([[np.conj(a), r], [r, -a]], dtype=complex)
+# Largest Newton step trusted at a twist.  Candidates are within about
+# 1e-8 of their eigenvalue even where arccos is steepest (|mu| near 1), so
+# a longer step means the phase there is not resolved; the angle is then
+# kept, and the residual gate sees the result.
+_NEWTON_MAX = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -111,12 +114,15 @@ def _band_adjoint(a: np.ndarray) -> np.ndarray:
 
 
 def _band_matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A V for V of shape (N, K)."""
+    """A V for V of shape (N, K), 64 rows at a time so that the products
+    stay in cache (at N = 2000 half the time of whole diagonals)."""
     w, n = a.shape[0] // 2, a.shape[1]
     out = np.zeros(v.shape, dtype=complex)
-    for d in range(-w, w + 1):
-        r = _diagonal_range(n, d)
-        out[r] += a[w + d, r, None] * v[r.start + d : r.stop + d]
+    for i in range(0, n, 64):
+        for d in range(-w, w + 1):
+            lo, hi = max(i, -d), min(i + 64, n, n - d)
+            if lo < hi:
+                out[lo:hi] += a[w + d, lo:hi, None] * v[lo + d : hi + d]
     return out
 
 
@@ -326,25 +332,254 @@ def _runs(split: np.ndarray):
     return [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi - lo > 1]
 
 
-def _band_spectrum(band: np.ndarray):
-    """Eigenpairs of E from H_phi, re-diagonalised inside clusters."""
+def _theta_step(abar, rho, a, x, y):
+    """Carry a pair across one Theta block.
+
+    On the block's two rows y = Theta x, so the top entries (x, y) give the
+    bottom ones as x' = (y - abar x) / rho and y' = rho x - a x'.  Called
+    with (abar, a) replaced by (-a, -abar), the same two lines carry the
+    bottom pair to the top.
+    """
+    x1 = (y - abar * x) / rho
+    return x1, rho * x - a * x1
+
+
+class _Chain:
+    """The 2x2 blocks of L and M in the order the sites meet them.
+
+    Block p couples sites p and p + 1 (p < N - 1); ``blocks[p]`` holds its
+    conj(a), rho, a and whether it belongs to L.  With w = M u, an M block
+    relates (x, y) = (u, w) on its two rows by y = Theta x, and an L block
+    relates (x, y) = (w, z u) the same way.  The two straddling blocks keep one in-window entry each,
+    ``left`` = -b_- at site 0 and ``right`` = conj(b_+) at site N - 1.
+
+    For |z| = 1 every block preserves |x|^2 + |y|^2 and |u| = |w| at the
+    edges, so |u| = |w| at every site: the ratio r = y / x entering each
+    block is unimodular, and a walk needs only r.  Leaving one block, x' /
+    y' turns into the ratio entering the next as r = z x' / y', in either
+    direction and for either kind of block.
+    """
+
+    def __init__(self, op: CMVOperator):
+        L, M = op.factor_bands
+        in_left = (op.n_min + np.arange(op.size - 1)) % 2 == 0
+        # the block with top row p holds conj(a) at (p, p), rho at
+        # (p, p + 1) and -a at (p + 1, p + 1)
+        top = np.where(in_left, L[:, :-1], M[:, :-1])
+        a = -np.where(in_left, L[1, 1:], M[1, 1:])
+        self.blocks = list(zip(top[1].tolist(), top[2].real.tolist(), a.tolist(),
+                               in_left.tolist()))
+        self.left = complex((M if in_left[0] else L)[1, 0])
+        self.right = complex((M if in_left[-1] else L)[1, -1])
+
+    def walk(self, z: np.ndarray, back: bool = False):
+        """Per block p, from the left edge (or the right one): p, whether
+        the block is in L, the pair (x', y') leaving it for x = 1 and y = r
+        entering it, that r, and the ratio z x' / y' entering the next
+        block (or leaving the window).
+
+        u_(p+1) / u_p (or u_p / u_(p+1) walking back) is x' at an M block
+        and y' / r at an L block.
+        """
+        r = z * np.conj(self.right if back else self.left)
+        n = len(self.blocks)
+        for p in range(n - 1, -1, -1) if back else range(n):
+            ab, rho, a, in_l = self.blocks[p]
+            if back:
+                ab, a = -a, -ab
+            x, y = _theta_step(ab, rho, a, 1.0, r)
+            r_next = z * x / y
+            yield p, in_l, x, y, r, r_next
+            r = r_next
+
+    def count(self, theta: np.ndarray) -> np.ndarray:
+        """Eigenvalue angles below each theta, up to one common offset.
+
+        The lifted phase of r gains theta - 2 arg(1 - a r) per block,
+        increasing in theta (a Pruefer phase of the truncation's
+        paraorthogonal polynomial), and y' = (1 - a r) / rho.  z = e^(i
+        theta) is an eigenvalue exactly when the ratio leaving the window
+        equals ``right``, so the lifted phase of r / right, over 2 pi and
+        floored, counts eigenvalue angles; it gains N per turn of theta.
+        Its integer part comes from the lifted sum, the sign of its last
+        turn from the final ratio alone.
+        """
+        turn = np.zeros(theta.shape)
+        for _, _, _, y, _, r in self.walk(np.exp(1j * theta)):
+            turn += np.angle(y)
+        phase = np.angle(r * np.conj(self.right))
+        lifted = (len(self.blocks) + 1) * theta - 2 * turn + (
+            np.angle(np.conj(self.left)) - np.angle(self.right))
+        return np.rint((lifted - phase) / (2 * np.pi)) - (phase < 0)
+
+
+def _twists(chain: _Chain, theta: np.ndarray, groups=()):
+    """Where to join the two walks for each angle, and the angle refined
+    by one Newton step there.
+
+    u^L is walked from the left edge and u^R from the right.  Joined at
+    site k (u^L up to k, u^R from k on, equal at k), they leave a residual
+    of exactly |t^L_k - t^R_k| / ||v||, t = w / u the ratio at site k of
+    each walk.  The ratio entering a block from the left is z over the one
+    leaving the block before it, so the two agree where d_k = arg r^L_k +
+    arg r^R_k - theta vanishes, and k is where |d_k| is least.  (In exact
+    arithmetic that is where |u^L_k u^R_k| peaks, but a walk that has
+    passed the localisation centre grows by rounding, which inflates its
+    modulus and scrambles its ratio: the phase test sees that, the modulus
+    does not.)  The columns of each slice in ``groups`` share one
+    eigenvalue to working precision and take distinct sites instead: the
+    best local minima of their common |d|.
+
+    Each phase grows with theta at a rate s with s' = 1 + s / |y'|^2 per
+    block, so d_k has slope s^L_k + s^R_k - 1 >= 1, and one Newton step on
+    d_k = 0 moves theta to the eigenvalue.  There both walks are accurate,
+    unlike at the far edge, where one of them has run past the centre.
+
+    The walk from the right stores r^R in V and its slope in S; the walk
+    from the left replaces V[p] by d_p + i (slope of d_p + 1).
+    """
+    n, K = len(chain.blocks) + 1, theta.size
+    z = np.exp(1j * theta)
+    zc = z.conj()
+    V = np.empty((n, K), dtype=complex)
+    S = np.empty((n, K))
+    slope = np.ones(K)
+    for p, _, _, y, r, r_next in chain.walk(z, back=True):
+        V[p + 1], S[p + 1] = r, slope
+        slope = 1.0 + slope / (y.real ** 2 + y.imag ** 2)
+    V[0], S[0] = r_next, slope
+
+    def join(p, r, slope):
+        V[p].real = np.angle(r * V[p] * zc)
+        V[p].imag = slope + S[p]
+
+    slope = np.ones(K)
+    join(0, z * np.conj(chain.left), slope)
+    for p, _, _, y, _, r_next in chain.walk(z):
+        slope = 1.0 + slope / (y.real ** 2 + y.imag ** 2)
+        join(p + 1, r_next, slope)
+    np.abs(V.real, out=S)
+    k = np.argmin(S, axis=0)
+    for g in groups:
+        d = S[:, g.start]
+        low = np.flatnonzero(np.r_[True, d[1:] <= d[:-1]] & np.r_[d[:-1] <= d[1:], True])
+        low = np.sort(low[np.argsort(d[low], kind="stable")][: g.stop - g.start])
+        k[g.start : g.start + low.size] = low
+    at = V[k, np.arange(K)]
+    step = at.real / (at.imag - 1.0)
+    return k, np.where(np.abs(step) < _NEWTON_MAX, theta - step, theta)
+
+
+def _twisted_vectors(chain: _Chain, z: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Unit vectors solving E v = z v up to site k, one column per z: u^L
+    walked from the left edge up to k, u^R from the right edge down to k.
+
+    The walk from the left stores u^L_p / u^L_(p-1) in row p, the walk from
+    the right u^R_p / u^R_(p-1) in the rows past k, and the vector is the
+    running product of the rows, taken in log scale.  Only the result and
+    one float array are alive.
+    """
+    n, K = len(chain.blocks) + 1, z.size
+    V = np.empty((n, K), dtype=complex)
+    S = np.empty((n, K))
+    last, first = int(k.max()), int(k.min())
+    V[0] = 1.0
+    for p, in_l, x, y, r, _ in chain.walk(z):
+        if p >= last:
+            break
+        V[p + 1] = y / r if in_l else x
+    for p, in_l, x, y, r, _ in chain.walk(z, back=True):
+        if p < first:
+            break
+        np.copyto(V[p + 1], r / y if in_l else 1.0 / x, where=p >= k)
+    np.abs(V, out=S)
+    V.real /= S
+    V.imag /= S
+    np.log(S, out=S)
+    np.cumsum(S, axis=0, out=S)
+    S -= S.max(axis=0)
+    np.cumprod(V, axis=0, out=V)
+    np.exp(S, out=S)
+    S /= np.sqrt(np.einsum("ij,ij->j", S, S))
+    V.real *= S
+    V.imag *= S
+    return V
+
+
+def _band_spectrum(op: CMVOperator):
+    """Eigenpairs of E from the transfer recursion (see ``spectrum``)."""
     import scipy.linalg as sla  # lazily: most commands never load scipy
+    band, n = op.band, op.size
+    chain = _Chain(op)
+    # (i) candidates: H_phi has eigenvalue cos(theta - phi) on the
+    # eigenvector of e^(i theta), so each of its eigenvalues names two angles
     hb = 0.5 * (np.exp(-1j * _PHI) * band + np.exp(1j * _PHI) * _band_adjoint(band))
-    # upper storage for eig_banded: row 2 - d, column i + d holds H[i, i + d].
-    # Dense eigh measured level with it at N = 200-600; its fastest method
-    # (MRRR, up to 20% faster at N = 600) left eigenvectors orthonormal only
-    # to 7e-13, against 2e-14 here, and it needs a dense copy of H.
-    upper = np.zeros((3, band.shape[1]), dtype=complex)
+    upper = np.zeros((3, n), dtype=complex)
     for d in range(3):
-        upper[2 - d, d:] = hb[2 + d, : hb.shape[1] - d]
-    mu, V = sla.eig_banded(upper, overwrite_a_band=True)
-    EV = _band_matvec(band, V)
-    lam = np.einsum("ij,ij->j", V.conj(), EV)
-    for c in _runs(np.diff(mu) >= _CLUSTER_GAP):
-        T, Z = sla.schur(V[:, c].conj().T @ EV[:, c], output="complex")
-        V[:, c] = V[:, c] @ Z
-        lam[c] = np.diag(T)
+        upper[2 - d, d:] = hb[2 + d, : n - d]
+    mu = sla.eig_banded(upper, overwrite_a_band=True, eigvals_only=True)
+    half = np.arccos(np.clip(mu, -1.0, 1.0))
+    angles = np.sort(np.mod(np.r_[_PHI - half, _PHI + half], 2 * np.pi))
+    gaps = np.diff(np.r_[angles, angles[0] + 2 * np.pi])
+    cut = angles[np.argmax(gaps)] + gaps.max() / 2  # inside the widest gap
+    angles = np.sort(np.mod(angles - cut, 2 * np.pi)) + cut
+    # (ii) count: candidates closer than _DEGENERATE_GAP form one group;
+    # the count between groups says how many of each are eigenvalues
+    starts = np.r_[0, np.flatnonzero(np.diff(angles) > _DEGENERATE_GAP) + 1]
+    samples = np.r_[cut, (angles[starts[1:] - 1] + angles[starts[1:]]) / 2]
+    below = chain.count(samples)
+    below -= below[0]
+    rises = np.diff(np.r_[below, n]).astype(int)
+    sizes = np.diff(np.r_[starts, angles.size])
+    bad = np.flatnonzero((rises < 0) | (rises > sizes))
+    if bad.size:
+        raise EigensolverError(int(bad[0]), float(rises[bad[0]]), float(sizes[bad[0]]),
+                               quantity="count rise")
+    theta = _counted(angles, starts, rises)
+    # (iii) vectors, each read back as v* E v
+    k, theta = _twists(chain, theta, _runs(np.diff(theta) > _DEGENERATE_GAP))
+    V = _twisted_vectors(chain, np.exp(1j * theta), k)
+    lam = _rayleigh(band, V)
+    clusters = _runs(np.diff(theta) >= _CLUSTER_GAP)
+    if clusters:
+        # Rayleigh-Ritz on each run of close angles: orthonormalise it, then
+        # a small complex Schur of Q* E Q (one banded product for all runs)
+        for c in clusters:
+            V[:, c] = np.linalg.qr(V[:, c])[0]
+        cols = np.r_[tuple(np.arange(c.start, c.stop) for c in clusters)]
+        EQ = _band_matvec(band, V[:, cols])
+        j = 0
+        for c in clusters:
+            m = c.stop - c.start
+            T, Z = sla.schur(V[:, c].conj().T @ EQ[:, j : j + m], output="complex")
+            V[:, c] = V[:, c] @ Z
+            lam[c] = np.diag(T)
+            j += m
+    # the gate: between consecutive eigenvalues the count rises by one
+    found = np.searchsorted(np.sort(np.mod(np.angle(lam) - cut, 2 * np.pi)),
+                            samples - cut)
+    bad = np.flatnonzero(found != below)
+    if bad.size:
+        j = int(bad[0])
+        raise EigensolverError(j, float(abs(found[j] - below[j])), 0.0,
+                               quantity="count mismatch")
     return lam, V
+
+
+def _counted(angles: np.ndarray, starts: np.ndarray, rises: np.ndarray):
+    """The first rises[j] candidate angles of each group j."""
+    sizes = np.diff(np.r_[starts, angles.size])
+    rank = np.arange(angles.size) - np.repeat(starts, sizes)
+    return angles[rank < np.repeat(rises, sizes)]
+
+
+def _rayleigh(band: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """v* E v for each column v of V, from real and imaginary parts (no
+    conjugate copy of V)."""
+    EV = _band_matvec(band, V)
+    re = np.einsum("ij,ij->j", V.real, EV.real) + np.einsum("ij,ij->j", V.imag, EV.imag)
+    im = np.einsum("ij,ij->j", V.real, EV.imag) - np.einsum("ij,ij->j", V.imag, EV.real)
+    return re + 1j * im
 
 
 def _schur_spectrum(matrix: np.ndarray):
@@ -363,7 +598,7 @@ def _checked(band: np.ndarray, lam: np.ndarray, V: np.ndarray, tol: float,
         W = V[:, c]
         _, Y = np.linalg.eigh(W.conj().T @ (position[:, None] * W))
         V[:, c] = W = W @ Y
-        lam[c] = np.einsum("ij,ij->j", W.conj(), _band_matvec(band, W))
+        lam[c] = _rayleigh(band, W)
     order = np.argsort(np.angle(lam))
     lam, V = lam[order], V[:, order]
     res = np.linalg.norm(_band_matvec(band, V) - V * lam[None, :], axis=0)
@@ -380,31 +615,44 @@ def _checked(band: np.ndarray, lam: np.ndarray, V: np.ndarray, tol: float,
 
 
 def spectrum(op: CMVOperator, tol: float = _EIG_TOL) -> SpectralDecomposition:
-    """Eigenvalues (sorted by angle) and orthonormal eigenvectors.
+    """Eigenvalues (sorted by angle) and orthonormal eigenvectors, in
+    O(N^2) from the one-block transfer step (``_theta_step``).
 
-    E is normal, so H_phi = (e^(-i phi) E + e^(i phi) E*) / 2 is a function
-    of E: it is Hermitian pentadiagonal with eigenvalue cos(theta - phi) on
-    the eigenvector of e^(i theta), and each of its eigenspaces is
-    E-invariant.  Its band is diagonalised with ``eig_banded`` and each
-    eigenvalue read back as v* E v.  Two eigenvalues of E meet in H_phi
-    when their angles coincide or sum to 2 phi; so that the vectors such a
-    collision mixes come apart again, runs of H_phi eigenvalues with
-    consecutive gaps below ``_CLUSTER_GAP`` are treated as one cluster,
-    and E is re-diagonalised on each (Rayleigh-Ritz: a small complex
-    Schur of Vc* E Vc, then Vc rotated by its Schur basis).  Eigenvalues
-    closer than ``_DEGENERATE_GAP`` share one eigenspace at working
-    precision, whose basis is then the one diagonalising position.
+    A unitary truncation has simple spectrum, and the eigenvector at z is
+    the solution of the transfer recursion that meets both edge conditions
+    (the zeros of a paraorthogonal polynomial).  Three passes find them:
+
+    (i) candidates: the eigenvalues mu of the Hermitian band matrix
+        H_phi = (e^(-i phi) E + e^(i phi) E*) / 2 are cos(theta - phi), so
+        the 2N angles phi +- arccos mu hold every eigenvalue angle;
+    (ii) count: a walk's Pruefer phase counts the eigenvalue angles below
+        any theta (``_Chain.count``); counted between the candidates, it
+        keeps exactly the true N, both members of a doubled mu included;
+    (iii) vectors: for each angle a walk from each edge, joined where their
+        ratios agree best (``_twists``, which also refines the angle by one
+        Newton step there, and ``_twisted_vectors``); each eigenvalue is
+        read back as v* E v.
+
+    Angles closer than ``_CLUSTER_GAP`` on the circle are re-diagonalised
+    together (Rayleigh-Ritz: orthonormalise the run, a small complex Schur
+    of Q* E Q, then Q rotated by its Schur basis).  The gate: between any
+    two consecutive eigenvalues the count must rise by exactly one, which
+    catches a lost or doubled eigenvalue that residuals cannot tell from a
+    near-degenerate pair.  Eigenvalues closer than ``_DEGENERATE_GAP``
+    share one eigenspace at working precision, whose basis is then the one
+    diagonalising position.
 
     Residuals ||E v - lambda v|| (banded matvec) and moduli |lambda| are
-    checked against ``tol``.  If either check fails, the dense complex
-    Schur decomposition (diagonal for a normal matrix) is checked in its
-    place, and only its failure is raised, so no silently wrong pairs are
-    returned.  ``fallback`` records which path produced the result.
+    checked against ``tol``.  If the gate or either check fails, the dense
+    complex Schur decomposition (diagonal for a normal matrix) is checked
+    in its place, and only its failure is raised, so no silently wrong
+    pairs are returned.  ``fallback`` records which path produced the
+    result.
     """
     if not op.unitary_mode:
         raise DomainError("spectrum requires a unitary-mode operator")
     try:
-        return _checked(op.band, *_band_spectrum(op.band), tol, fallback=False)
+        return _checked(op.band, *_band_spectrum(op), tol, fallback=False)
     except EigensolverError:
         return _checked(op.band, *_schur_spectrum(op.matrix), tol, fallback=True)
 
@@ -421,53 +669,40 @@ class EigenvectorProfile:
         return sum(self.shell_masses)
 
 
-def eigenvector_profile(
-    op: CMVOperator, decomp: SpectralDecomposition, index: int
-) -> EigenvectorProfile:
+def eigenvector_profile(op: CMVOperator, decomp: SpectralDecomposition, index):
     """Mass per dyadic distance shell around the peak, plus 1 / sum w^2.
 
     The peak is the first entry whose weight is within a relative
     ``_PEAK_RTOL`` of the largest.  Shell s = 0 is the peak entry itself;
     shell s >= 1 collects entries at distance in [2^(s-1), 2^s), i.e. the
     distances of bit length s.  Masses sum to 1 for a normalized vector.
+
+    ``index`` is one eigenvector index, or a sequence of them, which gives
+    a list of profiles from one vectorised pass: each vector's weights form
+    a contiguous row, summed and binned in the order a single one is, so
+    the batch equals the one-by-one profiles bit for bit.
     """
-    u = decomp.vectors[:, index]
-    w = np.abs(u) ** 2
-    w = w / w.sum()
-    peak = int(np.argmax(w >= w.max() * (1.0 - _PEAK_RTOL)))
-    n = w.size
+    single = np.ndim(index) == 0
+    idx = np.atleast_1d(np.asarray(index, dtype=int))
+    w = np.abs(decomp.vectors.T[idx]) ** 2  # one C-contiguous row per vector
+    w /= w.sum(axis=1, keepdims=True)
+    peak = np.argmax(w >= w.max(axis=1, keepdims=True) * (1.0 - _PEAK_RTOL), axis=1)
+    m, n = w.shape
+    nshell = n.bit_length() + 1
     # frexp's exponent of a positive integer is its bit length (0 for 0)
-    shell = np.frexp(np.abs(np.arange(n) - peak))[1]
-    masses = np.bincount(shell, weights=w, minlength=n.bit_length() + 1)
-    pr = float(1.0 / np.sum(w**2))
-    return EigenvectorProfile(
-        index=index,
-        peak=peak + op.n_min,
-        shell_masses=tuple(masses.tolist()),
-        participation_ratio=pr,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Gauge rotation
-# ---------------------------------------------------------------------------
-
-
-def gauge_rotate(seq: VerblunskySequence, theta: float) -> VerblunskySequence:
-    """Multiply every coefficient by e^(i theta)."""
-    return VerblunskySequence(
-        seq.n_min, seq.n_max, seq.values * np.exp(1j * theta)
-    )
-
-
-def parity_gauge_matrix(n_min: int, n_max: int, theta: float) -> np.ndarray:
-    """Diagonal unitary D with E(e^(i theta) a) = D E(a) D*.
-
-    Every entry of the operator is a product of two coefficient factors
-    whose phases cancel except across the even/odd coordinate parity, so
-    the compensating conjugation is the parity phase diag(e^(i theta (n mod 2))).
-    """
-    phases = [
-        np.exp(1j * theta * (n % 2)) for n in range(n_min, n_max + 1)
+    shell = np.frexp(np.abs(np.arange(n) - peak[:, None]))[1]
+    shell += nshell * np.arange(m, dtype=shell.dtype)[:, None]
+    masses = np.bincount(shell.ravel(), weights=w.ravel(),
+                         minlength=m * nshell).reshape(m, nshell)
+    pr = 1.0 / np.sum(w**2, axis=1)
+    profiles = [
+        EigenvectorProfile(
+            index=int(i),
+            peak=int(pk) + op.n_min,
+            shell_masses=tuple(ms),
+            participation_ratio=p,
+        )
+        for i, pk, ms, p in zip(idx.tolist(), peak.tolist(), masses.tolist(),
+                                pr.tolist())
     ]
-    return np.diag(phases)
+    return profiles[0] if single else profiles

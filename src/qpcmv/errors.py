@@ -30,12 +30,14 @@ class InvariantViolation(QpcmvError, ValueError):
 
 
 class EigensolverError(QpcmvError, ArithmeticError):
-    """The eigensolver failed a residual check."""
+    """The eigensolver failed a residual check (or, with ``quantity``
+    naming it, another of its checks)."""
 
-    def __init__(self, index: int, residual: float, tol: float):
+    def __init__(self, index: int, residual: float, tol: float,
+                 quantity: str = "residual"):
         self.index = index
         self.residual = residual
         self.tol = tol
         super().__init__(
-            f"eigenpair {index} residual {residual:.3e} exceeds {tol:.1e}"
+            f"eigenpair {index} {quantity} {residual:.3e} exceeds {tol:.1e}"
         )

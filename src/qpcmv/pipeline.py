@@ -389,7 +389,7 @@ def _cmv_stage(rep: _Report, cfg: ExperimentConfig, seq,
         )
         with open(rep.artifact("cmv", "matrix.txt"), "w") as fh:
             op.dump_triplets(fh, seed=cfg.seed)
-        profiles = [eigenvector_profile(op, dec, i) for i in range(op.size)]
+        profiles = eigenvector_profile(op, dec, range(op.size))
         prs = np.array([p.participation_ratio for p in profiles])
         angles = np.angle(dec.eigenvalues)
         imin = most_localized(prs, angles, range(op.size))

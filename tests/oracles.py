@@ -5,8 +5,10 @@ and multiply them with batched ``@``, independently of the elementwise step
 kernel in ``qpcmv.transfer``; they iterate orbits point by point in
 ``Fraction`` arithmetic and evaluate sampling functions by their point
 formulas, independently of the integer residue walk and the residue
-evaluation in ``qpcmv.sampling``; and they measure circle diameters over
-all pairs.
+evaluation in ``qpcmv.sampling``; they measure circle diameters over all
+pairs; and they build CMV blocks, gauge rotations and eigenvectors by the
+textbook routes: dense Theta blocks, the parity conjugation, and the
+Hermitian band eigenvector solve that ``qpcmv.cmv.spectrum`` replaced.
 """
 
 import cmath
@@ -15,6 +17,7 @@ import math
 import numpy as np
 
 from qpcmv.arith import circle_dist
+from qpcmv.cmv import _PHI, _band_adjoint, _band_matvec, _runs
 from qpcmv.dynamics import Rotation, iterate
 from qpcmv.sampling import (
     ConstantFunction,
@@ -22,6 +25,7 @@ from qpcmv.sampling import (
     PerturbedFunction,
     TentBump,
     TubeFunction,
+    VerblunskySequence,
 )
 from qpcmv.transfer import inv_2x2, min_max_over_unit_vectors
 
@@ -132,3 +136,58 @@ def validate_periodic_floor(samples: int = 10_000, seed: int = 20240601,
         vals, _, _ = min_max_over_unit_vectors(mats)
         worst = min(worst, float(vals.min()))
     return worst
+
+
+def theta_block(alpha: complex) -> np.ndarray:
+    """The 2x2 block Theta(a) = [[conj(a), rho], [rho, -a]]."""
+    a = complex(alpha)
+    r = math.sqrt((1.0 - abs(a)) * (1.0 + abs(a)))
+    return np.array([[np.conj(a), r], [r, -a]], dtype=complex)
+
+
+def gauge_rotate(seq: VerblunskySequence, theta: float) -> VerblunskySequence:
+    """Multiply every coefficient by e^(i theta)."""
+    return VerblunskySequence(
+        seq.n_min, seq.n_max, seq.values * np.exp(1j * theta)
+    )
+
+
+def parity_gauge_matrix(n_min: int, n_max: int, theta: float) -> np.ndarray:
+    """Diagonal unitary D with E(e^(i theta) a) = D E(a) D*.
+
+    Every entry of the operator is a product of two coefficient factors
+    whose phases cancel except across the even/odd coordinate parity, so
+    the compensating conjugation is the parity phase diag(e^(i theta (n mod 2))).
+    """
+    phases = [
+        np.exp(1j * theta * (n % 2)) for n in range(n_min, n_max + 1)
+    ]
+    return np.diag(phases)
+
+
+def hermitian_band_spectrum(band: np.ndarray):
+    """Eigenpairs (lambda, V) of E from the eigenvectors of H_phi, in
+    O(N^3): the path ``qpcmv.cmv.spectrum`` took before its transfer
+    recursion.
+
+    H_phi = (e^(-i phi) E + e^(i phi) E*) / 2 is a function of the normal
+    E, so its eigenvectors (``eig_banded``) are E's, each eigenvalue read
+    back as v* E v; where two eigenvalues of E meet in H_phi (angles equal
+    or summing to 2 phi) the solver returns mixtures, so runs of H_phi
+    eigenvalues with gaps below 1e-3 are re-diagonalised together (a small
+    complex Schur of Vc* E Vc).  A computed vector leaks into eigenvectors
+    at gap g by about 8e-16 / g, so 1e-3 keeps residuals near 1e-12.
+    """
+    import scipy.linalg as sla
+    hb = 0.5 * (np.exp(-1j * _PHI) * band + np.exp(1j * _PHI) * _band_adjoint(band))
+    upper = np.zeros((3, band.shape[1]), dtype=complex)
+    for d in range(3):
+        upper[2 - d, d:] = hb[2 + d, : hb.shape[1] - d]
+    mu, V = sla.eig_banded(upper, overwrite_a_band=True)
+    EV = _band_matvec(band, V)
+    lam = np.einsum("ij,ij->j", V.conj(), EV)
+    for c in _runs(np.diff(mu) >= 1e-3):
+        T, Z = sla.schur(V[:, c].conj().T @ EV[:, c], output="complex")
+        V[:, c] = V[:, c] @ Z
+        lam[c] = np.diag(T)
+    return lam, V

@@ -7,16 +7,16 @@ import pytest
 import scipy.linalg as sla
 
 import qpcmv.cmv as cmv
-from qpcmv.cmv import (
-    assemble,
-    eigenvector_profile,
+from oracles import (
     gauge_rotate,
+    hermitian_band_spectrum,
     parity_gauge_matrix,
-    spectrum,
     theta_block,
 )
+from qpcmv.cmv import assemble, eigenvector_profile, spectrum
 from qpcmv.errors import DomainError, EigensolverError, WindowError
 from qpcmv.sampling import VerblunskySequence
+from test_acceptance import Budget
 
 
 def random_seq(seed, n_min, n_max, radius=0.9):
@@ -383,9 +383,134 @@ def test_symmetric_free_spectrum_needs_the_cluster_step(monkeypatch):
     assert dec.residuals.max() <= 1e-12
     exact = np.exp(1j * (cmv._PHI + 2 * np.pi * np.arange(N) / N))
     assert angle_distance(dec.eigenvalues, exact) <= 1e-12
-    # without clusters the banded path fails its residual check
-    monkeypatch.setattr(cmv, "_CLUSTER_GAP", 0.0)
+    # each doubled H_phi eigenvalue names both members of a pair, and only
+    # the count keeps both: one candidate per H_phi eigenvalue loses one
+    # member of every pair and doubles the other, which the gate refuses
+    monkeypatch.setattr(cmv, "_counted", one_candidate_per_mu(op))
+    with pytest.raises(EigensolverError, match="count"):
+        cmv._band_spectrum(op)
     assert spectrum(op).fallback
+
+
+def one_candidate_per_mu(op):
+    """A stand-in for the count's choice among the candidates: the angle
+    phi + arccos mu of every H_phi eigenvalue mu."""
+    E = op.matrix
+    H = (np.exp(-1j * cmv._PHI) * E + np.exp(1j * cmv._PHI) * E.conj().T) / 2
+    mu = np.linalg.eigvalsh(H)
+    return lambda angles, starts, rises: np.sort(
+        np.mod(cmv._PHI + np.arccos(np.clip(mu, -1, 1)) - angles[0], 2 * np.pi)
+        + angles[0])
+
+
+def seeded_window(seed, N, radius, real):
+    """N sites of seeded coefficients of modulus at most ``radius`` (real
+    ones spread over [-radius, radius]), seeded unimodular boundary."""
+    rng = np.random.default_rng(seed)
+    if real:
+        seq = VerblunskySequence(-1, N + 1, radius * (2 * rng.random(N + 3) - 1) + 0j)
+    else:
+        seq = random_seq(int(rng.integers(1 << 30)), -1, N + 1, radius)
+    b = (cmath.exp(1j * rng.uniform(-3, 3)), cmath.exp(1j * rng.uniform(-3, 3)))
+    return assemble(seq, 0, N - 1, boundary=b)
+
+
+def counts_between(op, lam):
+    """The count at the midpoints of consecutive eigenvalue angles, taken
+    from the middle of the widest gap, relative to its value there."""
+    ang = np.sort(np.angle(lam))
+    gaps = np.diff(np.r_[ang, ang[0] + 2 * np.pi])
+    cut = ang[np.argmax(gaps)] + gaps.max() / 2
+    a = np.sort(np.mod(ang - cut, 2 * np.pi)) + cut
+    points = np.r_[cut, (a[:-1] + a[1:]) / 2, cut + 2 * np.pi]
+    c = cmv._Chain(op).count(points)
+    return c - c[0]
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("radius", [0.5, 0.9, 0.99, 0.999])
+@pytest.mark.parametrize("N", [2, 3, 5, 40, 200, 600])
+def test_count_rises_by_one_between_eigenvalues(N, radius, real):
+    # the gate, checked from outside: the count rises by exactly one
+    # between consecutive eigenvalues and by N over the circle
+    op = seeded_window(N * 1000 + int(radius * 1000) + real, N, radius, real)
+    dec = spectrum(op)
+    assert not dec.fallback
+    assert np.array_equal(counts_between(op, dec.eigenvalues), np.arange(N + 1))
+
+
+def test_count_matches_schur_angles():
+    # the count at arbitrary angles is the number of Schur eigenvalue
+    # angles below them (relative to -pi), away from the eigenvalues
+    rng = np.random.default_rng(77)
+    for N, radius in [(7, 0.9), (40, 0.999), (200, 0.5)]:
+        op = seeded_window(int(rng.integers(1 << 30)), N, radius, False)
+        ang = np.sort(np.angle(np.diag(sla.schur(op.matrix, output="complex")[0])))
+        theta = rng.uniform(-np.pi, np.pi, 500)
+        theta = theta[np.abs(theta[:, None] - ang[None, :]).min(axis=1) > 1e-9]
+        c = cmv._Chain(op).count(np.r_[-np.pi, theta])
+        assert np.array_equal(c[1:] - c[0], np.searchsorted(ang, theta))
+
+
+def test_one_candidate_per_mu_trips_the_gate(monkeypatch):
+    # without the count, about half the kept angles are the mirror images
+    # 2 phi - theta of eigenvalue angles: the gate refuses them and the
+    # dense Schur path answers
+    op = seeded_window(5, 40, 0.9, False)
+    monkeypatch.setattr(cmv, "_counted", one_candidate_per_mu(op))
+    with pytest.raises(EigensolverError, match="count"):
+        cmv._band_spectrum(op)
+    assert spectrum(op).fallback
+
+
+def profiles(op, dec):
+    return cmv.eigenvector_profile(op, dec, range(op.size))
+
+
+@pytest.mark.parametrize("N,radius,real", [(200, 0.5, False), (200, 0.99, True),
+                                           (600, 0.9, False)])
+def test_spectrum_matches_hermitian_band_oracle(N, radius, real):
+    # the eigenvector path the transfer recursion replaced: the same angles
+    # to 1e-12 and, vector by vector, the same peak and participation ratio
+    op = seeded_window(N + 11, N, radius, real)
+    dec = spectrum(op)
+    ref = cmv._checked(op.band, *hermitian_band_spectrum(op.band), 1e-10, False)
+    assert not dec.fallback
+    assert angle_distance(dec.eigenvalues, ref.eigenvalues) <= 1e-12
+    assert np.abs(dec.eigenvalues - ref.eigenvalues).max() <= 1e-12
+    for p, q, v in zip(profiles(op, dec), profiles(op, ref), dec.vectors.T):
+        assert abs(p.participation_ratio - q.participation_ratio) <= (
+            1e-9 * q.participation_ratio)
+        w = np.sort(np.abs(v) ** 2)
+        if w[-2] < w[-1] * (1 - 1e-6):  # a peak that rounding cannot move
+            assert p.peak == q.peak
+
+
+def test_localized_hyperbolic_window_at_n2000():
+    # |alpha| <= 0.999 at N = 2000: every eigenvector lives on a few sites
+    # and a solution of the recursion grows far past the float range over
+    # the window; no overflow, no invalid value, no fallback, inside 4 s
+    # (the Hermitian eigenvector path took 14 s on a 2-CPU machine)
+    rng = np.random.default_rng(2000)
+    N = 2000
+    vals = 0.999 * np.sqrt(rng.random(N + 3)) * np.exp(2j * np.pi * rng.random(N + 3))
+    op = assemble(VerblunskySequence(-1, N + 1, vals), 0, N - 1,
+                  boundary=(cmath.exp(0.3j), cmath.exp(-2.1j)))
+    with Budget(4), np.errstate(over="raise", invalid="raise", divide="raise"):
+        dec = spectrum(op)
+    assert not dec.fallback
+    assert dec.residuals.max() <= 1e-12
+    prs = np.array([p.participation_ratio for p in profiles(op, dec)])
+    assert np.median(prs) <= 10
+
+
+def test_batched_profiles_equal_single_ones():
+    # one vectorised pass, bit for bit the per-index profiles
+    op = assemble(random_seq(12, -40, 40, radius=0.8), -33, 32)
+    dec = spectrum(op)
+    batch = cmv.eigenvector_profile(op, dec, [5, 0, 64, 5])
+    assert batch == [cmv.eigenvector_profile(op, dec, i) for i in [5, 0, 64, 5]]
+    assert cmv.eigenvector_profile(op, dec, np.int64(5)) == batch[0]
 
 
 def test_spectrum_tolerance_too_tight_raises_after_fallback(monkeypatch):
@@ -434,6 +559,19 @@ def test_degenerate_edge_states_get_the_localized_basis(monkeypatch):
     assert [peak for peak, _ in schur] == [-30, 29]
     for (_, a), (_, b) in zip(banded, schur):
         assert abs(a - b) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [60, 100])
+def test_degenerate_edge_states_take_distinct_twists(N):
+    # the two edge states share -i to working precision: walks joined at
+    # one site give one vector twice, at the two best sites both states
+    vals = 0.5 * np.array([-1, -1j, 1, 1j])[np.arange(N + 2) % 4]
+    lo, hi = -(N // 2), N - N // 2 - 1
+    op = assemble(VerblunskySequence(lo - 1, hi + 1, vals), lo, hi)
+    dec = spectrum(op)
+    assert not dec.fallback
+    idx = np.flatnonzero(np.abs(dec.eigenvalues + 1j) <= 1e-12)
+    assert sorted(p.peak for p in cmv.eigenvector_profile(op, dec, idx)) == [lo, hi]
 
 
 def mask_shells(w):

@@ -228,6 +228,25 @@ MALFORMED_ARGV = [
     ("gordon-k-list-one-field",
      ["gordon", "--seq-file", "{missing}", "--k-list", "1:2,3"], None,
      "error: --k-list expects K:Q"),
+    # scalar flags once surfaced as "could not convert string to float",
+    # "Invalid literal for Fraction" or "not enough values to unpack"
+    ("sample-params-not-a-number",
+     ["sample", "--family", "constant", "--params", "a"], None,
+     "error: --params expects RE[,IM], got 'a'"),
+    ("sample-omega-not-a-number",
+     ["sample", "--family", "constant", "--omega", "x"], None,
+     "error: --omega expects"),
+    ("orbit-epsilon-not-a-number",
+     ["orbit", "--freq", "golden", "--epsilon", "abc"], None,
+     "error: --epsilon expects P/Q or a decimal, got 'abc'"),
+    ("orbit-s-not-a-number", ["orbit", "--freq", "golden", "--s", "q"], None,
+     "error: --s expects"),
+    ("orbit-freq-not-a-frequency", ["orbit", "--freq", "zz"], None,
+     "error: --freq expects"),
+    ("frequency-value-not-a-frequency", ["frequency", "--value", "zz"], None,
+     "error: --value expects"),
+    ("frequency-liouville-one-field", ["frequency", "--liouville", "x"], None,
+     "error: --liouville expects BASE,DEPTH, got 'x'"),
 ]
 
 
@@ -253,6 +272,8 @@ def test_cli_rejects_malformed_input(tmp_path, capsys, argv, contents, line):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err, err
     assert any(x.startswith(line) for x in err.splitlines()), err
+    if line.startswith("error: --"):  # a malformed flag: nothing written
+        assert not (tmp_path / "out").exists()
 
 
 def test_every_oracle_is_imported_by_a_test():
