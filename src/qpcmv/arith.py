@@ -4,17 +4,18 @@ Torus coordinates and frequencies are carried either as exact
 ``fractions.Fraction`` values or as mpmath floats.  Every finite binary
 float (Python float or mpf) is itself a rational number, so conversion to
 ``Fraction`` is lossless; conversion the other way rounds to the current
-mpmath working precision.
+mpmath working precision.  mpmath is imported only where an mpf is made
+or the precision is set; ``is_mpf`` needs no import, since no mpf can
+exist before mpmath is loaded.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from contextlib import contextmanager
 from fractions import Fraction
-
-from mpmath import mp
 
 from .errors import DomainError
 
@@ -24,15 +25,27 @@ DEFAULT_PRECISION_BITS = 256
 @contextmanager
 def working_precision(bits: int):
     """Temporarily set the mpmath binary working precision."""
+    from mpmath import mp
+
     with mp.workprec(bits):
         yield
+
+
+def is_mpf(x) -> bool:
+    """Is x an mpmath float?  Loads no mpmath: without it, nothing is."""
+    mpmath = sys.modules.get("mpmath")
+    return mpmath is not None and isinstance(x, mpmath.mp.mpf)
 
 
 def mpf_to_fraction(x) -> Fraction:
     """Lossless conversion of a finite mpf to an exact rational."""
     # read the raw mantissa tuple; mp.mpf(x) would re-round to the current
     # working precision and silently discard bits
-    sign, man, exp, _ = x._mpf_ if hasattr(x, "_mpf_") else mp.mpf(x)._mpf_
+    if not hasattr(x, "_mpf_"):
+        from mpmath import mp
+
+        x = mp.mpf(x)
+    sign, man, exp, _ = x._mpf_
     man = int(man)
     exp = int(exp)
     if man == 0 and exp != 0:
@@ -58,7 +71,7 @@ def as_fraction(x) -> Fraction:
             return Fraction(x)
         except ZeroDivisionError:
             raise DomainError(f"zero denominator in {x!r}") from None
-    if isinstance(x, mp.mpf):
+    if is_mpf(x):
         return mpf_to_fraction(x)
     return Fraction(x)
 
@@ -69,7 +82,9 @@ def floor_int(x) -> int:
         return x.numerator // x.denominator
     if isinstance(x, int):
         return x
-    if isinstance(x, mp.mpf):
+    if is_mpf(x):
+        from mpmath import mp
+
         return int(mp.floor(x))
     return math.floor(x)
 

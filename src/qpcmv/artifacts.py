@@ -88,8 +88,8 @@ def write_eigenvalues_csv(path, seed, dec) -> None:
     """Eigenvalue angles with their residuals ||E v - lambda v||."""
     write_csv(
         path, f"seed={seed}", ["angle", "residual"],
-        ([repr(float(np.angle(lam))), repr(float(r))]
-         for lam, r in zip(dec.eigenvalues, dec.residuals)),
+        ([repr(a), repr(r)] for a, r in
+         zip(np.angle(dec.eigenvalues).tolist(), dec.residuals.tolist())),
     )
 
 

@@ -14,7 +14,8 @@ of 10^8 points costs about as much as a short one.
 
 Exact orbit geometry (the re-validation scans here, the tube checks and
 lookups of ``sampling``, the orbit table of ``artifacts``) runs on integer
-residues through ``integer_map``.
+residues: ``integer_map`` jumps to any time in closed form, and
+``integer_orbit`` walks consecutive times by one ``integer_step`` each.
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import Optional, Sequence, Union
 
 from .arith import (
     as_fraction,
+    circle_dist,
     common_denominator,
     dist_to_int,
     mod1,
@@ -157,6 +160,55 @@ def integer_map(system: TorusDynamics, d: int):
     return image
 
 
+def _add_mod(d: int):
+    """(x, s) -> x + s mod d: a rotation's step in one coordinate."""
+
+    def add(x, s):
+        return (x + s) % d
+
+    return add
+
+
+def integer_step(system: TorusDynamics, d: int):
+    """One step T on residues over d: ``step(p)`` equals ``image(p, 1)`` of
+    :func:`integer_map`, by additions only (p + s for a rotation,
+    (x + 2a, y + x) for the skew-shift), reduced mod d."""
+    if isinstance(system, Rotation):
+        shift = [scaled(s, d) for s in system.shift]
+        add = _add_mod(d)
+
+        def step(p):
+            return tuple(map(add, p, shift))
+
+        return step
+    two_a = 2 * scaled(system.a, d)
+
+    def step(p):
+        p1, p2 = p
+        return ((p1 + two_a) % d, (p2 + p1) % d)
+
+    return step
+
+
+def integer_orbit(system: TorusDynamics, d: int, p, n_from: int, n_to: int):
+    """Iterator over the residues T^n p over d for n = n_from..n_to: the
+    closed form at n_from, then one step per time.  A rotation steps each
+    coordinate on its own (x + s mod d); the skew-shift couples them and
+    takes ``integer_step``."""
+    count = n_to - n_from
+    if count < 0:
+        return iter(())
+    start = integer_map(system, d)(p, n_from)
+    if isinstance(system, Rotation):
+        add = _add_mod(d)
+        return zip(*(
+            accumulate(repeat(scaled(s, d), count), add, initial=x)
+            for x, s in zip(start, system.shift)
+        ))
+    step = integer_step(system, d)
+    return accumulate(repeat(None, count), lambda x, _: step(x), initial=start)
+
+
 def _require_dim(system: TorusDynamics, point: TorusPoint):
     """DomainError unless the point has one coordinate per dimension of the
     system's torus."""
@@ -180,10 +232,17 @@ def scaled_deviations(system: TorusDynamics, omega: TorusPoint, q: int,
 
     Each value comes from direct subtraction of two integer iterates, so
     it is independent of the arithmetic-progression closed form that
-    repetition searches use.
+    repetition searches use.  Over a range of consecutive n the two orbits
+    are walked step by step; other n are jumped to in closed form.
     """
     d, c, image = integer_kernel(system, omega)
-    return d, (residue_dist(image(c, n), image(c, n + q), d) for n in ns)
+    if isinstance(ns, range) and ns.step == 1:
+        first, last = ns.start, ns.stop - 1
+        pairs = zip(integer_orbit(system, d, c, first, last),
+                    integer_orbit(system, d, c, first + q, last + q))
+    else:
+        pairs = ((image(c, n), image(c, n + q)) for n in ns)
+    return d, (residue_dist(x, y, d) for x, y in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -298,19 +357,35 @@ class RepetitionCertificate:
             )
 
 
-def _orbit_deviation(system: TorusDynamics, omega: TorusPoint, q: int,
-                     window: int) -> tuple[Fraction, int]:
-    """(max, first argmax) over n = 0..window of dist(T^n w, T^(n+q) w)."""
+def _orbit_deviation(system: TorusDynamics, omega: TorusPoint):
+    """``deviation(q, window)``: the max over n = 0..window of
+    dist(T^n w, T^(n+q) w) as an exact (numerator, denominator) pair, and
+    its first argmax.
+
+    A rotation's displacement does not depend on n, so its max is
+    max_i <q s_i>, attained at 0: the circle distance of q S_i over the
+    common denominator D of the shift, for S its residues.  The skew-shift
+    takes the exact progression maximum.
+    """
     if isinstance(system, Rotation):
-        return max(dist_to_int(q * s) for s in system.shift), 0
+        d = common_denominator(*system.shift)
+        shift = [scaled(s, d) for s in system.shift]
+
+        def deviation(q, window):
+            return (max(circle_dist(q * s, d) for s in shift), d), 0
+
+        return deviation
     a = system.a
     w1 = omega.coords[0]
-    coord1 = dist_to_int(2 * q * a)
-    m = ap_max_dist(q * w1 + q * q * a - q * a, 2 * q * a, window)
-    # the first coordinate is constant in n, so it is already attained at 0
-    if m.value > coord1:
-        return m.value, m.argmax
-    return coord1, 0
+
+    def deviation(q, window):
+        coord1 = dist_to_int(2 * q * a)
+        m = ap_max_dist(q * w1 + q * q * a - q * a, 2 * q * a, window)
+        # the first coordinate is constant in n, so it is already attained at 0
+        value, argmax = (m.value, m.argmax) if m.value > coord1 else (coord1, 0)
+        return (value.numerator, value.denominator), argmax
+
+    return deviation
 
 
 def _scan_deviation(system: TorusDynamics, omega: TorusPoint, q: int,
@@ -354,10 +429,11 @@ def find_even_repetition(
     """Smallest (even) q <= q_max with dist(w_n, w_(n+q)) < epsilon for
     n = 0..floor(s q), or None.
 
-    For rotations the per-q test is the O(1) shortcut max_i <q a_i>, which
-    equals the orbit scan because rotation displacements do not depend on
-    n; for the skew-shift it is the exact progression maximum.  The returned
-    certificate is re-validated by an independent scan.
+    For rotations the per-q test is the O(1) shortcut max_i <q a_i>, on
+    the integer residues of the shift, which equals the orbit scan because
+    rotation displacements do not depend on n; for the skew-shift it is the
+    exact progression maximum.  The returned certificate is re-validated by
+    an independent scan.
     """
     epsilon = as_fraction(epsilon)
     s = as_fraction(s)
@@ -368,10 +444,13 @@ def find_even_repetition(
         raise DomainError("parity must be 'even' or 'any'")
     step = 2 if parity == "even" else 1
     start = 2 if parity == "even" else 1
+    orbit_deviation = _orbit_deviation(system, omega)
     for q in range(start, q_max + 1, step):
-        window = int((s * q).numerator // (s * q).denominator)
-        deviation, argmax = _orbit_deviation(system, omega, q, window)
-        if deviation < epsilon:
+        window = s.numerator * q // s.denominator
+        (num, den), argmax = orbit_deviation(q, window)
+        # num / den < epsilon, cross-multiplied
+        if num * epsilon.denominator < epsilon.numerator * den:
+            deviation = Fraction(num, den)
             return RepetitionCertificate(
                 q=q,
                 epsilon=epsilon,
@@ -429,6 +508,7 @@ def skew_repetition_times(
         system = SkewShift(freq.value)
     _require_dim(system, omega)
     w1 = omega.coords[0]
+    orbit_deviation = _orbit_deviation(system, omega)
     m_top = int(1 / epsilon) + 1
     threshold = 5 * epsilon
     certs = []
@@ -449,8 +529,9 @@ def skew_repetition_times(
                 "coordinate precision exhausted"
             )
         q_tilde = m_sel * q_even
-        window = int((r * q_tilde).numerator // (r * q_tilde).denominator)
-        deviation, argmax = _orbit_deviation(system, omega, q_tilde, window)
+        window = r.numerator * q_tilde // r.denominator
+        pair, argmax = orbit_deviation(q_tilde, window)
+        deviation = Fraction(*pair)
         if deviation < threshold:
             certs.append(
                 RepetitionCertificate(

@@ -16,13 +16,12 @@ from fractions import Fraction
 from itertools import islice
 from typing import Optional
 
-from mpmath import mp
-
 from .arith import (
     DEFAULT_PRECISION_BITS,
     as_fraction,
     circle_dist,
     dist_to_int,
+    is_mpf,
     mpf_to_fraction,
 )
 from .errors import DomainError, PrecisionError
@@ -114,7 +113,9 @@ def continued_fraction(
         raise DomainError("terms must be >= 1")
     if isinstance(a, float) and precision_bits is None:
         precision_bits = 53
-    if isinstance(a, mp.mpf) and precision_bits is None:
+    if is_mpf(a) and precision_bits is None:
+        from mpmath import mp
+
         precision_bits = mp.prec
     value = as_fraction(a)
     if not (0 < value < 1):
@@ -134,6 +135,8 @@ def continued_fraction(
 
 def golden_mean(bits: int = DEFAULT_PRECISION_BITS, terms: int = 64) -> Frequency:
     """(sqrt(5)-1)/2 rounded to ``bits`` bits, with its expansion."""
+    from mpmath import mp
+
     with mp.workprec(bits):
         g = (mp.sqrt(5) - 1) / 2
     return continued_fraction(mpf_to_fraction(g), terms, precision_bits=bits)

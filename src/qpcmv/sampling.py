@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import chain, product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,7 +34,7 @@ from .dynamics import (
     TorusDynamics,
     TorusPoint,
     integer_kernel,
-    integer_map,
+    integer_orbit,
     iterate,
 )
 from .errors import (
@@ -198,8 +198,8 @@ def ball_radius(
         raise DomainError("epsilon must be positive")
 
     rotation = isinstance(system, Rotation)
-    d, c, image = integer_kernel(system, center, 10 * epsilon)
-    orbit = [image(c, n) for n in range(0, 5 * q + 1)]
+    d, c, _ = integer_kernel(system, center, 10 * epsilon)
+    orbit = list(integer_orbit(system, d, c, 0, 5 * q))
 
     # T^n B stays in a box of half-width r in every coordinate, except the
     # skew-shift's second, sheared to (n + 1) r.  Balls i and j are apart
@@ -231,9 +231,7 @@ def ball_radius(
     ten_eps = scaled(10 * epsilon, d)
     contain: Optional[tuple[int, int]] = None
     spread_max = 0
-    for j in range(1, q + 1):
-        tube = [orbit[j + l * q] for l in range(5)]
-        spread = max(residue_dist(a, b, d) for a, b in combinations(tube, 2))
+    for j, spread in enumerate(_tube_spreads(orbit, q, d, rotation), start=1):
         spread_max = max(spread_max, spread)
         room = ten_eps - spread
         if room <= 0:
@@ -262,6 +260,21 @@ def ball_radius(
             system, center, 10 * epsilon, *chain.from_iterable(offsets)
         )[0].bit_length(),
     )
+
+
+def _tube_spreads(orbit, q: int, d: int, rotation: bool) -> list[int]:
+    """d * the largest distance between two centres T^(j+lq) c, l = 0..4,
+    of tube j, for j = 1..q: the largest one-coordinate circle diameter.
+    A rotation moves every tube rigidly, and the centres l and l + k of a
+    tube are k q S apart, so each of its spreads is the largest distance
+    from T^(kq) c to c, k = 1..4."""
+    if rotation:
+        return [max(residue_dist(orbit[k * q], orbit[0], d)
+                    for k in range(1, 5))] * q
+    return [
+        max(circle_diameter(values, d) for values in zip(*orbit[j::q]))
+        for j in range(1, q + 1)
+    ]
 
 
 class _BallCentres:
@@ -371,8 +384,8 @@ def verify_ball(system, center, q, epsilon, radius, grid: int = 8) -> bool:
             for o1 in offsets
             for o2 in offsets
         }
-        for m in range(1, 5 * q):
-            if tuple(-x % d for x in image(zero, m)) in deltas:
+        for m_shift in integer_orbit(system, d, zero, 1, 5 * q - 1):
+            if tuple(-x % d for x in m_shift) in deltas:
                 return False
         return all(
             max(circle_dist(x + y, d) for x, y in zip(image(zero, k * q), delta))
@@ -383,10 +396,13 @@ def verify_ball(system, center, q, epsilon, radius, grid: int = 8) -> bool:
 
     seen: dict[tuple, int] = {}
     images = {}
-    for n in range(1, 5 * q + 1):
-        samples = {
-            image(tuple(x + o for x, o in zip(c, off)), n) for off in offsets
-        }
+    # one orbit walk per sample, advanced together
+    walks = [
+        integer_orbit(system, d, tuple(x + o for x, o in zip(c, off)), 1, 5 * q)
+        for off in offsets
+    ]
+    for n, samples in enumerate(zip(*walks), start=1):
+        samples = set(samples)
         for p in samples:
             if seen.setdefault(p, n) != n:
                 return False
@@ -440,11 +456,12 @@ class TubeFunction(_ResidueEvaluated):
         self.sup_norm = vmax
         d, c, image = integer_kernel(system, center, self.radius)
         self._d, self._r, self._image = d, scaled(self.radius, d), image
+        self._rotation = isinstance(system, Rotation)
         # ball n is centred at the residues _orbit[n]; _orbit[0] is the centre
-        self._orbit = [image(c, n) for n in range(0, 5 * q + 1)]
+        self._orbit = list(integer_orbit(system, d, c, 0, 5 * q))
         self._centres = _BallCentres(self._orbit, d)
         self._orbit_f = None
-        if isinstance(system, Rotation):
+        if self._rotation:
             # int / int is correctly rounded, as float(Fraction) is
             self._orbit_f = np.array([[x / d for x in self._orbit[n]]
                                       for n in range(1, 5 * q + 1)])
@@ -467,7 +484,10 @@ class TubeFunction(_ResidueEvaluated):
         return tuple(scaled(x, self._d) for x in point.coords)
 
     def _dist(self, p, n: int):
-        """D * dist(T^-n p, c) for the residues p."""
+        """D * dist(T^-n p, c) for the residues p; a rotation translates,
+        so there it is the distance from p to T^n c, with no pull-back."""
+        if self._rotation:
+            return residue_dist(p, self._orbit[n], self._d)
         return residue_dist(self._image(p, -n), self._orbit[0], self._d)
 
     def _locate(self, p):
@@ -662,8 +682,8 @@ def verblunsky_window(
 
     The orbit is walked on integer residues: omega is scaled once to the
     denominator d that f evaluates on (``f.denominator`` of the common
-    denominator of the system and omega), T^n omega is the closed-form
-    ``integer_map`` image of those residues, and f evaluates it with
+    denominator of the system and omega), ``integer_orbit`` steps those
+    residues from T^n_min omega on, and f evaluates each with
     ``at_residues``, so no torus point is built.  A plain callable of
     torus points is called on the point p / d.
     """
@@ -672,14 +692,13 @@ def verblunsky_window(
     if not hasattr(f, "at_residues"):
         f = _PointCallable(f)
     d = f.denominator(integer_kernel(system, omega)[0])
-    image = integer_map(system, d)
     p = tuple(scaled(x, d) for x in omega.coords)
     vals = np.empty(n_max - n_min + 1, dtype=complex)
-    for k, n in enumerate(range(n_min, n_max + 1)):
-        v = f.at_residues(image(p, n), d)
+    for k, x in enumerate(integer_orbit(system, d, p, n_min, n_max)):
+        v = f.at_residues(x, d)
         if abs(v) >= 1:
             raise InvariantViolation(
-                f"sampling function left the unit disk at n={n}"
+                f"sampling function left the unit disk at n={n_min + k}"
             )
         vals[k] = v
     return VerblunskySequence(n_min, n_max, vals)

@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
 and none imports another package module's private (underscore) names;
-importing the CLI leaves scipy unloaded; the README's config table names
+importing the CLI leaves scipy and mpmath unloaded; the README's config table names
 exactly the config fields, and its library tour only names that exist;
 every subcommand ends malformed input with exit 1 and an ``error:`` line,
 never a traceback; every oracle in ``tests/oracles.py`` is imported by a
@@ -95,17 +95,30 @@ def test_no_private_imports_across_modules(path):
     assert private_imports(path.read_text()) == []
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy.linalg is only needed once a spectrum is computed, and importing
-    # it roughly doubles the start-up time of every command
+def loaded_after_cli_import(module: str) -> bool:
+    """Is ``module`` in sys.modules once a fresh interpreter has imported
+    the CLI?"""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, qpcmv.cli; print('scipy' in sys.modules)"],
+         f"import sys, qpcmv.cli; print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.linalg is only needed once a spectrum is computed, and importing
+    # it roughly doubles the start-up time of every command
+    assert not loaded_after_cli_import("scipy")
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # mpmath is only needed to round the golden mean, set a working
+    # precision or convert an mpf input; importing it costs every command
+    # about 0.03 s of start-up
+    assert not loaded_after_cli_import("mpmath")
 
 
 def test_readme_config_table_lists_the_config_fields():

@@ -10,6 +10,7 @@ from oracles import (
     fraction_window,
     oracle_value,
     pairwise_circle_diameter,
+    pairwise_tube_spreads,
 )
 
 from qpcmv.artifacts import read_csv
@@ -18,6 +19,7 @@ from qpcmv.arith import (
     circle_diameter,
     circle_dist,
     dist_to_int,
+    residue_dist,
     scaled,
 )
 from qpcmv.dynamics import (
@@ -44,6 +46,7 @@ from qpcmv.sampling import (
     VerblunskySequence,
     _BallCentres,
     _boundary_offsets,
+    _tube_spreads,
     ball_radius,
     distance_to_tubes,
     min_enclosing_circle,
@@ -452,6 +455,27 @@ def test_ball_radius_pair_walk_matches_the_loops_it_replaced():
         assert len(wraps[kind]) >= 8 and 3 <= sum(wraps[kind]), kind
 
 
+def test_tube_spreads_match_all_pairs():
+    # a rotation's spread, the same for every tube, and the skew-shift's
+    # per-tube diameters against every centre pair of every tube
+    rng = random.Random(20261019)
+    for kind in ("rotation-1d", "rotation-2d", "skew") * 12:
+        dim = 1 if kind == "rotation-1d" else 2
+        q = rng.randrange(1, 41)
+        freq = [Fraction(rng.randrange(1, 2**30), 2**30 + 3) for _ in range(dim)]
+        system = SkewShift(freq[0]) if kind == "skew" else Rotation(freq)
+        center = TorusPoint([Fraction(rng.randrange(1024), 1024)
+                             for _ in range(dim)])
+        d, c, image = integer_kernel(system, center)
+        orbit = [image(c, n) for n in range(5 * q + 1)]
+        expected = pairwise_tube_spreads(orbit, q, d)
+        rotation = kind != "skew"
+        assert _tube_spreads(orbit, q, d, rotation) == expected, (kind, q)
+        # ball_radius reports the largest spread over its own denominator
+        report = ball_radius(system, center, q, Fraction(1, 2), grid=2)
+        assert report.tube_spread == Fraction(max(expected), d)
+
+
 def test_close_pairs_match_brute_force():
     rng = random.Random(5)
     for _ in range(200):
@@ -828,6 +852,19 @@ def _lookup_points(f, rng):
         pts.append(("off-grid", TorusPoint(
             [Fraction(rng.randrange(10**9 + 7), 10**9 + 7) for _ in range(dim)])))
     return pts
+
+
+@pytest.mark.parametrize("kind", ["rotation-1d", "rotation-2d"])
+def test_rotation_distance_needs_no_pull_back(kind):
+    # a rotation translates, so the distance from p to ball n's centre is
+    # that of the pulled-back point T^-n p to the centre
+    f = _lookup_tubes(kind)
+    d = f._d
+    for style, point in _lookup_points(f, random.Random(20261019)):
+        p = f._scaled(point)
+        for n in range(1, 5 * f.q + 1):
+            pulled = residue_dist(f._image(p, -n), f._orbit[0], d)
+            assert f._dist(p, n) == pulled, (style, n)
 
 
 @pytest.mark.parametrize("kind", ["rotation-1d", "rotation-2d", "skew"])
