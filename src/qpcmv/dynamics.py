@@ -15,7 +15,7 @@ of 10^8 points costs about as much as a short one.
 Exact orbit geometry (the re-validation scans here, the tube checks and
 lookups of ``sampling``, the orbit table of ``artifacts``) runs on integer
 residues: ``integer_map`` jumps to any time in closed form, and
-``integer_orbit`` walks consecutive times by one ``integer_step`` each.
+``integer_orbit`` walks consecutive times by one addition step each.
 """
 
 from __future__ import annotations
@@ -160,53 +160,30 @@ def integer_map(system: TorusDynamics, d: int):
     return image
 
 
-def _add_mod(d: int):
-    """(x, s) -> x + s mod d: a rotation's step in one coordinate."""
-
-    def add(x, s):
-        return (x + s) % d
-
-    return add
-
-
-def integer_step(system: TorusDynamics, d: int):
-    """One step T on residues over d: ``step(p)`` equals ``image(p, 1)`` of
-    :func:`integer_map`, by additions only (p + s for a rotation,
-    (x + 2a, y + x) for the skew-shift), reduced mod d."""
-    if isinstance(system, Rotation):
-        shift = [scaled(s, d) for s in system.shift]
-        add = _add_mod(d)
-
-        def step(p):
-            return tuple(map(add, p, shift))
-
-        return step
-    two_a = 2 * scaled(system.a, d)
-
-    def step(p):
-        p1, p2 = p
-        return ((p1 + two_a) % d, (p2 + p1) % d)
-
-    return step
-
-
 def integer_orbit(system: TorusDynamics, d: int, p, n_from: int, n_to: int):
     """Iterator over the residues T^n p over d for n = n_from..n_to: the
-    closed form at n_from, then one step per time.  A rotation steps each
-    coordinate on its own (x + s mod d); the skew-shift couples them and
-    takes ``integer_step``."""
+    closed form at n_from, then one step T per time, by additions reduced
+    mod d.  A rotation steps each coordinate on its own (x + s); the
+    skew-shift couples them ((x + 2a, y + x))."""
     count = n_to - n_from
     if count < 0:
         return iter(())
     start = integer_map(system, d)(p, n_from)
     if isinstance(system, Rotation):
-        add = _add_mod(d)
+        def add(x, s):
+            return (x + s) % d
+
         return zip(*(
             accumulate(repeat(scaled(s, d), count), add, initial=x)
             for x, s in zip(start, system.shift)
         ))
-    step = integer_step(system, d)
-    return accumulate(repeat(None, count), lambda x, _: step(x), initial=start)
+    two_a = 2 * scaled(system.a, d)
+
+    def step(p, _):
+        p1, p2 = p
+        return ((p1 + two_a) % d, (p2 + p1) % d)
+
+    return accumulate(repeat(None, count), step, initial=start)
 
 
 def _require_dim(system: TorusDynamics, point: TorusPoint):
@@ -357,35 +334,18 @@ class RepetitionCertificate:
             )
 
 
-def _orbit_deviation(system: TorusDynamics, omega: TorusPoint):
-    """``deviation(q, window)``: the max over n = 0..window of
-    dist(T^n w, T^(n+q) w) as an exact (numerator, denominator) pair, and
-    its first argmax.
-
-    A rotation's displacement does not depend on n, so its max is
-    max_i <q s_i>, attained at 0: the circle distance of q S_i over the
-    common denominator D of the shift, for S its residues.  The skew-shift
-    takes the exact progression maximum.
-    """
-    if isinstance(system, Rotation):
-        d = common_denominator(*system.shift)
-        shift = [scaled(s, d) for s in system.shift]
-
-        def deviation(q, window):
-            return (max(circle_dist(q * s, d) for s in shift), d), 0
-
-        return deviation
+def _orbit_deviation(system: SkewShift, omega: TorusPoint, q: int,
+                     window: int) -> tuple[Fraction, int]:
+    """(max, first argmax) over n = 0..window of dist(T^n w, T^(n+q) w)
+    for the skew-shift: the exact progression maximum."""
     a = system.a
     w1 = omega.coords[0]
-
-    def deviation(q, window):
-        coord1 = dist_to_int(2 * q * a)
-        m = ap_max_dist(q * w1 + q * q * a - q * a, 2 * q * a, window)
-        # the first coordinate is constant in n, so it is already attained at 0
-        value, argmax = (m.value, m.argmax) if m.value > coord1 else (coord1, 0)
-        return (value.numerator, value.denominator), argmax
-
-    return deviation
+    coord1 = dist_to_int(2 * q * a)
+    m = ap_max_dist(q * w1 + q * q * a - q * a, 2 * q * a, window)
+    # the first coordinate is constant in n, so it is already attained at 0
+    if m.value > coord1:
+        return m.value, m.argmax
+    return coord1, 0
 
 
 def _scan_deviation(system: TorusDynamics, omega: TorusPoint, q: int,
@@ -444,26 +404,36 @@ def find_even_repetition(
         raise DomainError("parity must be 'even' or 'any'")
     step = 2 if parity == "even" else 1
     start = 2 if parity == "even" else 1
-    orbit_deviation = _orbit_deviation(system, omega)
+    rotation = isinstance(system, Rotation)
+    if rotation:
+        d = common_denominator(*system.shift)
+        shift = [scaled(x, d) for x in system.shift]
     for q in range(start, q_max + 1, step):
         window = s.numerator * q // s.denominator
-        (num, den), argmax = orbit_deviation(q, window)
-        # num / den < epsilon, cross-multiplied
-        if num * epsilon.denominator < epsilon.numerator * den:
-            deviation = Fraction(num, den)
-            return RepetitionCertificate(
-                q=q,
-                epsilon=epsilon,
-                window_factor=s,
-                window=window,
-                threshold=epsilon,
-                max_deviation=deviation,
-                argmax=argmax,
-                validated=_validate_certificate(
-                    system, omega, q, window, deviation, argmax
-                ),
-                parity=parity,
-            )
+        if rotation:
+            # max_i <q s_i> = circle_dist(q S_i, d) / d, attained at n = 0;
+            # compared with epsilon cross-multiplied
+            k = max(circle_dist(q * x, d) for x in shift)
+            if k * epsilon.denominator >= epsilon.numerator * d:
+                continue
+            deviation, argmax = Fraction(k, d), 0
+        else:
+            deviation, argmax = _orbit_deviation(system, omega, q, window)
+            if deviation >= epsilon:
+                continue
+        return RepetitionCertificate(
+            q=q,
+            epsilon=epsilon,
+            window_factor=s,
+            window=window,
+            threshold=epsilon,
+            max_deviation=deviation,
+            argmax=argmax,
+            validated=_validate_certificate(
+                system, omega, q, window, deviation, argmax
+            ),
+            parity=parity,
+        )
     return None
 
 
@@ -508,7 +478,6 @@ def skew_repetition_times(
         system = SkewShift(freq.value)
     _require_dim(system, omega)
     w1 = omega.coords[0]
-    orbit_deviation = _orbit_deviation(system, omega)
     m_top = int(1 / epsilon) + 1
     threshold = 5 * epsilon
     certs = []
@@ -530,8 +499,7 @@ def skew_repetition_times(
             )
         q_tilde = m_sel * q_even
         window = r.numerator * q_tilde // r.denominator
-        pair, argmax = orbit_deviation(q_tilde, window)
-        deviation = Fraction(*pair)
+        deviation, argmax = _orbit_deviation(system, omega, q_tilde, window)
         if deviation < threshold:
             certs.append(
                 RepetitionCertificate(

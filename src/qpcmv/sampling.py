@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, combinations, product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -264,15 +264,14 @@ def ball_radius(
 
 def _tube_spreads(orbit, q: int, d: int, rotation: bool) -> list[int]:
     """d * the largest distance between two centres T^(j+lq) c, l = 0..4,
-    of tube j, for j = 1..q: the largest one-coordinate circle diameter.
-    A rotation moves every tube rigidly, and the centres l and l + k of a
-    tube are k q S apart, so each of its spreads is the largest distance
-    from T^(kq) c to c, k = 1..4."""
+    of tube j, for j = 1..q.  A rotation moves every tube rigidly, and the
+    centres l and l + k of a tube are k q S apart, so each of its spreads
+    is the largest distance from T^(kq) c to c, k = 1..4."""
     if rotation:
         return [max(residue_dist(orbit[k * q], orbit[0], d)
                     for k in range(1, 5))] * q
     return [
-        max(circle_diameter(values, d) for values in zip(*orbit[j::q]))
+        max(residue_dist(a, b, d) for a, b in combinations(orbit[j::q], 2))
         for j in range(1, q + 1)
     ]
 
@@ -456,12 +455,11 @@ class TubeFunction(_ResidueEvaluated):
         self.sup_norm = vmax
         d, c, image = integer_kernel(system, center, self.radius)
         self._d, self._r, self._image = d, scaled(self.radius, d), image
-        self._rotation = isinstance(system, Rotation)
         # ball n is centred at the residues _orbit[n]; _orbit[0] is the centre
         self._orbit = list(integer_orbit(system, d, c, 0, 5 * q))
         self._centres = _BallCentres(self._orbit, d)
         self._orbit_f = None
-        if self._rotation:
+        if isinstance(system, Rotation):
             # int / int is correctly rounded, as float(Fraction) is
             self._orbit_f = np.array([[x / d for x in self._orbit[n]]
                                       for n in range(1, 5 * q + 1)])
@@ -486,7 +484,7 @@ class TubeFunction(_ResidueEvaluated):
     def _dist(self, p, n: int):
         """D * dist(T^-n p, c) for the residues p; a rotation translates,
         so there it is the distance from p to T^n c, with no pull-back."""
-        if self._rotation:
+        if self._orbit_f is not None:
             return residue_dist(p, self._orbit[n], self._d)
         return residue_dist(self._image(p, -n), self._orbit[0], self._d)
 

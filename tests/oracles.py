@@ -5,19 +5,18 @@ and multiply them with batched ``@``, independently of the elementwise step
 kernel in ``qpcmv.transfer``; they iterate orbits point by point in
 ``Fraction`` arithmetic and evaluate sampling functions by their point
 formulas, independently of the integer residue walk and the residue
-evaluation in ``qpcmv.sampling``; they measure circle diameters and tube
-spreads over all pairs; and they build CMV blocks, gauge rotations and eigenvectors by the
+evaluation in ``qpcmv.sampling``; they measure circle diameters over all
+pairs; and they build CMV blocks, gauge rotations and eigenvectors by the
 textbook routes: dense Theta blocks, the parity conjugation, and the
 Hermitian band eigenvector solve that ``qpcmv.cmv.spectrum`` replaced.
 """
 
 import cmath
 import math
-from itertools import combinations
 
 import numpy as np
 
-from qpcmv.arith import circle_dist, residue_dist
+from qpcmv.arith import circle_dist
 from qpcmv.cmv import _PHI, _band_adjoint, _band_matvec, _runs
 from qpcmv.dynamics import Rotation, iterate
 from qpcmv.sampling import (
@@ -88,17 +87,6 @@ def fraction_window(f, system, omega, n_min, n_max) -> np.ndarray:
 def pairwise_circle_diameter(values, d: int) -> int:
     """max circle_dist(x - y, d) over all pairs of the residues."""
     return max(circle_dist(x - y, d) for x in values for y in values)
-
-
-def pairwise_tube_spreads(orbit, q: int, d: int) -> list[int]:
-    """d * the largest distance between two of the centres T^(j+lq) c,
-    l = 0..4, of tube j, over all their pairs, for j = 1..q; ``orbit`` holds
-    the residues of T^n c, n = 0..5q."""
-    return [
-        max(residue_dist(a, b, d)
-            for a, b in combinations([orbit[j + l * q] for l in range(5)], 2))
-        for j in range(1, q + 1)
-    ]
 
 
 def szego_batch(alpha, z) -> np.ndarray:

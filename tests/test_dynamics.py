@@ -29,7 +29,6 @@ from qpcmv.dynamics import (
     find_even_repetition,
     integer_kernel,
     integer_orbit,
-    integer_step,
     iterate,
     scaled_deviations,
     skew_repetition_times,
@@ -45,12 +44,6 @@ fractions_01 = st.fractions(min_value=0, max_value=1).filter(lambda f: f < 1)
 
 def skew(a):
     return SkewShift(as_fraction(a))
-
-
-def orbit_deviation(system, omega, q, window):
-    """The closed-form (max, first argmax), the max as a Fraction."""
-    (num, den), argmax = _orbit_deviation(system, omega)(q, window)
-    return Fraction(num, den), argmax
 
 
 def test_skew_one_step_matches_definition():
@@ -196,8 +189,6 @@ def test_rotation_shortcut_equals_orbit_scan():
             for n in range(4 * q + 1)
         )
         assert shortcut == scanned
-        # the per-q test on the shift's residues gives the same exact value
-        assert orbit_deviation(rot, w, q, 4 * q) == (shortcut, 0)
     # the search on residues stops at the q, with the deviation, that the
     # Fraction form max_i <q s_i> < epsilon picks
     for shift, eps, q_max in [
@@ -224,17 +215,14 @@ def test_rotation_shortcut_equals_orbit_scan():
 ], ids=["rotation-1d", "rotation-2d", "skew-golden", "skew-liouville"])
 @pytest.mark.parametrize("grid", ["on", "off"])
 @pytest.mark.parametrize("n_from", [-37, -1, 0, 5])
-def test_integer_step_equals_closed_form(system, grid, n_from):
+def test_integer_orbit_equals_closed_form(system, grid, n_from):
     omega = TorusPoint([Fraction(1, 3), Fraction(5, 11)][:system.dim])
     d, p, image = integer_kernel(system, omega)
     if grid == "off":
         # exact rational residues off the 1/D grid
         p = tuple(x + Fraction(k, 3**20) for k, x in enumerate(p, start=1))
-    step = integer_step(system, d)
     walked = list(integer_orbit(system, d, p, n_from, n_from + 40))
     assert walked == [image(p, n) for n in range(n_from, n_from + 41)]
-    for x in walked:
-        assert step(x) == image(x, 1)
     assert list(integer_orbit(system, d, p, n_from, n_from)) == [image(p, n_from)]
     assert list(integer_orbit(system, d, p, n_from, n_from - 1)) == []
 
@@ -326,7 +314,7 @@ def test_orbit_deviation_matches_scan(a, w1, q, window):
     # often; the first argmax is then n = 0, as the scan finds it
     system = SkewShift(a)
     omega = TorusPoint([w1, Fraction(2, 7)])
-    assert (orbit_deviation(system, omega, q, window)
+    assert (_orbit_deviation(system, omega, q, window)
             == _scan_deviation(system, omega, q, window))
 
 
@@ -337,7 +325,7 @@ def test_orbit_deviation_matches_scan_above_scan_cap(q):
     omega = TorusPoint.exact("1/5", "2/3")
     window = 20_000 * q
     assert window > FULL_SCAN_CAP
-    exact = orbit_deviation(system, omega, q, window)
+    exact = _orbit_deviation(system, omega, q, window)
     assert exact == _scan_deviation(system, omega, q, window)
     assert exact[0] > Fraction(49, 100)
 
@@ -345,7 +333,7 @@ def test_orbit_deviation_matches_scan_above_scan_cap(q):
 def test_full_scan_validation_checks_the_first_argmax():
     system = SkewShift(Fraction(4, 21))
     omega = TorusPoint.exact("2/3", "6/7")
-    value, argmax = orbit_deviation(system, omega, 8, 1)
+    value, argmax = _orbit_deviation(system, omega, 8, 1)
     # the constant first coordinate ties the progression term at n = 1
     assert (value, argmax) == (Fraction(1, 21), 0)
     assert _validate_certificate(system, omega, 8, 1, value,

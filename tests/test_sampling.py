@@ -10,7 +10,6 @@ from oracles import (
     fraction_window,
     oracle_value,
     pairwise_circle_diameter,
-    pairwise_tube_spreads,
 )
 
 from qpcmv.artifacts import read_csv
@@ -455,22 +454,20 @@ def test_ball_radius_pair_walk_matches_the_loops_it_replaced():
         assert len(wraps[kind]) >= 8 and 3 <= sum(wraps[kind]), kind
 
 
-def test_tube_spreads_match_all_pairs():
-    # a rotation's spread, the same for every tube, and the skew-shift's
-    # per-tube diameters against every centre pair of every tube
+def test_rotation_tube_spreads_match_all_pairs():
+    # a rotation's spread, the same for every tube, against every centre
+    # pair of every tube (the skew-shift's form, valid for any system)
     rng = random.Random(20261019)
-    for kind in ("rotation-1d", "rotation-2d", "skew") * 12:
-        dim = 1 if kind == "rotation-1d" else 2
+    for dim in (1, 2) * 12:
         q = rng.randrange(1, 41)
-        freq = [Fraction(rng.randrange(1, 2**30), 2**30 + 3) for _ in range(dim)]
-        system = SkewShift(freq[0]) if kind == "skew" else Rotation(freq)
+        system = Rotation([Fraction(rng.randrange(1, 2**30), 2**30 + 3)
+                           for _ in range(dim)])
         center = TorusPoint([Fraction(rng.randrange(1024), 1024)
                              for _ in range(dim)])
         d, c, image = integer_kernel(system, center)
         orbit = [image(c, n) for n in range(5 * q + 1)]
-        expected = pairwise_tube_spreads(orbit, q, d)
-        rotation = kind != "skew"
-        assert _tube_spreads(orbit, q, d, rotation) == expected, (kind, q)
+        expected = _tube_spreads(orbit, q, d, rotation=False)
+        assert _tube_spreads(orbit, q, d, rotation=True) == expected, (dim, q)
         # ball_radius reports the largest spread over its own denominator
         report = ball_radius(system, center, q, Fraction(1, 2), grid=2)
         assert report.tube_spread == Fraction(max(expected), d)
