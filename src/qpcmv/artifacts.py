@@ -37,6 +37,18 @@ def write_csv(path, comment: Optional[str], header, rows: Iterable) -> None:
         w.writerows(rows)
 
 
+def _write_lines(path, comment: str, header, lines: Iterable[str]) -> None:
+    """``write_csv``'s bytes from rows already formatted, in one write.
+
+    Each line is its comma-joined fields and the csv module's "\r\n"; for
+    fields that are ints and float reprs (no comma, quote or line break, so
+    the csv module would not quote them) the file is byte for byte the one
+    ``write_csv`` writes.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# {comment}\n" + ",".join(header) + "\r\n" + "".join(lines))
+
+
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
     """Header and non-empty rows of a CSV artifact, comment lines dropped."""
     with open(path, newline="") as fh:
@@ -86,20 +98,25 @@ def write_verblunsky_csv(path, seq, seed: Optional[int] = None) -> None:
 
 def write_eigenvalues_csv(path, seed, dec) -> None:
     """Eigenvalue angles with their residuals ||E v - lambda v||."""
-    write_csv(
+    _write_lines(
         path, f"seed={seed}", ["angle", "residual"],
-        ([repr(a), repr(r)] for a, r in
+        (f"{a!r},{r!r}\r\n" for a, r in
          zip(np.angle(dec.eigenvalues).tolist(), dec.residuals.tolist())),
     )
 
 
 def write_profiles_csv(path, seed, profiles) -> None:
-    """Shell masses of several eigenvectors, one row per (vector, shell)."""
-    write_csv(
+    """Shell masses of several eigenvectors, one row per (vector, shell);
+    each vector's participation ratio is formatted once for all its rows."""
+    def rows(p):
+        tail = f",{p.participation_ratio!r}\r\n"
+        return "".join(f"{p.index},{s},{m!r}{tail}"
+                       for s, m in enumerate(p.shell_masses))
+
+    _write_lines(
         path, f"seed={seed}",
         ["eigenvector", "shell", "mass", "participation_ratio"],
-        ([p.index, s, repr(m), repr(p.participation_ratio)]
-         for p in profiles for s, m in enumerate(p.shell_masses)),
+        map(rows, profiles),
     )
 
 

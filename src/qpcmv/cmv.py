@@ -64,6 +64,9 @@ _PEAK_RTOL = 1e-9
 # a longer step means the phase there is not resolved; the angle is then
 # kept, and the residual gate sees the result.
 _NEWTON_MAX = 1e-6
+# Eigenvectors profiled per vectorised pass: a few N x 64 temporaries
+# instead of N x N ones.
+_PROFILE_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -332,32 +335,28 @@ def _runs(split: np.ndarray):
     return [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi - lo > 1]
 
 
-def _theta_step(abar, rho, a, x, y):
-    """Carry a pair across one Theta block.
-
-    On the block's two rows y = Theta x, so the top entries (x, y) give the
-    bottom ones as x' = (y - abar x) / rho and y' = rho x - a x'.  Called
-    with (abar, a) replaced by (-a, -abar), the same two lines carry the
-    bottom pair to the top.
-    """
-    x1 = (y - abar * x) / rho
-    return x1, rho * x - a * x1
-
-
 class _Chain:
     """The 2x2 blocks of L and M in the order the sites meet them.
 
-    Block p couples sites p and p + 1 (p < N - 1); ``blocks[p]`` holds its
-    conj(a), rho, a and whether it belongs to L.  With w = M u, an M block
+    Block p couples sites p and p + 1 (p < N - 1).  With w = M u, an M block
     relates (x, y) = (u, w) on its two rows by y = Theta x, and an L block
-    relates (x, y) = (w, z u) the same way.  The two straddling blocks keep one in-window entry each,
-    ``left`` = -b_- at site 0 and ``right`` = conj(b_+) at site N - 1.
+    relates (x, y) = (w, z u) the same way.  The two straddling blocks keep
+    one in-window entry each, ``left`` = -b_- at site 0 and ``right`` =
+    conj(b_+) at site N - 1.
 
-    For |z| = 1 every block preserves |x|^2 + |y|^2 and |u| = |w| at the
-    edges, so |u| = |w| at every site: the ratio r = y / x entering each
-    block is unimodular, and a walk needs only r.  Leaving one block, x' /
-    y' turns into the ratio entering the next as r = z x' / y', in either
-    direction and for either kind of block.
+    On a block's rows the top pair (x, y) = (1, r) gives the bottom one as
+    x' = (r - conj(a)) / rho and y' = rho - a x' = (1 - a r) / rho; with
+    (conj(a), a) replaced by (-a, -conj(a)) the same lines carry the bottom
+    pair to the top.  For |z| = 1 every block preserves |x|^2 + |y|^2 and
+    |u| = |w| at the edges, so |u| = |w| at every site: the ratio r = y / x
+    entering each block is unimodular, and a walk needs only r.  Leaving
+    one block, x' / y' turns into the ratio entering the next as
+    r <- z x' / y' = z (r - conj(a)) / (1 - a r), a Moebius map of the
+    circle, in either direction and for either kind of block.
+
+    ``blocks[p]`` holds p and block p's conj(a), a, 1 / rho and whether
+    it belongs to L; ``back`` holds the same blocks from the right edge,
+    with (conj(a), a) already replaced.
     """
 
     def __init__(self, op: CMVOperator):
@@ -367,50 +366,73 @@ class _Chain:
         # (p, p + 1) and -a at (p + 1, p + 1)
         top = np.where(in_left, L[:, :-1], M[:, :-1])
         a = -np.where(in_left, L[1, 1:], M[1, 1:])
-        self.blocks = list(zip(top[1].tolist(), top[2].real.tolist(), a.tolist(),
-                               in_left.tolist()))
+        self.blocks = list(zip(range(op.size - 1), top[1].tolist(), a.tolist(),
+                               (1.0 / top[2].real).tolist(), in_left.tolist()))
+        self.back = [(p, -a, -ab, inv_rho, in_l)
+                     for p, ab, a, inv_rho, in_l in reversed(self.blocks)]
         self.left = complex((M if in_left[0] else L)[1, 0])
         self.right = complex((M if in_left[-1] else L)[1, -1])
 
     def walk(self, z: np.ndarray, back: bool = False):
         """Per block p, from the left edge (or the right one): p, whether
-        the block is in L, the pair (x', y') leaving it for x = 1 and y = r
-        entering it, that r, and the ratio z x' / y' entering the next
-        block (or leaving the window).
+        the block is in L, its 1 / rho, and, for the ratio r entering it,
+        w = 1 - a r = rho y', n = r - conj(a) = rho x' and r itself.
 
-        u_(p+1) / u_p (or u_p / u_(p+1) walking back) is x' at an M block
-        and y' / r at an L block.
+        w, n and r are three buffers updated in place: after each yield r
+        turns into z n / w, the ratio entering the next block, so once the
+        walk is through r holds the ratio leaving the window.
+        u_(p+1) / u_p (or u_p / u_(p+1) walking back) is x' = n / rho at an
+        M block and y' / r = w / (rho r) at an L block.
         """
         r = z * np.conj(self.right if back else self.left)
-        n = len(self.blocks)
-        for p in range(n - 1, -1, -1) if back else range(n):
-            ab, rho, a, in_l = self.blocks[p]
-            if back:
-                ab, a = -a, -ab
-            x, y = _theta_step(ab, rho, a, 1.0, r)
-            r_next = z * x / y
-            yield p, in_l, x, y, r, r_next
-            r = r_next
+        w, n = np.empty_like(r), np.empty_like(r)
+        for p, ab, a, inv_rho, in_l in self.back if back else self.blocks:
+            np.multiply(r, -a, out=w)
+            w += 1.0
+            np.subtract(r, ab, out=n)
+            yield p, in_l, inv_rho, w, n, r
+            np.multiply(n, z, out=r)
+            r /= w
 
     def count(self, theta: np.ndarray) -> np.ndarray:
         """Eigenvalue angles below each theta, up to one common offset.
 
         The lifted phase of r gains theta - 2 arg(1 - a r) per block,
         increasing in theta (a Pruefer phase of the truncation's
-        paraorthogonal polynomial), and y' = (1 - a r) / rho.  z = e^(i
-        theta) is an eigenvalue exactly when the ratio leaving the window
-        equals ``right``, so the lifted phase of r / right, over 2 pi and
-        floored, counts eigenvalue angles; it gains N per turn of theta.
-        Its integer part comes from the lifted sum, the sign of its last
-        turn from the final ratio alone.
+        paraorthogonal polynomial).  z = e^(i theta) is an eigenvalue
+        exactly when the ratio leaving the window equals ``right``, so the
+        lifted phase of r / right, over 2 pi and floored, counts eigenvalue
+        angles; it gains N per turn of theta.  Its integer part comes from
+        the lifted sum, the sign of its last turn from the final ratio
+        alone.
         """
-        turn = np.zeros(theta.shape)
-        for _, _, _, y, _, r in self.walk(np.exp(1j * theta)):
-            turn += np.angle(y)
+        turn, t = np.zeros(theta.shape), np.empty(theta.shape)
+        for _, _, _, w, _, r in self.walk(np.exp(1j * theta)):
+            turn += np.arctan2(w.imag, w.real, out=t)
         phase = np.angle(r * np.conj(self.right))
         lifted = (len(self.blocks) + 1) * theta - 2 * turn + (
             np.angle(np.conj(self.left)) - np.angle(self.right))
         return np.rint((lifted - phase) / (2 * np.pi)) - (phase < 0)
+
+
+def _slope_step(slope: np.ndarray, w: np.ndarray, inv_rho: float,
+                out: np.ndarray) -> None:
+    """out = 1 + slope / |y'|^2, |y'| = |w| / rho (``out`` may not be
+    ``slope``)."""
+    np.abs(w, out=out)
+    out *= inv_rho
+    np.square(out, out=out)
+    np.divide(slope, out, out=out)
+    out += 1.0
+
+
+def _join(d: np.ndarray, r: np.ndarray, slope: np.ndarray,
+          back_slope: np.ndarray, c: np.ndarray) -> None:
+    """d <- arg(r d) + i (slope + back_slope) in place (``c`` is scratch:
+    arctan2 writing over its own input would copy it first)."""
+    np.multiply(d, r, out=c)
+    np.arctan2(c.imag, c.real, out=d.real)
+    np.add(slope, back_slope, out=d.imag)
 
 
 def _twists(chain: _Chain, theta: np.ndarray, groups=()):
@@ -435,29 +457,25 @@ def _twists(chain: _Chain, theta: np.ndarray, groups=()):
     d_k = 0 moves theta to the eigenvalue.  There both walks are accurate,
     unlike at the far edge, where one of them has run past the centre.
 
-    The walk from the right stores r^R in V and its slope in S; the walk
-    from the left replaces V[p] by d_p + i (slope of d_p + 1).
+    The walk from the right stores r^R / z in V and its slope in S; the
+    walk from the left replaces V[p] by d_p + i (slope of d_p + 1).
     """
     n, K = len(chain.blocks) + 1, theta.size
     z = np.exp(1j * theta)
     zc = z.conj()
     V = np.empty((n, K), dtype=complex)
     S = np.empty((n, K))
-    slope = np.ones(K)
-    for p, _, _, y, r, r_next in chain.walk(z, back=True):
-        V[p + 1], S[p + 1] = r, slope
-        slope = 1.0 + slope / (y.real ** 2 + y.imag ** 2)
-    V[0], S[0] = r_next, slope
-
-    def join(p, r, slope):
-        V[p].real = np.angle(r * V[p] * zc)
-        V[p].imag = slope + S[p]
-
-    slope = np.ones(K)
-    join(0, z * np.conj(chain.left), slope)
-    for p, _, _, y, _, r_next in chain.walk(z):
-        slope = 1.0 + slope / (y.real ** 2 + y.imag ** 2)
-        join(p + 1, r_next, slope)
+    S[n - 1] = 1.0
+    for p, _, inv_rho, w, _, r in chain.walk(z, back=True):
+        np.multiply(r, zc, out=V[p + 1])
+        _slope_step(S[p + 1], w, inv_rho, S[p])
+    np.multiply(r, zc, out=V[0])
+    slope, t, c = np.ones(K), np.empty(K), np.empty(K, dtype=complex)
+    for p, _, inv_rho, w, _, r in chain.walk(z):
+        _join(V[p], r, slope, S[p], c)
+        _slope_step(slope, w, inv_rho, t)
+        slope, t = t, slope
+    _join(V[n - 1], r, slope, S[n - 1], c)
     np.abs(V.real, out=S)
     k = np.argmin(S, axis=0)
     for g in groups:
@@ -474,24 +492,35 @@ def _twisted_vectors(chain: _Chain, z: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Unit vectors solving E v = z v up to site k, one column per z: u^L
     walked from the left edge up to k, u^R from the right edge down to k.
 
-    The walk from the left stores u^L_p / u^L_(p-1) in row p, the walk from
-    the right u^R_p / u^R_(p-1) in the rows past k, and the vector is the
-    running product of the rows, taken in log scale.  Only the result and
-    one float array are alive.
+    Row p + 1 holds u_(p+1) / u_p: from the walk from the left, n / rho (M
+    block) or w / (rho r) (L block); past k, from the walk from the right,
+    their inverses rho / n or rho r / w.  The vector is the running product
+    of the rows, taken in log scale.  Only the result and one float array
+    are alive.
     """
     n, K = len(chain.blocks) + 1, z.size
     V = np.empty((n, K), dtype=complex)
     S = np.empty((n, K))
     last, first = int(k.max()), int(k.min())
     V[0] = 1.0
-    for p, in_l, x, y, r, _ in chain.walk(z):
+    for p, in_l, inv_rho, w, x, r in chain.walk(z):
         if p >= last:
             break
-        V[p + 1] = y / r if in_l else x
-    for p, in_l, x, y, r, _ in chain.walk(z, back=True):
+        if in_l:
+            np.divide(w, r, out=V[p + 1])
+            V[p + 1] *= inv_rho
+        else:
+            np.multiply(x, inv_rho, out=V[p + 1])
+    t = np.empty(K, dtype=complex)
+    for p, in_l, inv_rho, w, x, r in chain.walk(z, back=True):
         if p < first:
             break
-        np.copyto(V[p + 1], r / y if in_l else 1.0 / x, where=p >= k)
+        if in_l:
+            np.divide(r, w, out=t)
+            t *= 1.0 / inv_rho
+        else:
+            np.divide(1.0 / inv_rho, x, out=t)
+        np.copyto(V[p + 1], t, where=p >= k)
     np.abs(V, out=S)
     V.real /= S
     V.imag /= S
@@ -625,7 +654,7 @@ def _checked(band: np.ndarray, lam: np.ndarray, V: np.ndarray, tol: float,
 
 def spectrum(op: CMVOperator, tol: float = _EIG_TOL) -> SpectralDecomposition:
     """Eigenvalues (sorted by angle) and orthonormal eigenvectors, in
-    O(N^2) from the one-block transfer step (``_theta_step``).
+    O(N^2) from the one-block transfer step (``_Chain.walk``).
 
     A unitary truncation has simple spectrum, and the eigenvector at z is
     the solution of the transfer recursion that meets both edge conditions
@@ -687,31 +716,38 @@ def eigenvector_profile(op: CMVOperator, decomp: SpectralDecomposition, index):
     distances of bit length s.  Masses sum to 1 for a normalized vector.
 
     ``index`` is one eigenvector index, or a sequence of them, which gives
-    a list of profiles from one vectorised pass: each vector's weights form
-    a contiguous row, summed and binned in the order a single one is, so
-    the batch equals the one-by-one profiles bit for bit.
+    a list of profiles from vectorised passes over blocks of
+    ``_PROFILE_BLOCK`` vectors (so the temporaries stay small): each
+    vector's weights form a contiguous row, summed and binned in the order
+    a single one is, so the batch equals the one-by-one profiles bit for
+    bit.
     """
     single = np.ndim(index) == 0
     idx = np.atleast_1d(np.asarray(index, dtype=int))
-    w = np.abs(decomp.vectors.T[idx]) ** 2  # one C-contiguous row per vector
-    w /= w.sum(axis=1, keepdims=True)
-    peak = np.argmax(w >= w.max(axis=1, keepdims=True) * (1.0 - _PEAK_RTOL), axis=1)
-    m, n = w.shape
+    n = decomp.vectors.shape[0]
     nshell = n.bit_length() + 1
-    # frexp's exponent of a positive integer is its bit length (0 for 0)
-    shell = np.frexp(np.abs(np.arange(n) - peak[:, None]))[1]
-    shell += nshell * np.arange(m, dtype=shell.dtype)[:, None]
-    masses = np.bincount(shell.ravel(), weights=w.ravel(),
-                         minlength=m * nshell).reshape(m, nshell)
-    pr = 1.0 / np.sum(w**2, axis=1)
-    profiles = [
-        EigenvectorProfile(
-            index=int(i),
-            peak=int(pk) + op.n_min,
-            shell_masses=tuple(ms),
-            participation_ratio=p,
+    profiles = []
+    for lo in range(0, idx.size, _PROFILE_BLOCK):
+        block = idx[lo : lo + _PROFILE_BLOCK]
+        w = np.abs(decomp.vectors.T[block]) ** 2  # one C-contiguous row per vector
+        w /= w.sum(axis=1, keepdims=True)
+        peak = np.argmax(w >= w.max(axis=1, keepdims=True) * (1.0 - _PEAK_RTOL),
+                         axis=1)
+        m = block.size
+        # frexp's exponent of a positive integer is its bit length (0 for 0)
+        shell = np.frexp(np.abs(np.arange(n) - peak[:, None]))[1]
+        shell += nshell * np.arange(m, dtype=shell.dtype)[:, None]
+        masses = np.bincount(shell.ravel(), weights=w.ravel(),
+                             minlength=m * nshell).reshape(m, nshell)
+        pr = 1.0 / np.sum(w**2, axis=1)
+        profiles.extend(
+            EigenvectorProfile(
+                index=i,
+                peak=pk + op.n_min,
+                shell_masses=tuple(ms),
+                participation_ratio=p,
+            )
+            for i, pk, ms, p in zip(block.tolist(), peak.tolist(),
+                                    masses.tolist(), pr.tolist())
         )
-        for i, pk, ms, p in zip(idx.tolist(), peak.tolist(), masses.tolist(),
-                                pr.tolist())
-    ]
     return profiles[0] if single else profiles

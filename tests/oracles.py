@@ -9,9 +9,14 @@ evaluation in ``qpcmv.sampling``; they measure circle diameters over all
 pairs; and they build CMV blocks, gauge rotations and eigenvectors by the
 textbook routes: dense Theta blocks, the parity conjugation, and the
 Hermitian band eigenvector solve that ``qpcmv.cmv.spectrum`` replaced.
+The transfer walk and count that ``qpcmv.cmv._Chain`` replaced carry the
+pair (x', y') with two divisions by rho per block, and the CSV tables
+``qpcmv.artifacts`` now formats itself are written row by row through the
+csv module.
 """
 
 import cmath
+import csv
 import math
 
 import numpy as np
@@ -191,3 +196,72 @@ def hermitian_band_spectrum(band: np.ndarray):
         V[:, c] = V[:, c] @ Z
         lam[c] = np.diag(T)
     return lam, V
+
+
+def theta_step_walk(op, z, back: bool = False):
+    """Per block p of the truncation, from the left edge (or the right
+    one): p, whether the block is in L, the pair (x', y') leaving it for
+    x = 1 and y = r entering it, that r, and the ratio z x' / y' entering
+    the next block (or leaving the window).
+
+    Each block is read off the factor bands and crossed by the one-block
+    transfer step x' = (y - conj(a) x) / rho, y' = rho x - a x' (with
+    (conj(a), a) -> (-a, -conj(a)) walking back), fresh arrays at every
+    site.  u_(p+1) / u_p (or u_p / u_(p+1) walking back) is x' at an M
+    block and y' / r at an L block.
+    """
+    L, M = op.factor_bands
+    in_left = (op.n_min + np.arange(op.size - 1)) % 2 == 0
+    top = np.where(in_left, L[:, :-1], M[:, :-1])
+    alpha = -np.where(in_left, L[1, 1:], M[1, 1:])
+    blocks = list(zip(top[1].tolist(), top[2].real.tolist(), alpha.tolist(),
+                      in_left.tolist()))
+    edge = (M if in_left[-1] else L)[1, -1] if back else (M if in_left[0] else L)[1, 0]
+    r = z * np.conj(edge)
+    for p in range(len(blocks) - 1, -1, -1) if back else range(len(blocks)):
+        abar, rho, a, in_l = blocks[p]
+        if back:
+            abar, a = -a, -abar
+        x = (r - abar) / rho
+        y = rho - a * x
+        r_next = z * x / y
+        yield p, in_l, x, y, r, r_next
+        r = r_next
+
+
+def theta_step_count(op, theta: np.ndarray) -> np.ndarray:
+    """Eigenvalue angles below each theta up to one common offset, from
+    the lifted phase of ``theta_step_walk``'s ratio: theta - 2 arg y' per
+    block, the edge phases, and the ratio leaving the window against the
+    right edge's entry."""
+    L, M = op.factor_bands
+    in_left = (op.n_min + np.arange(op.size - 1)) % 2 == 0
+    left = complex((M if in_left[0] else L)[1, 0])
+    right = complex((M if in_left[-1] else L)[1, -1])
+    turn = np.zeros(theta.shape)
+    for _, _, _, y, _, r in theta_step_walk(op, np.exp(1j * theta)):
+        turn += np.angle(y)
+    phase = np.angle(r * np.conj(right))
+    lifted = op.size * theta - 2 * turn + (np.angle(np.conj(left)) - np.angle(right))
+    return np.rint((lifted - phase) / (2 * np.pi)) - (phase < 0)
+
+
+def csv_eigenvalues_table(path, seed, dec) -> None:
+    """eigenvalues.csv written row by row through the csv module."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# seed={seed}\n")
+        w = csv.writer(fh)
+        w.writerow(["angle", "residual"])
+        w.writerows([repr(a), repr(r)] for a, r in
+                    zip(np.angle(dec.eigenvalues).tolist(), dec.residuals.tolist()))
+
+
+def csv_profiles_table(path, seed, profiles) -> None:
+    """The four-column profile.csv written row by row through the csv
+    module, the participation ratio formatted on every row."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# seed={seed}\n")
+        w = csv.writer(fh)
+        w.writerow(["eigenvector", "shell", "mass", "participation_ratio"])
+        w.writerows([p.index, s, repr(m), repr(p.participation_ratio)]
+                    for p in profiles for s, m in enumerate(p.shell_masses))

@@ -8,11 +8,16 @@ import scipy.linalg as sla
 
 import qpcmv.cmv as cmv
 from oracles import (
+    csv_eigenvalues_table,
+    csv_profiles_table,
     gauge_rotate,
     hermitian_band_spectrum,
     parity_gauge_matrix,
     theta_block,
+    theta_step_count,
+    theta_step_walk,
 )
+from qpcmv import artifacts
 from qpcmv.cmv import assemble, eigenvector_profile, spectrum
 from qpcmv.errors import DomainError, EigensolverError, WindowError
 from qpcmv.sampling import VerblunskySequence
@@ -597,3 +602,109 @@ def test_profile_shells_match_mask_oracle(N):
         want = mask_shells(w / w.sum())
         assert len(got) == len(want)
         assert np.abs(np.array(got) - want).max() <= 1e-15
+
+
+def near_unit_window(seed, N, top, real):
+    """N sites of seeded coefficients of modulus at most ``top``, two of
+    them exactly at it, real (signs) or complex, and a seeded unimodular
+    boundary pair."""
+    rng = np.random.default_rng(seed)
+    mod = top * np.sqrt(rng.random(N + 3))
+    mod[rng.integers(0, N + 3, 2)] = top
+    phase = rng.choice([-1.0, 1.0], N + 3) if real else np.exp(2j * np.pi * rng.random(N + 3))
+    b = (cmath.exp(1j * rng.uniform(-3, 3)), cmath.exp(1j * rng.uniform(-3, 3)))
+    return assemble(VerblunskySequence(-1, N + 1, mod * phase + 0j), 0, N - 1,
+                    boundary=b), rng
+
+
+@pytest.mark.parametrize("top", [0.5, 0.999, 1 - 1e-12])
+@pytest.mark.parametrize("N", [2, 5, 40, 300])
+def test_walk_matches_theta_step_oracle(N, top):
+    # the Moebius walk against the two-division transfer step it replaced,
+    # both ways, at 64 seeded angles: the ratio entering every block and
+    # leaving the window, and u_(p+1) / u_p scaled by rho (n against
+    # rho x' at an M block, w / r against rho y' / r at an L block).  A
+    # difference made at one site reaches site q multiplied by at most
+    # |u_p|^2 / |u_q|^2, so the differences are held to 1e-12 times the
+    # walk's condition number s_q = sum over p <= q of |u_p|^2 / |u_q|^2,
+    # the slope recurrence s' = 1 + s / |y'|^2 of ``_twists``.  Then the
+    # count, against the oracle's, between the eigenvalues and at the
+    # seeded angles; the spectrum of each window needs no fallback.
+    for seed in range(4):
+        op, rng = near_unit_window(1000 * N + seed, N, top, real=seed % 2 == 1)
+        theta = rng.uniform(-np.pi, np.pi, 64)
+        z = np.exp(1j * theta)
+        chain = cmv._Chain(op)
+        for back in (False, True):
+            s = np.ones(z.size)
+            pairs = zip(chain.walk(z, back), theta_step_walk(op, z, back))
+            for (p, in_l, inv_rho, w, n, r), (q, in_l_o, x, y, r_in, r_out) in pairs:
+                assert (p, in_l) == (q, in_l_o)
+                assert np.all(np.abs(r - r_in) <= 1e-12 * s)
+                rho = 1.0 / inv_rho
+                new, old = (w / r, rho * y / r_in) if in_l else (n, rho * x)
+                assert np.all(np.abs(new - old) <= 1e-12 * s)
+                s = 1.0 + s / np.abs(y) ** 2
+            assert np.all(np.abs(r - r_out) <= 1e-12 * s)
+        dec = spectrum(op)
+        assert not dec.fallback
+        ang = np.sort(np.angle(dec.eigenvalues))
+        far = theta[np.abs(theta[:, None] - ang[None, :]).min(axis=1) > 1e-9]
+        points = np.r_[-np.pi, (ang[:-1] + ang[1:]) / 2, far]
+        assert np.array_equal(chain.count(points), theta_step_count(op, points))
+
+
+def orthonormality(V):
+    return float(np.abs(V.conj().T @ V - np.eye(V.shape[1])).max())
+
+
+def test_accuracy_sweep():
+    # 48 seeded windows (N <= 300, |alpha| <= 0.999, real and complex;
+    # about 1 s on a 2-CPU machine) held to the residual and
+    # orthonormality the README states for the transfer-recursion
+    # spectrum, 2e-14 and 5.2e-13, with no fallback
+    cases = [(N, radius, real) for N in (5, 20, 60, 120, 200, 300)
+             for radius in (0.5, 0.9, 0.99, 0.999) for real in (False, True)]
+    for seed, case in enumerate(cases):
+        dec = spectrum(seeded_window(seed, *case))
+        assert not dec.fallback, case
+        assert dec.residuals.max() <= 2e-14, case
+        assert orthonormality(dec.vectors) <= 5.2e-13, case
+
+
+def test_near_flat_band_sweep():
+    # period-5 windows with |alpha| = 0.9999 hold most of their spectrum
+    # in a few very flat bands, where eigenvalues crowd within 1e-9 and
+    # twisted vectors lose accuracy; over these 40 windows the walk with
+    # two divisions by rho per block (``theta_step_walk``) needed no
+    # fallback and left residuals up to 5.6e-11 and orthonormality up to
+    # 1.4e-11, and no rounding change may do worse
+    N = 300
+    worst_residual = worst_orthonormality = 0.0
+    for seed in range(100, 140):
+        rng = np.random.default_rng(seed)
+        cell = 0.9999 * np.exp(2j * np.pi * rng.random(5))
+        b = (cmath.exp(1j * rng.uniform(-3, 3)), cmath.exp(1j * rng.uniform(-3, 3)))
+        op = assemble(VerblunskySequence(-1, N + 1, cell[np.arange(N + 3) % 5]),
+                      0, N - 1, boundary=b)
+        dec = spectrum(op)
+        assert not dec.fallback, seed
+        worst_residual = max(worst_residual, float(dec.residuals.max()))
+        worst_orthonormality = max(worst_orthonormality, orthonormality(dec.vectors))
+    assert worst_residual <= 5.6e-11
+    assert worst_orthonormality <= 1.4e-11
+
+
+def test_table_writers_match_csv_module(tmp_path):
+    # eigenvalues.csv and profile.csv, formatted in one pass and written
+    # in one call, are the csv module's bytes (its "\r\n" row ends too)
+    op = seeded_window(31, 200, 0.9, False)
+    dec = spectrum(op)
+    profiles = eigenvector_profile(op, dec, range(op.size))
+    for write, oracle, args in [
+        (artifacts.write_eigenvalues_csv, csv_eigenvalues_table, (dec,)),
+        (artifacts.write_profiles_csv, csv_profiles_table, (profiles,)),
+    ]:
+        write(tmp_path / "new.csv", 5, *args)
+        oracle(tmp_path / "old.csv", 5, *args)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
