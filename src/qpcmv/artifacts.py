@@ -3,9 +3,9 @@
 The CLI and the config pipeline write the same tables, so every CSV and
 JSON artifact goes through this module.  A CSV artifact is an optional
 ``# ...`` comment line, a header row and the data rows, each float
-written as its ``repr`` so that it reads back bit for bit; a JSON artifact
-has sorted keys, an indent of 2 and a trailing newline, so equal documents
-are equal bytes.
+written as its ``repr`` so that it reads back bit for bit and each row
+ended in the csv module's "\r\n"; a JSON artifact has sorted keys, an
+indent of 2 and a trailing newline, so equal documents are equal bytes.
 """
 
 from __future__ import annotations
@@ -28,25 +28,18 @@ def write_json(path, obj) -> None:
 
 
 def write_csv(path, comment: Optional[str], header, rows: Iterable) -> None:
-    """``# comment`` (if any), the header row, then ``rows``."""
-    with open(path, "w", newline="") as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+    """``# comment`` (if any), the header row, then ``rows``.
 
-
-def _write_lines(path, comment: str, header, lines: Iterable[str]) -> None:
-    """``write_csv``'s bytes from rows already formatted, in one write.
-
-    Each line is its comma-joined fields and the csv module's "\r\n"; for
-    fields that are ints and float reprs (no comma, quote or line break, so
-    the csv module would not quote them) the file is byte for byte the one
-    ``write_csv`` writes.
+    Every field is a string: an int's ``str`` or a float's ``repr``, which
+    hold no comma, quote or line break.  The csv module would quote none of
+    them, so joining each row by commas and ending it in "\r\n" gives its
+    bytes.  Rows are streamed, not gathered into one string, so a long
+    table adds nothing to the peak memory.
     """
+    head = "" if comment is None else f"# {comment}\n"
     with open(path, "w", newline="") as fh:
-        fh.write(f"# {comment}\n" + ",".join(header) + "\r\n" + "".join(lines))
+        fh.write(head + ",".join(header) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
@@ -61,7 +54,7 @@ def write_frequency_csv(path, seed, freq, scan) -> None:
     """Convergent denominators with their scores q * dist(q a, Z)."""
     write_csv(
         path, f"seed={seed}", ["q", "p", "q_dist"],
-        ([q, p, repr(float(s))]
+        ([str(q), str(p), repr(float(s))]
          for (p, q), (_, s) in zip(freq.convergents, scan.per_convergent)),
     )
 
@@ -75,7 +68,7 @@ def write_orbit_csv(path, comment: str, system, omega, cert) -> None:
     ns = range(cert.window + 1)
     d, devs = scaled_deviations(system, omega, cert.q, ns)
     write_csv(path, comment, ["n", "dist"],
-              ([n, repr(k / d)] for n, k in zip(ns, devs)))
+              ([str(n), repr(k / d)] for n, k in zip(ns, devs)))
 
 
 def write_verblunsky_csv(path, seq, seed: Optional[int] = None) -> None:
@@ -86,7 +79,7 @@ def write_verblunsky_csv(path, seq, seed: Optional[int] = None) -> None:
     """
     def row(n, a):
         m = abs(a)
-        return [n, repr(a.real), repr(a.imag),
+        return [str(n), repr(a.real), repr(a.imag),
                 repr(math.sqrt((1.0 - m) * (1.0 + m)))]
 
     write_csv(
@@ -98,9 +91,9 @@ def write_verblunsky_csv(path, seq, seed: Optional[int] = None) -> None:
 
 def write_eigenvalues_csv(path, seed, dec) -> None:
     """Eigenvalue angles with their residuals ||E v - lambda v||."""
-    _write_lines(
+    write_csv(
         path, f"seed={seed}", ["angle", "residual"],
-        (f"{a!r},{r!r}\r\n" for a, r in
+        ([repr(a), repr(r)] for a, r in
          zip(np.angle(dec.eigenvalues).tolist(), dec.residuals.tolist())),
     )
 
@@ -108,15 +101,15 @@ def write_eigenvalues_csv(path, seed, dec) -> None:
 def write_profiles_csv(path, seed, profiles) -> None:
     """Shell masses of several eigenvectors, one row per (vector, shell);
     each vector's participation ratio is formatted once for all its rows."""
-    def rows(p):
-        tail = f",{p.participation_ratio!r}\r\n"
-        return "".join(f"{p.index},{s},{m!r}{tail}"
-                       for s, m in enumerate(p.shell_masses))
+    def rows():
+        for p in profiles:
+            i, pr = str(p.index), repr(p.participation_ratio)
+            for s, m in enumerate(p.shell_masses):
+                yield i, str(s), repr(m), pr
 
-    _write_lines(
+    write_csv(
         path, f"seed={seed}",
-        ["eigenvector", "shell", "mass", "participation_ratio"],
-        map(rows, profiles),
+        ["eigenvector", "shell", "mass", "participation_ratio"], rows(),
     )
 
 
@@ -124,7 +117,7 @@ def write_profile_csv(path, seed, profile) -> None:
     """Shell masses of one eigenvector, named in the comment."""
     write_csv(
         path, f"seed={seed} eigenvector={profile.index}", ["shell", "mass"],
-        ([s, repr(m)] for s, m in enumerate(profile.shell_masses)),
+        ([str(s), repr(m)] for s, m in enumerate(profile.shell_masses)),
     )
 
 

@@ -64,9 +64,10 @@ _PEAK_RTOL = 1e-9
 # a longer step means the phase there is not resolved; the angle is then
 # kept, and the residual gate sees the result.
 _NEWTON_MAX = 1e-6
-# Eigenvectors profiled per vectorised pass: a few N x 64 temporaries
-# instead of N x N ones.
-_PROFILE_BLOCK = 64
+# Columns per vectorised pass over a set of eigenvectors (the residuals of
+# ``_checked``, the profiles of ``eigenvector_profile``): a few N x _BLOCK
+# temporaries instead of N x N ones.
+_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +624,7 @@ def _checked(band: np.ndarray, lam: np.ndarray, V: np.ndarray, tol: float,
 
     The fix works in place on V's unsorted columns, so V is permuted once,
     by the sort before the fix composed with the one after it.  Residuals
-    are taken 64 columns at a time, with N x 64 temporaries."""
+    are taken ``_BLOCK`` columns at a time."""
     order = np.argsort(np.angle(lam))
     lam = lam[order]
     position = np.arange(V.shape[0])
@@ -636,10 +637,10 @@ def _checked(band: np.ndarray, lam: np.ndarray, V: np.ndarray, tol: float,
     resort = np.argsort(np.angle(lam))
     lam, V = lam[resort], V[:, order[resort]]
     res = np.empty(lam.size)
-    for j in range(0, lam.size, 64):
-        B = V[:, j:j + 64]
-        res[j:j + 64] = np.linalg.norm(_band_matvec(band, B) - B * lam[j:j + 64],
-                                       axis=0)
+    for j in range(0, lam.size, _BLOCK):
+        B = V[:, j:j + _BLOCK]
+        res[j:j + _BLOCK] = np.linalg.norm(
+            _band_matvec(band, B) - B * lam[j:j + _BLOCK], axis=0)
     worst = int(np.argmax(res))
     if res[worst] > tol:
         raise EigensolverError(worst, float(res[worst]), tol)
@@ -716,8 +717,8 @@ def eigenvector_profile(op: CMVOperator, decomp: SpectralDecomposition, index):
     distances of bit length s.  Masses sum to 1 for a normalized vector.
 
     ``index`` is one eigenvector index, or a sequence of them, which gives
-    a list of profiles from vectorised passes over blocks of
-    ``_PROFILE_BLOCK`` vectors (so the temporaries stay small): each
+    a list of profiles from vectorised passes over blocks of ``_BLOCK``
+    vectors (so the temporaries stay small): each
     vector's weights form a contiguous row, summed and binned in the order
     a single one is, so the batch equals the one-by-one profiles bit for
     bit.
@@ -727,8 +728,8 @@ def eigenvector_profile(op: CMVOperator, decomp: SpectralDecomposition, index):
     n = decomp.vectors.shape[0]
     nshell = n.bit_length() + 1
     profiles = []
-    for lo in range(0, idx.size, _PROFILE_BLOCK):
-        block = idx[lo : lo + _PROFILE_BLOCK]
+    for lo in range(0, idx.size, _BLOCK):
+        block = idx[lo : lo + _BLOCK]
         w = np.abs(decomp.vectors.T[block]) ** 2  # one C-contiguous row per vector
         w /= w.sum(axis=1, keepdims=True)
         peak = np.argmax(w >= w.max(axis=1, keepdims=True) * (1.0 - _PEAK_RTOL),

@@ -11,8 +11,8 @@ textbook routes: dense Theta blocks, the parity conjugation, and the
 Hermitian band eigenvector solve that ``qpcmv.cmv.spectrum`` replaced.
 The transfer walk and count that ``qpcmv.cmv._Chain`` replaced carry the
 pair (x', y') with two divisions by rho per block, and the CSV tables
-``qpcmv.artifacts`` now formats itself are written row by row through the
-csv module.
+that ``qpcmv.artifacts`` now joins itself are written row by row through
+the csv module.
 """
 
 import cmath
@@ -246,22 +246,30 @@ def theta_step_count(op, theta: np.ndarray) -> np.ndarray:
     return np.rint((lifted - phase) / (2 * np.pi)) - (phase < 0)
 
 
+def csv_module_write(path, comment, header, rows) -> None:
+    """``# comment`` (if any), the header row, then ``rows`` through the csv
+    module, one row at a time."""
+    with open(path, "w", newline="") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def csv_eigenvalues_table(path, seed, dec) -> None:
     """eigenvalues.csv written row by row through the csv module."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# seed={seed}\n")
-        w = csv.writer(fh)
-        w.writerow(["angle", "residual"])
-        w.writerows([repr(a), repr(r)] for a, r in
-                    zip(np.angle(dec.eigenvalues).tolist(), dec.residuals.tolist()))
+    csv_module_write(
+        path, f"seed={seed}", ["angle", "residual"],
+        ([repr(a), repr(r)] for a, r in
+         zip(np.angle(dec.eigenvalues).tolist(), dec.residuals.tolist())))
 
 
 def csv_profiles_table(path, seed, profiles) -> None:
     """The four-column profile.csv written row by row through the csv
-    module, the participation ratio formatted on every row."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# seed={seed}\n")
-        w = csv.writer(fh)
-        w.writerow(["eigenvector", "shell", "mass", "participation_ratio"])
-        w.writerows([p.index, s, repr(m), repr(p.participation_ratio)]
-                    for p in profiles for s, m in enumerate(p.shell_masses))
+    module, ints as they are and the participation ratio formatted on
+    every row."""
+    csv_module_write(
+        path, f"seed={seed}", ["eigenvector", "shell", "mass", "participation_ratio"],
+        ([p.index, s, repr(m), repr(p.participation_ratio)]
+         for p in profiles for s, m in enumerate(p.shell_masses)))

@@ -672,27 +672,44 @@ def test_accuracy_sweep():
         assert orthonormality(dec.vectors) <= 5.2e-13, case
 
 
-def test_near_flat_band_sweep():
+def flat_band_window(seed, N, seeded_boundary):
+    """N sites of a seeded period-5 cell of modulus 0.9999: on [0, N - 1]
+    with a seeded unimodular boundary pair, or on [-N/2, N/2) with the
+    default one."""
+    rng = np.random.default_rng(seed)
+    cell = 0.9999 * np.exp(2j * np.pi * rng.random(5))
+    if not seeded_boundary:
+        lo, hi = -(N // 2), N - N // 2 - 1
+        return assemble(VerblunskySequence(lo - 1, hi + 1, cell[np.arange(lo - 1, hi + 2) % 5]),
+                        lo, hi)
+    b = (cmath.exp(1j * rng.uniform(-3, 3)), cmath.exp(1j * rng.uniform(-3, 3)))
+    return assemble(VerblunskySequence(-1, N + 1, cell[np.arange(N + 3) % 5]),
+                    0, N - 1, boundary=b)
+
+
+@pytest.mark.parametrize("seeded_boundary, fallbacks, max_residual, max_orthonormality",
+                         [(False, 1, 2.8e-11, 3.4e-12), (True, 0, 5.6e-11, 1.4e-11)])
+def test_near_flat_band_sweep(seeded_boundary, fallbacks, max_residual,
+                              max_orthonormality):
     # period-5 windows with |alpha| = 0.9999 hold most of their spectrum
     # in a few very flat bands, where eigenvalues crowd within 1e-9 and
-    # twisted vectors lose accuracy; over these 40 windows the walk with
-    # two divisions by rho per block (``theta_step_walk``) needed no
-    # fallback and left residuals up to 5.6e-11 and orthonormality up to
-    # 1.4e-11, and no rounding change may do worse
+    # twisted vectors lose accuracy.  Over these 40 windows (seeds
+    # 100-139) the walk with two divisions by rho per block
+    # (``theta_step_walk``) needed the Schur fallback once (seed 106 on
+    # the centred windows, none with the seeded boundary) and left
+    # residuals and orthonormality up to the bounds given here; no
+    # rounding change may need it more often or do worse
     N = 300
+    used = 0
     worst_residual = worst_orthonormality = 0.0
     for seed in range(100, 140):
-        rng = np.random.default_rng(seed)
-        cell = 0.9999 * np.exp(2j * np.pi * rng.random(5))
-        b = (cmath.exp(1j * rng.uniform(-3, 3)), cmath.exp(1j * rng.uniform(-3, 3)))
-        op = assemble(VerblunskySequence(-1, N + 1, cell[np.arange(N + 3) % 5]),
-                      0, N - 1, boundary=b)
-        dec = spectrum(op)
-        assert not dec.fallback, seed
+        dec = spectrum(flat_band_window(seed, N, seeded_boundary))
+        used += dec.fallback
         worst_residual = max(worst_residual, float(dec.residuals.max()))
         worst_orthonormality = max(worst_orthonormality, orthonormality(dec.vectors))
-    assert worst_residual <= 5.6e-11
-    assert worst_orthonormality <= 1.4e-11
+    assert used <= fallbacks
+    assert worst_residual <= max_residual
+    assert worst_orthonormality <= max_orthonormality
 
 
 def test_table_writers_match_csv_module(tmp_path):

@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import csv_module_write
+from qpcmv import artifacts
 from qpcmv.cli import main
 from qpcmv.errors import QpcmvError
 from qpcmv.pipeline import (
@@ -444,6 +446,24 @@ def test_cli_and_run_write_the_same_tables(tmp_path):
     for name in ("eigenvalues.csv", "matrix.txt"):
         assert (tmp_path / "cli-cmv" / name).read_bytes() == (
             tmp_path / "free" / name).read_bytes(), name
+
+
+def test_tables_are_the_csv_module_bytes(tmp_path, monkeypatch):
+    # write_csv joins each row itself in one write; every table of a run
+    # (frequency, orbit, evidence, verblunsky, eigenvalues, profile) is
+    # byte for byte what the csv module writes from the same rows
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    cfg = ExperimentConfig.from_file(configs / "liouville_rotation.json")
+    cfg.z_grid, cfg.lipschitz_samples, cfg.cmv_n = 64, 1000, 60
+    run(cfg, tmp_path / "joined")
+    monkeypatch.setattr(artifacts, "write_csv", csv_module_write)
+    run(cfg, tmp_path / "csv")
+    names = sorted(p.name for p in (tmp_path / "joined").glob("*.csv"))
+    assert names == ["eigenvalues.csv", "evidence.csv", "frequency.csv",
+                     "orbit.csv", "profile.csv", "verblunsky.csv"]
+    for name in names:
+        assert (tmp_path / "joined" / name).read_bytes() == (
+            tmp_path / "csv" / name).read_bytes(), name
 
 
 GOOD_SPEC = {
