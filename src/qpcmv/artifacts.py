@@ -16,8 +16,6 @@ import math
 from pathlib import Path
 from typing import Iterable, Optional
 
-import numpy as np
-
 from .dynamics import scaled_deviations
 
 
@@ -91,6 +89,8 @@ def write_verblunsky_csv(path, seq, seed: Optional[int] = None) -> None:
 
 def write_eigenvalues_csv(path, seed, dec) -> None:
     """Eigenvalue angles with their residuals ||E v - lambda v||."""
+    import numpy as np
+
     write_csv(
         path, f"seed={seed}", ["angle", "residual"],
         ([repr(a), repr(r)] for a, r in

@@ -12,32 +12,25 @@ Subcommands mirror the library modules:
 Every subcommand writes delimited output (CSV) plus a JSON summary into
 --out and prints a single summary line; `run` exit status is 0 for PASS,
 2 for evidence FAIL, 1 for an execution error.
+
+A subcommand imports the numpy layers it uses (sampling, transfer, cmv,
+pipeline) in its own body, so `frequency` and `orbit`, which are exact,
+start without loading numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import artifacts
 from .arith import DEFAULT_PRECISION_BITS, as_fraction
-from .cmv import assemble, eigenvector_profile, spectrum
 from .dynamics import Rotation, SkewShift, TorusPoint, find_even_repetition
 from .errors import QpcmvError
 from .frequency import badly_approximable_score, parse_frequency
-from .pipeline import ExperimentConfig, run
-from .sampling import (
-    ConstantFunction,
-    HarmonicFunction,
-    VerblunskySequence,
-    tube_function,
-    verblunsky_window,
-)
-from .transfer import certify_gordon, no_point_spectrum_evidence
 
 
 def _out_dir(args) -> Path:
@@ -223,6 +216,9 @@ def _read_construct_spec(path) -> dict:
 
 
 def _cmd_sample(args) -> int:
+    from .sampling import (ConstantFunction, HarmonicFunction, ball_radius,
+                           tube_function, verblunsky_window)
+
     n_min, n_max = _parse_pair(args.window, ":", int, "--window", "N_MIN:N_MAX")
     if args.construct_ck:
         spec = _read_construct_spec(args.construct_ck)
@@ -236,8 +232,6 @@ def _cmd_sample(args) -> int:
         period = int(spec["period"])
         radius_spec = spec["radius"]
         if radius_spec == "auto":
-            from .sampling import ball_radius
-
             radius = ball_radius(
                 system, center, period, as_fraction(str(spec["epsilon"]))
             ).radius
@@ -259,12 +253,17 @@ def _cmd_sample(args) -> int:
     seq.to_csv(out / "verblunsky.csv", seed=args.seed)
     print(
         f"sample: wrote window [{n_min},{n_max}] "
-        f"(sup|alpha| = {float(np.abs(seq.values).max()):.6g})"
+        f"(sup|alpha| = {float(abs(seq.values).max()):.6g})"
     )
     return 0
 
 
 def _cmd_gordon(args) -> int:
+    from .sampling import VerblunskySequence
+    from .transfer import certify_gordon, no_point_spectrum_evidence
+
+    if args.z_grid < 1:
+        raise QpcmvError(f"--z-grid expects an integer >= 1, got {args.z_grid}")
     pairs = [_parse_pair(item, ":", int, "--k-list", "K:Q,K:Q,...")
              for item in args.k_list.split(",")]
     out = _out_dir(args)
@@ -296,16 +295,20 @@ def _cmd_gordon(args) -> int:
 
 
 def _cmd_cmv(args) -> int:
+    from .cmv import assemble, eigenvector_profile, spectrum
+    from .sampling import VerblunskySequence
+
     n_min, n_max = _parse_pair(args.window, ":", int, "--window", "N_MIN:N_MAX")
     boundary = _parse_pair(args.boundary, ";", _parse_complex, "--boundary",
                            "RE,IM;RE,IM (b-;b+)")
+    if args.profile and args.profile != "all":
+        i = _parse_flag(args.profile, int, "--profile", "IDX|all")
     out = _out_dir(args)
     seq = VerblunskySequence.from_csv(args.seq_file)
     op = assemble(seq, n_min, n_max, boundary=boundary)
     if args.profile == "all":
         indices = range(op.size)
     elif args.profile:
-        i = int(args.profile)
         if not 0 <= i < op.size:
             raise QpcmvError(f"--profile {i} is not an eigenvector index "
                              f"in [0, {op.size})")
@@ -331,6 +334,8 @@ def _cmd_cmv(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .pipeline import ExperimentConfig, run
+
     cfg = ExperimentConfig.from_file(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
@@ -350,7 +355,10 @@ def _cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: it holds no state between
+    ``parse_args`` calls, each of which returns a fresh namespace."""
     ap = argparse.ArgumentParser(
         prog="qpcmv",
         description="CMV operators with quasiperiodic Verblunsky coefficients",

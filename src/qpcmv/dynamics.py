@@ -387,7 +387,8 @@ def find_even_repetition(
     parity: str = "even",
 ) -> Optional[RepetitionCertificate]:
     """Smallest (even) q <= q_max with dist(w_n, w_(n+q)) < epsilon for
-    n = 0..floor(s q), or None.
+    n = 0..floor(s q), or None; q_max below the first candidate (2, or 1
+    for ``parity="any"``) is a DomainError.
 
     For rotations the per-q test is the O(1) shortcut max_i <q a_i>, on
     the integer residues of the shift, which equals the orbit scan because
@@ -402,8 +403,9 @@ def find_even_repetition(
     _require_dim(system, omega)
     if parity not in ("even", "any"):
         raise DomainError("parity must be 'even' or 'any'")
-    step = 2 if parity == "even" else 1
-    start = 2 if parity == "even" else 1
+    step = start = 2 if parity == "even" else 1
+    if q_max < start:
+        raise DomainError(f"q_max must be >= {start}")
     rotation = isinstance(system, Rotation)
     if rotation:
         d = common_denominator(*system.shift)

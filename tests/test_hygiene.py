@@ -1,14 +1,15 @@
 """Source hygiene: no module of the package imports a name it never uses,
 and none imports another package module's private (underscore) names;
-importing the CLI leaves scipy and mpmath unloaded; the README's config table names
-exactly the config fields, and its library tour only names that exist;
-every subcommand ends malformed input with exit 1 and an ``error:`` line,
-never a traceback; every oracle in ``tests/oracles.py`` is imported by a
-test module.
+importing the CLI leaves numpy, scipy and mpmath unloaded, and the exact
+commands (``frequency``, ``orbit``) never load numpy; the package
+resolves each exported name from its submodule on first access; the
+README's config table names exactly the config fields, and its library
+tour only names that exist; every subcommand ends malformed input with
+exit 1 and an ``error:`` line, never a traceback; every oracle in
+``tests/oracles.py`` is imported by a test module.
 
 The source checks use the standard library only (``ast``,
-``subprocess``).  ``__init__.py`` is exempt from the unused-import check:
-its imports are the package's re-exports.
+``subprocess``).
 """
 
 import ast
@@ -28,7 +29,7 @@ from qpcmv.pipeline import CONFIG_SCHEMA
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qpcmv"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -90,35 +91,83 @@ def test_private_import_detector():
     assert private_imports(src) == ["pipeline._write_json", "qpcmv.cmv._cmul"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_imports_across_modules(path):
     assert private_imports(path.read_text()) == []
 
 
-def loaded_after_cli_import(module: str) -> bool:
-    """Is ``module`` in sys.modules once a fresh interpreter has imported
-    the CLI?"""
+def loaded_after(module: str, code: str = "import qpcmv.cli") -> bool:
+    """Is ``module`` in sys.modules once a fresh interpreter has run
+    ``code``?"""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
         [sys.executable, "-c",
-         f"import sys, qpcmv.cli; print({module!r} in sys.modules)"],
+         f"{code}\nimport sys; print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, check=True,
     )
-    return out.stdout.strip() == "True"
+    return out.stdout.splitlines()[-1] == "True"
 
 
 def test_cli_import_leaves_scipy_unloaded():
     # scipy.linalg is only needed once a spectrum is computed, and importing
     # it roughly doubles the start-up time of every command
-    assert not loaded_after_cli_import("scipy")
+    assert not loaded_after("scipy")
 
 
 def test_cli_import_leaves_mpmath_unloaded():
     # mpmath is only needed to round the golden mean, set a working
     # precision or convert an mpf input; importing it costs every command
     # about 0.03 s of start-up
-    assert not loaded_after_cli_import("mpmath")
+    assert not loaded_after("mpmath")
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is about half the start-up time of a command; only sample,
+    # gordon, cmv and run use it
+    assert not loaded_after("numpy")
+
+
+def test_exact_commands_leave_numpy_unloaded(tmp_path):
+    # frequency and orbit use Fraction and integer arithmetic only
+    code = (
+        "from qpcmv import cli\n"
+        f"assert cli.main(['frequency', '--value', 'golden', '--out', "
+        f"{str(tmp_path / 'f')!r}]) == 0\n"
+        f"assert cli.main(['orbit', '--freq', 'golden', '--out', "
+        f"{str(tmp_path / 'o')!r}]) == 0"
+    )
+    assert not loaded_after("numpy", code)
+
+
+def test_package_names_are_their_submodules_objects():
+    # each exported name is read from the submodule that defines it; the
+    # package exports 53 names
+    import qpcmv
+
+    assert len(set(qpcmv.__all__)) == len(qpcmv.__all__) == 53
+    for name in qpcmv.__all__:
+        home = importlib.import_module(f"qpcmv.{qpcmv._SUBMODULE[name]}")
+        assert getattr(qpcmv, name) is vars(home)[name], name
+        # the defining submodule is an attribute too, as when it was
+        # imported eagerly
+        assert qpcmv.__getattr__(qpcmv._SUBMODULE[name]) is home
+    namespace = {}
+    exec("from qpcmv import *", namespace)
+    assert set(qpcmv.__all__) <= set(namespace)
+
+
+def test_package_dir_lists_every_exported_name():
+    import qpcmv
+
+    assert set(qpcmv.__all__) <= set(dir(qpcmv))
+
+
+def test_package_unknown_attribute_raises_attribute_error():
+    import qpcmv
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qpcmv.no_such_name
 
 
 def test_readme_config_table_lists_the_config_fields():
@@ -164,6 +213,12 @@ def test_readme_library_tour_names_resolve():
         stale += [f"{head}: {s}" for s in spans
                   if re.fullmatch(r"[A-Za-z_]\w*", s) and s not in names]
     assert stale == []
+
+
+# a coefficient file over n = -8..8 that is not 2-periodic, so the default
+# Gordon level 1:2 fails and no evidence is computed
+UNPERIODIC_SEQ = "n,re_alpha,im_alpha\n" + "".join(
+    f"{n},{(0.1, 0.5, 0.9)[n % 3]},0\n" for n in range(-8, 9))
 
 
 def tube_spec(**fields):
@@ -260,6 +315,27 @@ MALFORMED_ARGV = [
      "error: --value expects"),
     ("frequency-liouville-one-field", ["frequency", "--liouville", "x"], None,
      "error: --liouville expects BASE,DEPTH, got 'x'"),
+    # a q_max below the first even candidate once ended with exit 0 and
+    # "no even repetition time q <= -3"
+    ("orbit-qmax-zero", ["orbit", "--freq", "golden", "--qmax", "0"], None,
+     "error: q_max must be >= 2"),
+    ("orbit-qmax-negative", ["orbit", "--freq", "golden", "--qmax=-3"], None,
+     "error: q_max must be >= 2"),
+    ("run-repetition-q-max-zero", ["run", "--config", "{input}"],
+     {"schema": CONFIG_SCHEMA, "scenario": "liouville-rotation",
+      "repetition_q_max": 0, "cmv_n": 20, "z_grid": 16},
+     "error: repetition stage: DomainError: q_max must be >= 2"),
+    # --profile x once failed after matrix.txt was written, and a --z-grid
+    # below 1 went unnoticed when certification failed
+    ("cmv-profile-not-an-index",
+     ["cmv", "--seq-file", "{input}", "--window=-4:3", "--profile", "x"],
+     UNPERIODIC_SEQ, "error: --profile expects IDX|all, got 'x'"),
+    ("gordon-z-grid-zero",
+     ["gordon", "--seq-file", "{input}", "--z-grid", "0"], UNPERIODIC_SEQ,
+     "error: --z-grid expects an integer >= 1, got 0"),
+    ("gordon-z-grid-negative",
+     ["gordon", "--seq-file", "{input}", "--z-grid=-4"], UNPERIODIC_SEQ,
+     "error: --z-grid expects an integer >= 1, got -4"),
 ]
 
 

@@ -365,6 +365,27 @@ def test_cli_run_exit_codes(tmp_path):
     assert doc["exit_code"] == 0
 
 
+def test_cli_main_calls_share_the_parser_not_the_arguments(tmp_path, capsys):
+    # the parser is built once per process; each call still sees only its
+    # own argv and the defaults, whatever the call before it set
+    from qpcmv import cli
+
+    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    assert main(["frequency", "--liouville", "2,4", "--max-q", "50",
+                 "--seed", "7", "--out", str(a)]) == 0
+    assert main(["orbit", "--freq", "golden", "--qmax", "200",
+                 "--out", str(b)]) == 0
+    assert main(["frequency", "--value", "golden", "--out", str(c)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "over q<=50;" in lines[0] and "over q<=1000;" in lines[2]
+    docs = [json.loads(p.read_text()) for p in
+            (a / "frequency.json", b / "orbit.json", c / "frequency.json")]
+    assert [d["seed"] for d in docs] == [7, 20240601, 20240601]
+    assert docs[0]["designated_denominators"] == [2, 4, 64, 16777216]
+    assert docs[2]["partial_quotients"][:3] == [1, 1, 1]  # golden, not 2,4
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_cli_error_paths(tmp_path, capsys):
     rc = main(["frequency", "--out", str(tmp_path)])
     assert rc == 1
