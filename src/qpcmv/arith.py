@@ -148,11 +148,3 @@ def scaled(x, d: int):
     if d % x.denominator:
         return x * d
     return x.numerator * (d // x.denominator)
-
-
-def signed_frac(x):
-    """Representative of x mod 1 in (-1/2, 1/2]."""
-    f = mod1(x)
-    if 2 * f > 1:
-        return f - 1
-    return f

@@ -264,6 +264,8 @@ def _cmd_gordon(args) -> int:
 
     if args.z_grid < 1:
         raise QpcmvError(f"--z-grid expects an integer >= 1, got {args.z_grid}")
+    if args.q is not None and args.q < 1:
+        raise QpcmvError(f"--q expects an integer >= 1, got {args.q}")
     pairs = [_parse_pair(item, ":", int, "--k-list", "K:Q,K:Q,...")
              for item in args.k_list.split(",")]
     out = _out_dir(args)

@@ -149,7 +149,6 @@ class CMVOperator:
     n_min: int
     n_max: int
     boundary: tuple[complex, complex]
-    unitary_mode: bool
     band: np.ndarray  # band[2 + d, i] = matrix[i, i + d]
     factor_bands: tuple[np.ndarray, np.ndarray]  # tridiagonal bands of L, M
     band_agreement: float
@@ -182,7 +181,7 @@ class CMVOperator:
             fh.write(f"# seed={seed}\n")
         fh.write(
             f"# cmv triplets window=[{self.n_min},{self.n_max}] "
-            f"size={self.size} unitary={self.unitary_mode}\n"
+            f"size={self.size} unitary=True\n"
         )
         # bt[i, k] is entry (i, i + k - 2), so the nonzeros of bt in C
         # order are those of the matrix in row-major order
@@ -200,27 +199,19 @@ class CMVOperator:
 
 
 def _coefficients(seq: VerblunskySequence, n_min: int, n_max: int,
-                  boundary, unitary: bool):
+                  boundary):
     """Coefficients at n_min - 2 .. n_max + 1 with the truncation rule
     applied, their rho, and the boundary pair.
 
     Positions n_min - 1 and n_max carry the boundary pair, and the indices
     beyond them repeat it: those only ever feed entries outside the window.
     rho is zero at all four clamped positions, which is what decouples the
-    straddling blocks (in the non-unitary mode too, where the sequence's
-    own edge coefficients are kept as plain truncation).
+    straddling blocks.
     """
-    if unitary:
-        bm, bp = (complex(boundary[0]), complex(boundary[1]))
-        for b in (bm, bp):
-            if abs(abs(b) - 1.0) > _BOUNDARY_TOL:
-                raise DomainError(
-                    "boundary coefficients must be unimodular in unitary mode"
-                )
-        seq.require(n_min, n_max - 1)
-    else:
-        seq.require(n_min - 1, n_max)
-        bm, bp = seq.alpha(n_min - 1), seq.alpha(n_max)
+    bm, bp = (complex(boundary[0]), complex(boundary[1]))
+    for b in (bm, bp):
+        if abs(abs(b) - 1.0) > _BOUNDARY_TOL:
+            raise DomainError("boundary coefficients must be unimodular")
     inner = seq.slice(n_min, n_max - 1)
     a = np.concatenate(([bm, bm], inner, [bp, bp]))
     m = np.hypot(inner.real, inner.imag)  # abs() of a Python complex, bit for bit
@@ -280,18 +271,15 @@ def assemble(
     n_min: int,
     n_max: int,
     boundary: tuple[complex, complex] = (1.0 + 0j, 1.0 + 0j),
-    unitary: bool = True,
 ) -> CMVOperator:
     """Finite CMV operator on coordinates [n_min, n_max].
 
-    In unitary mode the boundary pair replaces the coefficients at
-    n_min - 1 and n_max and must be unimodular; the result is then unitary
-    to rounding.  The non-unitary mode keeps the sequence's own edge
-    coefficients (plain truncation) and reports the defect instead.
+    The boundary pair replaces the coefficients at n_min - 1 and n_max and
+    must be unimodular; the result is then unitary to rounding.
     """
     if n_max <= n_min:
         raise WindowError("need n_max > n_min")
-    a, rho, (bm, bp) = _coefficients(seq, n_min, n_max, boundary, unitary)
+    a, rho, (bm, bp) = _coefficients(seq, n_min, n_max, boundary)
     L = _factor_band(a, rho, n_min, parity=0)
     M = _factor_band(a, rho, n_min, parity=1)
     band = _band_product(L, M)
@@ -306,7 +294,6 @@ def assemble(
         n_min=n_min,
         n_max=n_max,
         boundary=(bm, bp),
-        unitary_mode=unitary,
         band=band,
         factor_bands=(L, M),
         band_agreement=agreement,
@@ -688,8 +675,6 @@ def spectrum(op: CMVOperator, tol: float = _EIG_TOL) -> SpectralDecomposition:
     pairs are returned.  ``fallback`` records which path produced the
     result.
     """
-    if not op.unitary_mode:
-        raise DomainError("spectrum requires a unitary-mode operator")
     try:
         return _checked(op.band, *_band_spectrum(op), tol, fallback=False)
     except EigensolverError:
@@ -702,10 +687,6 @@ class EigenvectorProfile:
     peak: int  # window coordinate of the peak entry
     shell_masses: tuple[float, ...]
     participation_ratio: float
-
-    @property
-    def mass_total(self) -> float:
-        return sum(self.shell_masses)
 
 
 def eigenvector_profile(op: CMVOperator, decomp: SpectralDecomposition, index):

@@ -63,9 +63,6 @@ class TorusPoint:
             dist_to_int(a - b) for a, b in zip(self.coords, other.coords)
         )
 
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(c) for c in self.coords)
-
     @staticmethod
     def exact(*coords) -> "TorusPoint":
         return TorusPoint([as_fraction(c) for c in coords])

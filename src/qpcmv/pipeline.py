@@ -105,6 +105,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise QpcmvError(f"unknown scenario {self.scenario!r}")
+        for name in ("k_list", "free_q_list", "omega"):
+            if not getattr(self, name):
+                raise QpcmvError(f"config field {name!r} must not be empty")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

@@ -78,8 +78,6 @@ class _ResidueEvaluated:
 class ConstantFunction(_ResidueEvaluated):
     """f == c."""
 
-    kind = "constant"
-
     def __init__(self, value: complex):
         value = complex(value)
         if abs(value) >= 1:
@@ -96,8 +94,6 @@ class HarmonicFunction(_ResidueEvaluated):
 
     sup |f| = |coefficient| exactly, so the norm needs no grid.
     """
-
-    kind = "harmonic"
 
     def __init__(self, coefficient: complex):
         coefficient = complex(coefficient)
@@ -135,8 +131,6 @@ class TentBump(_ResidueEvaluated):
 
 class PerturbedFunction(_ResidueEvaluated):
     """base + bump, with the triangle-inequality norm bound."""
-
-    kind = "perturbed"
 
     def __init__(self, base, bump: TentBump):
         self.base = base
@@ -435,8 +429,6 @@ class TubeFunction(_ResidueEvaluated):
     hence inside the disk.
     """
 
-    kind = "tube"
-
     def __init__(self, system: TorusDynamics, center: TorusPoint, q: int,
                  radius, values: Sequence[complex]):
         if len(values) != q:
@@ -509,13 +501,6 @@ class TubeFunction(_ResidueEvaluated):
         d = np.abs(pts - x[None, :])
         d = np.minimum(d, 1.0 - d)
         return d.max(axis=1)
-
-    def tube_of(self, point: TorusPoint) -> Optional[int]:
-        """Tube index j in [1, q] containing the point, or None."""
-        n = self.ball_index(point)
-        if n is None:
-            return None
-        return (n - 1) % self.q + 1
 
     def tube_balls(self, j: int) -> list[TorusPoint]:
         """Ball centers T^(j+lq) c, l = 0..4, of tube j."""
@@ -682,13 +667,10 @@ def verblunsky_window(
     denominator d that f evaluates on (``f.denominator`` of the common
     denominator of the system and omega), ``integer_orbit`` steps those
     residues from T^n_min omega on, and f evaluates each with
-    ``at_residues``, so no torus point is built.  A plain callable of
-    torus points is called on the point p / d.
+    ``at_residues``, so no torus point is built.
     """
     if n_min > n_max:
         raise WindowError("n_min must be <= n_max")
-    if not hasattr(f, "at_residues"):
-        f = _PointCallable(f)
     d = f.denominator(integer_kernel(system, omega)[0])
     p = tuple(scaled(x, d) for x in omega.coords)
     vals = np.empty(n_max - n_min + 1, dtype=complex)
@@ -700,16 +682,6 @@ def verblunsky_window(
             )
         vals[k] = v
     return VerblunskySequence(n_min, n_max, vals)
-
-
-class _PointCallable(_ResidueEvaluated):
-    """Any callable of TorusPoints, evaluated at the point p / d."""
-
-    def __init__(self, f):
-        self.f = f
-
-    def at_residues(self, p, d: int) -> complex:
-        return self.f(TorusPoint([Fraction(x) / d for x in p]))
 
 
 # ---------------------------------------------------------------------------
@@ -849,9 +821,7 @@ def periodic_defect_maxima(f, system: TorusDynamics, omega: TorusPoint,
     exactly zero; for functions within d of the class they are < 2d.  The
     values come from one coefficient window over [-2q + 1, 3q].
     """
-    alpha = verblunsky_window(f, system, omega, -2 * q + 1, 3 * q).alpha
-    return tuple(
-        max(abs(alpha(j + m * q) - alpha(j + (m + 1) * q))
-            for j in range(1, q + 1))
-        for m in (-2, -1, 0, 1)
-    )
+    from .transfer import shift_differences
+
+    alpha = verblunsky_window(f, system, omega, -2 * q + 1, 3 * q).values
+    return tuple(shift_differences(alpha, q).reshape(4, q).max(axis=1).tolist())

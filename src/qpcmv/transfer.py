@@ -312,14 +312,25 @@ class GordonCertificate:
         return best
 
 
+def shift_differences(alpha: np.ndarray, q: int) -> np.ndarray:
+    """|alpha[i + q] - alpha[i]| for every i, by ``np.hypot``, which is
+    Python's ``abs`` of a complex bit for bit (``np.abs`` of a complex
+    array is not)."""
+    d = alpha[q:] - alpha[:-q]
+    return np.hypot(d.real, d.imag)
+
+
 def certify_gordon(
     seq, pairs: Sequence[tuple[int, int]], sequence_id: str = ""
 ) -> GordonCertificate:
     """Certify candidate even periods q_k at levels k.
 
-    ``pairs`` lists (k, q_k); periods must be even and non-decreasing in k.
-    The window must cover [-2 q_k + 1, 2 q_k + 1] for every candidate.
+    ``pairs`` lists (k, q_k), at least one; periods must be even and
+    non-decreasing in k.  The window must cover [-2 q_k + 1, 2 q_k + 1] for
+    every candidate.
     """
+    if not pairs:
+        raise DomainError("need at least one (k, q) level to certify")
     last_q = 0
     levels = []
     for k, q in pairs:
@@ -328,16 +339,11 @@ def certify_gordon(
         if q < last_q:
             raise DomainError("candidate periods must be non-decreasing")
         last_q = q
-        seq.require(-2 * q + 1, 2 * q + 1)
-        r_k = float(
-            np.abs(seq.slice(-2 * q + 1, 2 * q + 1)).max()
-        )
-        defect = 0.0
-        for n in range(-q + 1, q + 2):
-            a = seq.alpha(n)
-            defect = max(
-                defect, abs(a - seq.alpha(n + q)), abs(a - seq.alpha(n - q))
-            )
+        alpha = seq.slice(-2 * q + 1, 2 * q + 1)
+        r_k = float(np.abs(alpha).max())
+        # the pairs (n, n + q) for n = -2q + 1 .. q + 1 are exactly those
+        # of |alpha(n) - alpha(n +- q)| over -q + 1 <= n <= q + 1
+        defect = float(shift_differences(alpha, q).max())
         tol = coefficient_tolerance(k, q, r_k)
         threshold = tol.value / 4.0
         levels.append(
@@ -484,10 +490,6 @@ class EvidenceTable:
     nonfinite_rows: int
 
     @property
-    def passed(self) -> bool:
-        return self.verdict == "PASS"
-
-    @property
     def max_log10_norm(self) -> Optional[float]:
         norms = np.array(
             [(r.norm_forward, r.norm_double, r.norm_backward) for r in self.rows]
@@ -524,6 +526,8 @@ def no_point_spectrum_evidence(
         q_use = level.q
         source = "certified"
     elif q is not None:
+        if q < 1:
+            raise DomainError(f"explicit q must be >= 1, got {q}")
         q_use = q
         source = "explicit"
     else:

@@ -42,8 +42,8 @@ def oracle_value(f, point):
     skew-shift), or None; the value is the tube value, or the blend."""
     orbit = [iterate(f.system, f.center, n) for n in range(5 * f.q + 1)]
     if isinstance(f.system, Rotation):
-        x = np.array(point.as_floats())
-        pts = np.array([p.as_floats() for p in orbit[1:]])
+        x = np.array([float(c) for c in point.coords])
+        pts = np.array([[float(c) for c in p.coords] for p in orbit[1:]])
         d = TubeFunction._cheb_float(x, pts)
         for k in np.nonzero(d <= float(f.radius) + 1e-9)[0]:
             n = int(k) + 1
@@ -65,8 +65,7 @@ def fraction_window(f, system, omega, n_min, n_max) -> np.ndarray:
     """f(T^n omega) for n = n_min..n_max, each T^n omega built as a
     TorusPoint by ``iterate`` in Fraction arithmetic and evaluated by its
     family's point formula, the float of an exact coordinate or distance
-    (tube functions by ``oracle_value``); any other callable is called on
-    the point."""
+    (tube functions by ``oracle_value``)."""
 
     def value(g, point):
         if isinstance(g, ConstantFunction):
@@ -83,10 +82,31 @@ def fraction_window(f, system, omega, n_min, n_max) -> np.ndarray:
             return value(g.base, point) + value(g.bump, point)
         if isinstance(g, TubeFunction):
             return oracle_value(g, point)[1]
-        return g(point)
 
     return np.array([value(f, iterate(system, omega, n))
                      for n in range(n_min, n_max + 1)], dtype=complex)
+
+
+def gordon_defect_loop(seq, q: int) -> float:
+    """max |alpha(n) - alpha(n +- q)| over -q + 1 <= n <= q + 1, one pair
+    at a time."""
+    defect = 0.0
+    for n in range(-q + 1, q + 2):
+        a = seq.alpha(n)
+        defect = max(
+            defect, abs(a - seq.alpha(n + q)), abs(a - seq.alpha(n - q))
+        )
+    return defect
+
+
+def block_difference_loop(seq, q: int) -> tuple:
+    """max over 1 <= j <= q of |alpha(j + m q) - alpha(j + (m + 1) q)|,
+    for m = -2..1, one pair at a time."""
+    return tuple(
+        max(abs(seq.alpha(j + m * q) - seq.alpha(j + (m + 1) * q))
+            for j in range(1, q + 1))
+        for m in (-2, -1, 0, 1)
+    )
 
 
 def pairwise_circle_diameter(values, d: int) -> int:

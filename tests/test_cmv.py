@@ -120,14 +120,6 @@ def test_boundary_must_be_unimodular():
         assemble(seq, -5, 5, boundary=(0.5, 1.0))
 
 
-def test_non_unitary_truncation_mode():
-    seq = random_seq(9, -10, 10, radius=0.8)
-    op = assemble(seq, -5, 5, unitary=False)
-    assert op.unitarity_defect > 1e-6  # plain truncation is not unitary
-    assert op.band_agreement <= 1e-14
-    assert op.boundary == (seq.alpha(-6), seq.alpha(5))
-
-
 def test_window_too_small():
     seq = random_seq(3, 0, 4)
     with pytest.raises(WindowError):
@@ -235,7 +227,7 @@ def test_profile_shell_masses_normalized():
     dec = spectrum(op)
     for i in (0, 10, 30):
         p = eigenvector_profile(op, dec, i)
-        assert p.mass_total == pytest.approx(1.0, abs=1e-12)
+        assert sum(p.shell_masses) == pytest.approx(1.0, abs=1e-12)
         assert 1.0 <= p.participation_ratio <= op.size + 1e-9
 
 
@@ -259,7 +251,7 @@ def loop_dump(op, seed=None):
         buf.write(f"# seed={seed}\n")
     buf.write(
         f"# cmv triplets window=[{op.n_min},{op.n_max}] "
-        f"size={op.size} unitary={op.unitary_mode}\n"
+        f"size={op.size} unitary=True\n"
     )
     E = op.matrix
     for i in range(op.size):

@@ -13,7 +13,6 @@ from qpcmv.arith import (
     dist_to_int,
     mpf_to_fraction,
     scaled,
-    signed_frac,
 )
 from qpcmv.dynamics import (
     FULL_SCAN_CAP,
@@ -382,7 +381,7 @@ def test_straddling_skew_level_scanned_once(monkeypatch):
     monkeypatch.setattr(dynamics, "_scan_deviation", counting_scan)
     res = skew_repetition_times(freq, w, Fraction(1, 10), 1)
     wrapped = [c for c in res.certificates
-               if c.window * abs(signed_frac(2 * c.q * freq.value)) >= 1]
+               if c.window * dist_to_int(2 * c.q * freq.value) >= 1]
     assert wrapped
     assert sorted(scans) == sorted(c.q for c in res.certificates)
 

@@ -6,7 +6,8 @@ resolves each exported name from its submodule on first access; the
 README's config table names exactly the config fields, and its library
 tour only names that exist; every subcommand ends malformed input with
 exit 1 and an ``error:`` line, never a traceback; every oracle in
-``tests/oracles.py`` is imported by a test module.
+``tests/oracles.py`` is imported by a test module; every top-level symbol
+that no command or scenario reaches is on an allowlist, with its reason.
 
 The source checks use the standard library only (``ast``,
 ``subprocess``).
@@ -336,6 +337,19 @@ MALFORMED_ARGV = [
     ("gordon-z-grid-negative",
      ["gordon", "--seq-file", "{input}", "--z-grid=-4"], UNPERIODIC_SEQ,
      "error: --z-grid expects an integer >= 1, got -4"),
+    # an explicit --q 0 once read evidence PASS from no transfer matrix,
+    # and a negative one failed inside the block product
+    ("gordon-q-zero",
+     ["gordon", "--seq-file", "{input}", "--q", "0"], UNPERIODIC_SEQ,
+     "error: --q expects an integer >= 1, got 0"),
+    ("gordon-q-negative",
+     ["gordon", "--seq-file", "{input}", "--q=-2"], UNPERIODIC_SEQ,
+     "error: --q expects an integer >= 1, got -2"),
+    # an empty k_list once recorded gordon PASS from zero levels, and ended
+    # without a report
+    ("run-k-list-empty", ["run", "--config", "{input}"],
+     {"schema": CONFIG_SCHEMA, "scenario": "free", "k_list": []},
+     "error: config field 'k_list' must not be empty"),
 ]
 
 
@@ -378,3 +392,123 @@ def test_every_oracle_is_imported_by_a_test():
             if isinstance(node, ast.ImportFrom) and node.module == "oracles":
                 imported.update(a.name for a in node.names)
     assert sorted(oracles - imported) == []
+
+
+# ---------------------------------------------------------------------------
+# symbols that no command or scenario reaches
+# ---------------------------------------------------------------------------
+
+
+def unreached_symbols(sources: dict, roots) -> dict:
+    """{"module.name": line count} of the top-level symbols of the modules
+    (name -> source) that no walk of name references reaches.  The walk
+    starts from ``roots`` ("module.name"), the module-level statements
+    other than definitions, and the dunder names (``__getattr__`` and
+    ``__dir__``, the PEP 562 hooks, among them).  A name resolves to the
+    module's own symbol, or through a relative ``from .m import name``
+    anywhere in the module; ``m.name`` resolves through ``from . import
+    m``.  A reached class or assignment is walked whole."""
+    defs, imports, aliases, starts = {}, {}, {}, []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                starts.append((module, node))
+                continue
+            for name in names:
+                defs[module, name] = node
+                if name.startswith("__") and name.endswith("__"):
+                    starts.append((module, node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    if node.module:
+                        imports[module, a.asname or a.name] = (node.module,
+                                                               a.name)
+                    else:
+                        aliases[module, a.asname or a.name] = a.name
+
+    def resolve(module, name):
+        while (module, name) not in defs and (module, name) in imports:
+            module, name = imports[module, name]
+        return (module, name) if (module, name) in defs else None
+
+    seen = {tuple(r.split(".")) for r in roots}
+    starts += [(m, defs[m, n]) for m, n in seen]
+    while starts:
+        module, node = starts.pop()
+        for n in ast.walk(node):
+            target = None
+            if isinstance(n, ast.Name):
+                target = resolve(module, n.id)
+            elif (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                  and (module, n.value.id) in aliases):
+                target = resolve(aliases[module, n.value.id], n.attr)
+            if target and target not in seen:
+                seen.add(target)
+                starts.append((target[0], defs[target]))
+    return {f"{m}.{n}": node.end_lineno - node.lineno + 1
+            for (m, n), node in defs.items()
+            if (m, n) not in seen and not (n.startswith("__")
+                                            and n.endswith("__"))}
+
+
+def test_unreached_detector():
+    sources = {
+        "a": "from . import b\n"
+             "from .c import used as alias\n"
+             "LIMIT = 3\n"
+             "def main():\n"
+             "    return b.helper() + alias()\n"
+             "def dead():\n"
+             "    return b.other()\n",
+        "b": "def helper():\n    return _private()\n"
+             "def _private():\n    return 1\n"
+             "def other():\n    return 2\n",
+        "c": "from .b import helper as used\n"
+             "TABLE = {'x': 1}\n"
+             "print(TABLE)\n",
+    }
+    assert unreached_symbols(sources, ["a.main"]) == {
+        "a.LIMIT": 1, "a.dead": 2, "b.other": 2}
+
+
+ACCEPTANCE = "acceptance criterion"
+PUBLIC_API = "public API under test"
+OPENNESS = "ROADMAP item 3 openness"
+
+# every top-level symbol that neither a command (cli.main) nor a scenario
+# (pipeline.run) reaches, with the reason it stays
+UNREACHED = {
+    "arith.working_precision": ACCEPTANCE,
+    "dynamics.SkewRepetitionTimes": ACCEPTANCE,
+    "dynamics.block_displacement": ACCEPTANCE,
+    "dynamics.skew_repetition_times": ACCEPTANCE,
+    "sampling.periodic_defect_maxima": ACCEPTANCE,
+    "transfer.szego_matrix": PUBLIC_API,
+    "sampling.PerturbedFunction": OPENNESS,
+    "sampling.TentBump": OPENNESS,
+    "sampling.TubeDistanceReport": OPENNESS,
+    "sampling._circumcircle": OPENNESS,
+    "sampling._cross": OPENNESS,
+    "sampling.distance_to_tubes": OPENNESS,
+    "sampling.min_enclosing_circle": OPENNESS,
+    "sampling.tube_sample_points": OPENNESS,
+    "sampling.tube_tolerance_verdict": OPENNESS,
+}
+
+
+def test_every_unreached_symbol_is_allowlisted():
+    # a symbol leaves the list when a command or scenario wires it, and
+    # goes from the source when nothing needs it
+    sources = {p.stem: p.read_text() for p in MODULES}
+    unreached = unreached_symbols(sources, ["cli.main", "pipeline.run"])
+    assert sorted(unreached) == sorted(UNREACHED)
+    assert set(UNREACHED.values()) <= {ACCEPTANCE, PUBLIC_API, OPENNESS}

@@ -45,6 +45,14 @@ def test_config_rejects_bad_schema():
         ExperimentConfig.from_dict({"schema": CONFIG_SCHEMA, "scenario": "x"})
 
 
+@pytest.mark.parametrize("name", ["k_list", "free_q_list", "omega"])
+def test_config_rejects_an_empty_list(name):
+    # an empty k_list once recorded gordon=PASS from zero levels
+    with pytest.raises(QpcmvError, match=f"{name!r} must not be empty"):
+        ExperimentConfig.from_dict(
+            {"schema": CONFIG_SCHEMA, "scenario": "free", name: []})
+
+
 def test_free_run_passes(tmp_path):
     doc, code = run(small_free_config(), tmp_path)
     assert code == 0

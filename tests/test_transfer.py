@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from mpmath import mp
 from oracles import (
+    block_difference_loop,
+    gordon_defect_loop,
     matmul_three_step_difference,
     szego_batch,
     validate_periodic_floor,
@@ -20,6 +22,7 @@ from qpcmv.pipeline import ExperimentConfig
 from qpcmv.sampling import (
     VerblunskySequence,
     ball_radius,
+    periodic_defect_maxima,
     tube_function,
     verblunsky_window,
 )
@@ -441,6 +444,49 @@ def test_certify_errors():
         certify_gordon(seq, [(1, 20)])
     with pytest.raises(DomainError):
         certify_gordon(seq, [(1, 8), (2, 4)])
+    # no level certifies nothing: an empty list once read all_passed
+    with pytest.raises(DomainError, match="at least one"):
+        certify_gordon(seq, [])
+
+
+class TableFunction:
+    """A sampling function reading a seeded table: at the residue p of
+    the rotation by 1/m its value is table[p[0]], so a window shorter
+    than m repeats no value."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def denominator(self, d0):
+        return d0
+
+    def at_residues(self, p, d):
+        return self.table[p[0]]
+
+
+def test_shift_difference_kernel_matches_the_loop():
+    # certify_gordon's defect and periodic_defect_maxima against the
+    # pair-by-pair loops they replaced, bit for bit, on seeded windows
+    # that are not periodic; np.abs of the differences is not Python's abs
+    # on some of them, np.hypot is on all
+    rng = np.random.default_rng(20261019)
+    abs_differs = 0
+    for q in range(2, 41):
+        seq = random_seq(rng, -2 * q + 1, 3 * q)
+        if q % 2 == 0:
+            defect = certify_gordon(seq, [(1, q)]).levels[0].defect
+            assert defect == gordon_defect_loop(seq, q), q
+            d = seq.slice(-2 * q + 1, 2 * q + 1)
+            abs_differs += float(np.abs(d[q:] - d[:-q]).max()) != defect
+        m = 5 * q + 1
+        f = TableFunction(random_seq(rng, 0, m - 1).values.tolist())
+        rot = Rotation([Fraction(1, m)])
+        omega = TorusPoint([Fraction(int(rng.integers(m)), m)])
+        maxima = periodic_defect_maxima(f, rot, omega, q)
+        window = verblunsky_window(f, rot, omega, -2 * q + 1, 3 * q)
+        assert maxima == block_difference_loop(window, q), q
+        assert all(x > 0 for x in maxima)
+    assert abs_differs >= 1
 
 
 def test_certify_tube_sequence_end_to_end():
@@ -676,6 +722,10 @@ def test_evidence_requires_certificate_or_q():
     assert not cert.all_passed
     with pytest.raises(DomainError):
         no_point_spectrum_evidence(bad, certificate=cert)
+    # q = 0 once read PASS with min_c 1 from no transfer matrix
+    for q in (0, -2):
+        with pytest.raises(DomainError, match=f"q must be >= 1, got {q}"):
+            no_point_spectrum_evidence(seq, q=q, z_grid=4)
 
 
 def test_evidence_impurity_dips_at_bound_state():
