@@ -6,6 +6,8 @@ JSON artifact goes through this module.  A CSV artifact is an optional
 written as its ``repr`` so that it reads back bit for bit and each row
 ended in the csv module's "\r\n"; a JSON artifact has sorted keys, an
 indent of 2 and a trailing newline, so equal documents are equal bytes.
+The two JSON inputs, the run config and the tube-construction spec, are
+read by one typed reader, ``read_fields``.
 """
 
 from __future__ import annotations
@@ -13,10 +15,17 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import (Iterable, NewType, Optional, Union, get_args, get_origin,
+                    get_type_hints)
 
 from .dynamics import scaled_deviations
+from .errors import QpcmvError
+
+# an exact rational given in JSON as a string ("3/10", "0.3") or a number,
+# kept as the text that ``as_fraction`` reads
+Rational = NewType("Rational", str)
 
 
 def write_json(path, obj) -> None:
@@ -46,6 +55,67 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
         reader = csv.reader(line for line in fh if not line.startswith("#"))
         header = next(reader, [])
         return header, [row for row in reader if row]
+
+
+def _decode(hint, v):
+    """JSON value ``v`` as a value of the field type ``hint``: an int, a
+    float from any number, a str, a Rational from a string or a number, a
+    complex from a number or an [re, im] pair, a tuple from a list of its
+    items, an Optional[X] as an X; TypeError when ``v`` does not fit."""
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    if get_origin(hint) is Union:  # Optional[X]: given, it is an X
+        return _decode(get_args(hint)[0], v)
+    if get_origin(hint) is tuple:
+        items = get_args(hint)
+        if isinstance(v, list) and items[-1] is Ellipsis:
+            items = items[:1] * len(v)
+        if isinstance(v, list) and len(v) == len(items):
+            return tuple(_decode(h, x) for h, x in zip(items, v))
+    elif hint is complex:
+        if number:
+            return complex(v)
+        return complex(*_decode(tuple[float, float], v))
+    elif hint is float and number:
+        return float(v)
+    elif hint is int and isinstance(v, int) and not isinstance(v, bool):
+        return v
+    elif hint is Rational and (number or isinstance(v, str)):
+        return str(v)
+    elif hint is str and isinstance(v, str):
+        return v
+    raise TypeError(v)
+
+
+def read_fields(cls, d, what: str):
+    """The dataclass ``cls`` from the JSON object ``d``, each field read
+    from its key by ``_decode``.  Not an object, a missing field without
+    default, an unknown key, a value of the wrong JSON type (described by
+    the field's ``form`` metadata, if any) or an empty list raise
+    QpcmvError naming ``what``."""
+    if not isinstance(d, dict):
+        raise QpcmvError(f"{what} must be a JSON object")
+    missing = [f.name for f in fields(cls) if f.name not in d
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise QpcmvError(f"{what} lacks {', '.join(missing)}")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise QpcmvError(f"unknown {what} field(s): {', '.join(unknown)}")
+    hints = get_type_hints(cls)
+    kw = {}
+    for f in fields(cls):
+        if f.name in d:
+            if d[f.name] == []:
+                raise QpcmvError(f"{what} field {f.name!r} must not be empty")
+            try:
+                kw[f.name] = _decode(hints[f.name], d[f.name])
+            except TypeError:
+                raise QpcmvError(
+                    f"{what} field {f.name!r} must be "
+                    f"{f.metadata.get('form', f.type)}, "
+                    f"got {json.dumps(d[f.name])}"
+                ) from None
+    return cls(**kw)
 
 
 def write_frequency_csv(path, seed, freq, scan) -> None:

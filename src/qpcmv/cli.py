@@ -24,10 +24,13 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
 
 from . import artifacts
-from .arith import DEFAULT_PRECISION_BITS, as_fraction
+from .arith import as_fraction
+from .artifacts import Rational
 from .dynamics import Rotation, SkewShift, TorusPoint, find_even_repetition
 from .errors import QpcmvError
 from .frequency import badly_approximable_score, parse_frequency
@@ -78,9 +81,11 @@ _RATIONAL_FORM = "P/Q or a decimal"
 _POINT_FORM = "X[,Y] (P/Q or decimals)"
 
 
-def _parse_frequency_flag(text: str, bits: int, flag: str = "--freq"):
-    return _parse_flag(text, lambda t: parse_frequency(t, bits=bits), flag,
-                       _FREQUENCY_FORM)
+def _system(kind: str, freq, dim: int):
+    """The rotation by ``freq`` on the ``dim``-torus, or the skew-shift."""
+    if kind == "rotation":
+        return Rotation([freq.value] * dim)
+    return SkewShift(freq.value)
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +96,10 @@ def _parse_frequency_flag(text: str, bits: int, flag: str = "--freq"):
 def _cmd_frequency(args) -> int:
     if args.liouville:
         base, depth = _parse_pair(args.liouville, ",", int, "--liouville", "BASE,DEPTH")
-        freq = parse_frequency(f"liouville:{base},{depth}", bits=args.precision_bits)
+        freq = parse_frequency(f"liouville:{base},{depth}")
     elif args.value:
-        freq = _parse_frequency_flag(args.value, args.precision_bits, "--value")
+        freq = _parse_flag(args.value, parse_frequency, "--value",
+                           _FREQUENCY_FORM)
     else:
         raise QpcmvError("need --value or --liouville")
     out = _out_dir(args)
@@ -124,15 +130,12 @@ def _cmd_frequency(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    freq = _parse_frequency_flag(args.freq, args.precision_bits)
+    freq = _parse_flag(args.freq, parse_frequency, "--freq", _FREQUENCY_FORM)
     omega = _parse_flag(args.omega, _parse_point, "--omega", _POINT_FORM)
     eps = _parse_flag(args.epsilon, as_fraction, "--epsilon", _RATIONAL_FORM)
     s = _parse_flag(args.s, as_fraction, "--s", _RATIONAL_FORM)
     out = _out_dir(args)
-    if args.system == "rotation":
-        system = Rotation([freq.value] * omega.dim)
-    else:
-        system = SkewShift(freq.value)
+    system = _system(args.system, freq, omega.dim)
     cert = find_even_repetition(system, omega, eps, s, args.qmax)
     if cert is None:
         artifacts.write_json(
@@ -164,55 +167,31 @@ def _cmd_orbit(args) -> int:
     return 0
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+@dataclass(frozen=True)
+class _ConstructSpec:
+    """The --construct-ck JSON object (README)."""
 
+    freq: Rational
+    center: tuple[Rational, ...]
+    period: int
+    radius: Rational  # or "auto", derived from epsilon
+    values: tuple[tuple[float, float], ...] = field(
+        metadata={"form": "a list of [re, im] pairs of numbers"})
+    system: str = "rotation"
+    epsilon: Optional[Rational] = None
 
-def _is_scalar(x) -> bool:
-    """A JSON string or number, as accepted for exact rationals."""
-    return isinstance(x, str) or _is_number(x)
-
-
-def _read_construct_spec(path) -> dict:
-    """The --construct-ck JSON object, checked before any field is used."""
-    with open(path) as fh:
-        spec = json.load(fh)
-    if not isinstance(spec, dict):
-        raise QpcmvError("construct spec must be a JSON object")
-    required = ["freq", "center", "period", "radius", "values"]
-    if spec.get("radius") == "auto":
-        required.append("epsilon")
-    missing = [k for k in required if k not in spec]
-    if missing:
-        raise QpcmvError(f"construct spec lacks {', '.join(missing)}")
-    system = spec.get("system", "rotation")
-    if system not in ("rotation", "skew"):
-        raise QpcmvError(f"construct spec system must be rotation or skew, "
-                         f"got {system!r}")
-    center = spec["center"]
-    if not (isinstance(center, list) and center
-            and all(_is_scalar(c) for c in center)):
-        raise QpcmvError("construct spec center must be a non-empty list of "
-                         "numbers or strings")
-    if system == "skew" and len(center) != 2:
-        raise QpcmvError(f"skew-shift center needs 2 coordinates, "
-                         f"got {len(center)}")
-    period = spec["period"]
-    if not (isinstance(period, int) and not isinstance(period, bool)
-            and period >= 1):
-        raise QpcmvError(f"construct spec period must be an integer >= 1, "
-                         f"got {period!r}")
-    values = spec["values"]
-    if not (isinstance(values, list) and all(
-            isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))
-            for v in values)):
-        raise QpcmvError("construct spec values must be [re, im] pairs of "
-                         "numbers")
-    for key in ("freq", "radius", "epsilon"):
-        if key in spec and not _is_scalar(spec[key]):
-            raise QpcmvError(f"construct spec {key} must be a number or a "
-                             f"string, got {spec[key]!r}")
-    return spec
+    def __post_init__(self):
+        if self.system not in ("rotation", "skew"):
+            raise QpcmvError(f"construct spec system must be rotation or "
+                             f"skew, got {self.system!r}")
+        if self.system == "skew" and len(self.center) != 2:
+            raise QpcmvError(f"skew-shift center needs 2 coordinates, "
+                             f"got {len(self.center)}")
+        if self.period < 1:
+            raise QpcmvError(f"construct spec period must be an integer "
+                             f">= 1, got {self.period}")
+        if self.radius == "auto" and self.epsilon is None:
+            raise QpcmvError("construct spec lacks epsilon")
 
 
 def _cmd_sample(args) -> int:
@@ -221,23 +200,19 @@ def _cmd_sample(args) -> int:
 
     n_min, n_max = _parse_pair(args.window, ":", int, "--window", "N_MIN:N_MAX")
     if args.construct_ck:
-        spec = _read_construct_spec(args.construct_ck)
-        freq = parse_frequency(str(spec["freq"]), bits=args.precision_bits)
-        center = TorusPoint([as_fraction(str(c)) for c in spec["center"]])
-        if spec.get("system", "rotation") == "rotation":
-            system = Rotation([freq.value] * center.dim)
+        with open(args.construct_ck) as fh:
+            spec = artifacts.read_fields(_ConstructSpec, json.load(fh),
+                                         "construct spec")
+        freq = parse_frequency(spec.freq)
+        center = TorusPoint([as_fraction(c) for c in spec.center])
+        system = _system(spec.system, freq, center.dim)
+        if spec.radius == "auto":
+            radius = ball_radius(system, center, spec.period,
+                                 as_fraction(spec.epsilon)).radius
         else:
-            system = SkewShift(freq.value)
-        values = [complex(v[0], v[1]) for v in spec["values"]]
-        period = int(spec["period"])
-        radius_spec = spec["radius"]
-        if radius_spec == "auto":
-            radius = ball_radius(
-                system, center, period, as_fraction(str(spec["epsilon"]))
-            ).radius
-        else:
-            radius = as_fraction(str(radius_spec))
-        f = tube_function(system, center, period, radius, values)
+            radius = as_fraction(spec.radius)
+        f = tube_function(system, center, spec.period, radius,
+                          [complex(*v) for v in spec.values])
         omega = f.gordon_point()
     else:
         families = {"constant": ConstantFunction, "harmonic": HarmonicFunction}
@@ -245,9 +220,10 @@ def _cmd_sample(args) -> int:
             raise QpcmvError(f"unknown family {args.family!r}")
         f = families[args.family](
             _parse_flag(args.params, _parse_complex, "--params", "RE[,IM]"))
-        freq = _parse_frequency_flag(args.freq, args.precision_bits)
+        freq = _parse_flag(args.freq, parse_frequency, "--freq",
+                           _FREQUENCY_FORM)
         omega = _parse_flag(args.omega, _parse_point, "--omega", _POINT_FORM)
-        system = Rotation([freq.value] * omega.dim)
+        system = _system("rotation", freq, omega.dim)
     out = _out_dir(args)
     seq = verblunsky_window(f, system, omega, n_min, n_max)
     seq.to_csv(out / "verblunsky.csv", seed=args.seed)
@@ -367,19 +343,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, precision=False):
+    def common(p):
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=20240601)
-        if precision:
-            p.add_argument(
-                "--precision-bits", type=int, default=DEFAULT_PRECISION_BITS
-            )
 
     p = sub.add_parser("frequency", help="continued-fraction analysis")
     p.add_argument("--value", help="decimal, p/q, or 'golden'")
     p.add_argument("--liouville", metavar="BASE,DEPTH")
     p.add_argument("--max-q", type=int, default=1000)
-    common(p, precision=True)
+    common(p)
     p.set_defaults(func=_cmd_frequency)
 
     p = sub.add_parser("orbit", help="even-repetition search")
@@ -389,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", default="1/100")
     p.add_argument("--s", default="4")
     p.add_argument("--qmax", type=int, default=1000)
-    common(p, precision=True)
+    common(p)
     p.set_defaults(func=_cmd_orbit)
 
     p = sub.add_parser("sample", help="coefficient windows")
@@ -400,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--freq", default="golden")
     p.add_argument("--omega", default="0")
     p.add_argument("--window", default="-8:8", metavar="N_MIN:N_MAX")
-    common(p, precision=True)
+    common(p)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("gordon", help="certification and evidence")

@@ -14,10 +14,10 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Optional, get_args, get_origin, get_type_hints
+from typing import Optional
 
 import numpy as np
 
@@ -42,36 +42,6 @@ from .transfer import (
 CONFIG_SCHEMA = "qpcmv-config/1"
 REPORT_SCHEMA = "qpcmv-report/1"
 
-SCENARIOS = ("free", "liouville-rotation", "impurity-control")
-
-
-def _json_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _decode(hint, v):
-    """JSON value ``v`` as a value of the config field type ``hint``;
-    TypeError when its JSON type does not fit."""
-    if get_origin(hint) is tuple:
-        items = get_args(hint)
-        if isinstance(v, list) and items[-1] is Ellipsis:
-            items = items[:1] * len(v)
-        if isinstance(v, list) and len(v) == len(items):
-            return tuple(_decode(h, x) for h, x in zip(items, v))
-    elif hint is complex:
-        if _json_number(v):
-            return complex(v)
-        if isinstance(v, list) and len(v) == 2 and all(map(_json_number, v)):
-            return complex(float(v[0]), float(v[1]))
-    elif hint is float and _json_number(v):
-        return float(v)
-    elif hint is int and isinstance(v, int) and not isinstance(v, bool):
-        return v
-    elif hint is str and isinstance(v, str):
-        return v
-    raise TypeError(v)
-
-
 @dataclass
 class ExperimentConfig:
     """Validated run configuration; see README for the JSON schema."""
@@ -86,7 +56,7 @@ class ExperimentConfig:
     # liouville-rotation scenario
     liouville_base: int = 2
     liouville_depth: int = 4
-    omega: tuple[str, ...] = ("0",)
+    omega: tuple[str] = ("0",)
     tube_value_radius: float = 0.5
     score_q_max: int = 1000
     repetition_q_max: int = 2000
@@ -105,39 +75,22 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise QpcmvError(f"unknown scenario {self.scenario!r}")
-        for name in ("k_list", "free_q_list", "omega"):
-            if not getattr(self, name):
-                raise QpcmvError(f"config field {name!r} must not be empty")
+        n, m = len(self.k_list), len(self.free_q_list)
+        if self.scenario == "free" and n != m:
+            raise QpcmvError(f"config fields 'k_list' and 'free_q_list' pair "
+                             f"levels with periods, got {n} and {m} entries")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """Each field from the JSON value of its key, by the field's type:
-        integers, numbers, strings, complex numbers as a number or an
-        [re, im] pair, tuples as lists.  Unknown keys and values of the
-        wrong JSON type raise QpcmvError."""
-        if not isinstance(d, dict):
-            raise QpcmvError("config must be a JSON object")
-        if d.get("schema") != CONFIG_SCHEMA:
-            raise QpcmvError(
-                f"config schema must be {CONFIG_SCHEMA!r}, got {d.get('schema')!r}"
-            )
-        if "scenario" not in d:
-            raise QpcmvError("config lacks scenario")
-        hints = get_type_hints(cls)
-        unknown = sorted(set(d) - set(hints) - {"schema"})
-        if unknown:
-            raise QpcmvError(f"unknown config field(s): {', '.join(unknown)}")
-        kw: dict[str, Any] = {}
-        for f in fields(cls):
-            if f.name in d:
-                try:
-                    kw[f.name] = _decode(hints[f.name], d[f.name])
-                except TypeError:
-                    raise QpcmvError(
-                        f"config field {f.name!r} must be {f.type}, "
-                        f"got {json.dumps(d[f.name])}"
-                    ) from None
-        return cls(**kw)
+        """The config of a JSON object with ``"schema": CONFIG_SCHEMA``,
+        each other key read by ``artifacts.read_fields``."""
+        if isinstance(d, dict):
+            d = dict(d)
+            schema = d.pop("schema", None)
+            if schema != CONFIG_SCHEMA:
+                raise QpcmvError(
+                    f"config schema must be {CONFIG_SCHEMA!r}, got {schema!r}")
+        return artifacts.read_fields(cls, d, "config")
 
     def to_dict(self) -> dict:
         def enc(v):
@@ -292,10 +245,9 @@ def _repetition_stage(rep: _Report, cfg: ExperimentConfig, system):
 
 
 def _tube_stage(rep: _Report, cfg: ExperimentConfig, system, omega, reps):
-    """Per-level tube constructions, coefficient windows starting at the
-    designated orbit point."""
-    sequences = {}
-    constructions = {}
+    """Per-level tube functions and their coefficient windows, each
+    starting at the designated orbit point."""
+    functions, sequences, bits = {}, {}, {}
     with rep.stage("sampling") as st:
         for k, cert in reps.items():
             q = cert.q
@@ -304,52 +256,61 @@ def _tube_stage(rep: _Report, cfg: ExperimentConfig, system, omega, reps):
                 cfg.tube_value_radius * np.exp(2j * np.pi * j / q)
                 for j in range(q)
             ]
-            f = tube_function(system, omega, q, br.radius, values)
-            w0 = f.gordon_point()
-            seq = verblunsky_window(f, system, w0, -2 * q, 3 * q + 1)
-            sequences[k] = seq
-            constructions[k] = (f, br)
-        k_top = max(sequences)
-        path = rep.artifact("sampling", "verblunsky.csv")
-        sequences[k_top].to_csv(path, seed=cfg.seed)
+            f = functions[k] = tube_function(system, omega, q, br.radius,
+                                             values)
+            sequences[k] = verblunsky_window(f, system, f.gordon_point(),
+                                             -2 * q, 3 * q + 1)
+            bits[str(k)] = br.denominator_bits
+        sequences[max(sequences)].to_csv(
+            rep.artifact("sampling", "verblunsky.csv"), seed=cfg.seed)
         st["levels"] = sorted(sequences)
-        st["denominator_bits"] = {
-            str(k): br.denominator_bits for k, (_, br) in constructions.items()
-        }
-    return sequences, constructions
+        st["denominator_bits"] = bits
+    return functions, sequences
 
 
-def _evidence_stage(rep: _Report, cfg: ExperimentConfig, seq, certificate=None,
-                    q=None, extra_angles=(), expect_fail=False):
-    with rep.stage("evidence") as st:
-        table = no_point_spectrum_evidence(
-            seq,
-            certificate=certificate,
-            q=q,
-            z_grid=cfg.z_grid,
-            extra_angles=extra_angles,
-        )
-        artifacts.write_evidence_csv(
-            rep.artifact("evidence", "evidence.csv"), cfg.seed, table
-        )
-        artifacts.write_json(
-            rep.artifact("evidence", "evidence.json"),
-            {"seed": cfg.seed, "source": table.source,
-             "threshold": table.threshold,
-             **artifacts.evidence_summary(table)},
-        )
-        st["min_c"] = table.min_c
-        st["nonfinite_rows"] = table.nonfinite_rows
-        st["max_log10_norm"] = table.max_log10_norm
-        if expect_fail:
-            st["expected"] = "FAIL"
-            rep.verdicts["evidence"] = table.verdict
-            rep.verdicts["evidence-negative-control"] = (
-                "PASS" if table.verdict == "FAIL" else "FAIL"
-            )
-        else:
-            rep.verdicts["evidence"] = table.verdict
-    return table
+def _verdict(passed) -> str:
+    return "PASS" if passed else "FAIL"
+
+
+def _sampling(rep: _Report, cfg: ExperimentConfig, seq):
+    """The sampling stage of a scenario that builds its window directly."""
+    with rep.stage("sampling"):
+        seq.to_csv(rep.artifact("sampling", "verblunsky.csv"), seed=cfg.seed)
+
+
+# _gordon, _evidence and _cmv do the work and write the artifacts that
+# every scenario shares, inside the stage the scenario has opened; the
+# scenario keeps the verdicts that are its own.
+
+
+def _gordon(rep: _Report, cfg: ExperimentConfig, runs) -> list:
+    """The Gordon certificate of each (sequence, [(k, q), ...], sequence
+    id) of ``runs``; gordon.json lists their levels in that order."""
+    certs = [certify_gordon(seq, pairs, sequence_id=sid)
+             for seq, pairs, sid in runs]
+    artifacts.write_json(
+        rep.artifact("gordon", "gordon.json"),
+        {"seed": cfg.seed,
+         "levels": [row for c in certs for row in artifacts.gordon_levels(c)]},
+    )
+    return certs
+
+
+def _evidence(rep: _Report, cfg: ExperimentConfig, table):
+    """Writes the evidence table, records its health and its verdict."""
+    artifacts.write_evidence_csv(
+        rep.artifact("evidence", "evidence.csv"), cfg.seed, table
+    )
+    artifacts.write_json(
+        rep.artifact("evidence", "evidence.json"),
+        {"seed": cfg.seed, "source": table.source,
+         "threshold": table.threshold,
+         **artifacts.evidence_summary(table)},
+    )
+    rep.stages["evidence"].update(min_c=table.min_c,
+                                  nonfinite_rows=table.nonfinite_rows,
+                                  max_log10_norm=table.max_log10_norm)
+    rep.verdicts["evidence"] = table.verdict
 
 
 # Participation ratios this close count as equal.  Conjugation-symmetric
@@ -369,62 +330,35 @@ def most_localized(prs: np.ndarray, angles: np.ndarray, candidates) -> int:
     return int(near[np.argmin(angles[near])])
 
 
-def _cmv_stage(rep: _Report, cfg: ExperimentConfig, seq,
-               check_free_profile=False, find_bound_state=False):
-    out = {}
-    with rep.stage("cmv") as st:
-        n = cfg.cmv_n
-        half = n // 2
-        lo, hi = -half, n - half - 1
-        op = assemble(seq, lo, hi, boundary=cfg.boundary)
-        dec = spectrum(op)
-        st["unitarity_defect"] = op.unitarity_defect
-        st["band_agreement"] = op.band_agreement
-        st["max_residual"] = float(dec.residuals.max())
-        st["eig_fallback"] = dec.fallback
-        rep.verdicts["unitarity"] = (
-            "PASS"
-            if op.unitarity_defect <= 1e-12 and op.band_agreement <= 1e-14
-            else "FAIL"
-        )
-        artifacts.write_eigenvalues_csv(
-            rep.artifact("cmv", "eigenvalues.csv"), cfg.seed, dec
-        )
-        with open(rep.artifact("cmv", "matrix.txt"), "w") as fh:
-            op.dump_triplets(fh, seed=cfg.seed)
-        profiles = eigenvector_profile(op, dec, range(op.size))
-        prs = np.array([p.participation_ratio for p in profiles])
-        angles = np.angle(dec.eigenvalues)
-        imin = most_localized(prs, angles, range(op.size))
-        artifacts.write_profile_csv(
-            rep.artifact("cmv", "profile.csv"), cfg.seed, profiles[imin]
-        )
-        st["min_participation_ratio"] = float(prs.min())
-        if check_free_profile:
-            rep.verdicts["profile"] = (
-                "PASS" if prs.min() >= op.size / 4 else "FAIL"
-            )
-        out["operator"] = op
-        out["decomposition"] = dec
-        out["profiles"] = profiles
-        if find_bound_state:
-            cut = op.size / 10
-            cands = [
-                i
-                for i, p in enumerate(profiles)
-                if p.participation_ratio <= cut
-                and abs(p.peak) <= op.size // 4
-            ]
-            if not cands:
-                raise QpcmvError("no localized central eigenvector found")
-            ibest = most_localized(prs, angles, cands)
-            angle = float(np.angle(dec.eigenvalues[ibest]))
-            st["bound_state_angle"] = angle
-            st["bound_state_pr"] = float(
-                profiles[ibest].participation_ratio
-            )
-            out["bound_state_angle"] = angle
-    return out
+def _cmv(rep: _Report, cfg: ExperimentConfig, seq):
+    """The truncation of ``seq`` to cmv_n sites around 0: its health and
+    unitarity verdict, eigenvalues, matrix and the profile of its most
+    localized eigenvector.  Returns the profiles of all eigenvectors,
+    their participation ratios and the eigenvalue angles."""
+    st = rep.stages["cmv"]
+    half = cfg.cmv_n // 2
+    op = assemble(seq, -half, cfg.cmv_n - half - 1, boundary=cfg.boundary)
+    dec = spectrum(op)
+    st["unitarity_defect"] = op.unitarity_defect
+    st["band_agreement"] = op.band_agreement
+    st["max_residual"] = float(dec.residuals.max())
+    st["eig_fallback"] = dec.fallback
+    rep.verdicts["unitarity"] = _verdict(
+        op.unitarity_defect <= 1e-12 and op.band_agreement <= 1e-14)
+    artifacts.write_eigenvalues_csv(
+        rep.artifact("cmv", "eigenvalues.csv"), cfg.seed, dec
+    )
+    with open(rep.artifact("cmv", "matrix.txt"), "w") as fh:
+        op.dump_triplets(fh, seed=cfg.seed)
+    profiles = eigenvector_profile(op, dec, range(op.size))
+    prs = np.array([p.participation_ratio for p in profiles])
+    angles = np.angle(dec.eigenvalues)
+    imin = most_localized(prs, angles, range(op.size))
+    artifacts.write_profile_csv(
+        rep.artifact("cmv", "profile.csv"), cfg.seed, profiles[imin]
+    )
+    st["min_participation_ratio"] = float(prs.min())
+    return profiles, prs, angles
 
 
 def _lipschitz_stage(rep: _Report, cfg: ExperimentConfig):
@@ -434,7 +368,7 @@ def _lipschitz_stage(rep: _Report, cfg: ExperimentConfig):
         )
         st["max_ratio"] = val.max_ratio
         st["bound"] = val.bound
-        rep.verdicts["lipschitz"] = "PASS" if val.violations == 0 else "FAIL"
+        rep.verdicts["lipschitz"] = _verdict(val.violations == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -448,18 +382,18 @@ def _run_free(rep: _Report, cfg: ExperimentConfig):
     lo = min(-pad, -half - 1)
     hi = max(pad, cfg.cmv_n - half)
     seq = VerblunskySequence.constant(cfg.free_value, lo, hi)
-    with rep.stage("sampling"):
-        seq.to_csv(rep.artifact("sampling", "verblunsky.csv"), seed=cfg.seed)
+    _sampling(rep, cfg, seq)
     with rep.stage("gordon"):
         pairs = list(zip(cfg.k_list, cfg.free_q_list))
-        cert = certify_gordon(seq, pairs, sequence_id="free")
-        artifacts.write_json(
-            rep.artifact("gordon", "gordon.json"),
-            {"seed": cfg.seed, "levels": artifacts.gordon_levels(cert)},
-        )
-        rep.verdicts["gordon"] = "PASS" if cert.all_passed else "FAIL"
-    _evidence_stage(rep, cfg, seq, certificate=cert)
-    _cmv_stage(rep, cfg, seq, check_free_profile=True)
+        cert, = _gordon(rep, cfg, [(seq, pairs, "free")])
+        rep.verdicts["gordon"] = _verdict(cert.all_passed)
+    with rep.stage("evidence"):
+        _evidence(rep, cfg, no_point_spectrum_evidence(
+            seq, certificate=cert, z_grid=cfg.z_grid))
+    with rep.stage("cmv"):
+        _, prs, _ = _cmv(rep, cfg, seq)
+        # the free operator has no localized eigenvector
+        rep.verdicts["profile"] = _verdict(prs.min() >= len(prs) / 4)
     _lipschitz_stage(rep, cfg)
 
 
@@ -467,34 +401,25 @@ def _run_liouville_rotation(rep: _Report, cfg: ExperimentConfig):
     freq = _frequency_stage(rep, cfg)
     system = Rotation([freq.value])
     omega, reps = _repetition_stage(rep, cfg, system)
-    sequences, constructions = _tube_stage(rep, cfg, system, omega, reps)
-    certs = {}
+    functions, sequences = _tube_stage(rep, cfg, system, omega, reps)
+    levels = sorted(sequences)
     with rep.stage("gordon"):
-        rows = []
-        for k in sorted(sequences):
-            cert = certify_gordon(
-                sequences[k], [(k, reps[k].q)], sequence_id=f"level-{k}"
-            )
-            certs[k] = cert
-            rows.extend(artifacts.gordon_levels(cert))
-        artifacts.write_json(
-            rep.artifact("gordon", "gordon.json"),
-            {"seed": cfg.seed, "levels": rows},
-        )
-        rep.verdicts["gordon"] = (
-            "PASS" if all(c.all_passed for c in certs.values()) else "FAIL"
-        )
-    k_top = max(sequences)
-    _evidence_stage(rep, cfg, sequences[k_top], certificate=certs[k_top])
+        runs = [(sequences[k], [(k, reps[k].q)], f"level-{k}") for k in levels]
+        certs = _gordon(rep, cfg, runs)
+        rep.verdicts["gordon"] = _verdict(all(c.all_passed for c in certs))
+    k_top = levels[-1]
+    with rep.stage("evidence"):
+        _evidence(rep, cfg, no_point_spectrum_evidence(
+            sequences[k_top], certificate=certs[-1], z_grid=cfg.z_grid))
     # CMV diagnostics on the periodized top-level tube values
-    q = reps[k_top].q
-    f, _ = constructions[k_top]
+    q, f = reps[k_top].q, functions[k_top]
     half = cfg.cmv_n // 2
     vals = [
         f.values[(n - 1) % q] for n in range(-half - 1, cfg.cmv_n - half + 1)
     ]
     periodic = VerblunskySequence(-half - 1, cfg.cmv_n - half, np.array(vals))
-    _cmv_stage(rep, cfg, periodic)
+    with rep.stage("cmv"):
+        _cmv(rep, cfg, periodic)
     _lipschitz_stage(rep, cfg)
 
 
@@ -504,32 +429,38 @@ def _run_impurity_control(rep: _Report, cfg: ExperimentConfig):
     seq = VerblunskySequence.impurity(
         cfg.impurity_background, cfg.impurity_value, -pad, pad
     )
-    with rep.stage("sampling"):
-        seq.to_csv(rep.artifact("sampling", "verblunsky.csv"), seed=cfg.seed)
-    out = _cmv_stage(rep, cfg, seq, find_bound_state=True)
+    _sampling(rep, cfg, seq)
+    with rep.stage("cmv") as st:
+        # the bound state: the most localized eigenvector peaked near the
+        # impurity
+        profiles, prs, angles = _cmv(rep, cfg, seq)
+        n = len(profiles)
+        cands = [i for i, p in enumerate(profiles)
+                 if p.participation_ratio <= n / 10 and abs(p.peak) <= n // 4]
+        if not cands:
+            raise QpcmvError("no localized central eigenvector found")
+        ibest = most_localized(prs, angles, cands)
+        st["bound_state_angle"] = angle = float(angles[ibest])
+        st["bound_state_pr"] = float(prs[ibest])
     with rep.stage("gordon") as st:
-        cert = certify_gordon(
-            seq,
-            [(k, cfg.impurity_q) for k in cfg.k_list],
-            sequence_id="impurity",
-        )
-        artifacts.write_json(
-            rep.artifact("gordon", "gordon.json"),
-            {"seed": cfg.seed, "levels": artifacts.gordon_levels(cert)},
-        )
+        pairs = [(k, cfg.impurity_q) for k in cfg.k_list]
+        cert, = _gordon(rep, cfg, [(seq, pairs, "impurity")])
         st["expected"] = "FAIL"
-        rep.verdicts["gordon-negative-control"] = (
-            "PASS" if not cert.all_passed else "FAIL"
-        )
-    _evidence_stage(
-        rep,
-        cfg,
-        seq,
-        q=cfg.impurity_q,
-        extra_angles=[out["bound_state_angle"]],
-        expect_fail=True,
-    )
+        rep.verdicts["gordon-negative-control"] = _verdict(not cert.all_passed)
+    with rep.stage("evidence") as st:
+        table = no_point_spectrum_evidence(
+            seq, q=cfg.impurity_q, z_grid=cfg.z_grid, extra_angles=[angle])
+        _evidence(rep, cfg, table)
+        st["expected"] = "FAIL"
+        rep.verdicts["evidence-negative-control"] = _verdict(
+            table.verdict == "FAIL")
     _lipschitz_stage(rep, cfg)
+
+
+# each scenario's stages, by its config name
+SCENARIOS = {"free": _run_free,
+             "liouville-rotation": _run_liouville_rotation,
+             "impurity-control": _run_impurity_control}
 
 
 def run(config: ExperimentConfig, out_dir) -> tuple[dict, int]:
@@ -543,12 +474,7 @@ def run(config: ExperimentConfig, out_dir) -> tuple[dict, int]:
     out.mkdir(parents=True, exist_ok=True)
     rep = _Report(config, out)
     try:
-        if config.scenario == "free":
-            _run_free(rep, config)
-        elif config.scenario == "liouville-rotation":
-            _run_liouville_rotation(rep, config)
-        else:
-            _run_impurity_control(rep, config)
+        SCENARIOS[config.scenario](rep, config)
     except Exception:
         if rep.failure is None:
             raise

@@ -823,5 +823,7 @@ def periodic_defect_maxima(f, system: TorusDynamics, omega: TorusPoint,
     """
     from .transfer import shift_differences
 
+    if q < 1:
+        raise DomainError(f"q must be >= 1, got {q}")
     alpha = verblunsky_window(f, system, omega, -2 * q + 1, 3 * q).values
     return tuple(shift_differences(alpha, q).reshape(4, q).max(axis=1).tolist())

@@ -3,16 +3,18 @@ and none imports another package module's private (underscore) names;
 importing the CLI leaves numpy, scipy and mpmath unloaded, and the exact
 commands (``frequency``, ``orbit``) never load numpy; the package
 resolves each exported name from its submodule on first access; the
-README's config table names exactly the config fields, and its library
-tour only names that exist; every subcommand ends malformed input with
-exit 1 and an ``error:`` line, never a traceback; every oracle in
-``tests/oracles.py`` is imported by a test module; every top-level symbol
-that no command or scenario reaches is on an allowlist, with its reason.
+README's config table names exactly the config fields, its CLI section
+names every option of every subcommand, and its library tour only names
+that exist; every subcommand ends malformed input with exit 1 and an
+``error:`` line, never a traceback; every oracle in ``tests/oracles.py``
+is imported by a test module; every top-level symbol that no command or
+scenario reaches is on an allowlist, with its reason.
 
 The source checks use the standard library only (``ast``,
 ``subprocess``).
 """
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -350,6 +352,13 @@ MALFORMED_ARGV = [
     ("run-k-list-empty", ["run", "--config", "{input}"],
      {"schema": CONFIG_SCHEMA, "scenario": "free", "k_list": []},
      "error: config field 'k_list' must not be empty"),
+    # free levels of different lengths were once cut to the shorter list,
+    # and the run ended with gordon=PASS and exit 0
+    ("run-free-level-lists-differ", ["run", "--config", "{input}"],
+     {"schema": CONFIG_SCHEMA, "scenario": "free", "k_list": [1, 2, 3],
+      "free_q_list": [2, 4]},
+     "error: config fields 'k_list' and 'free_q_list' pair levels with "
+     "periods, got 3 and 2 entries"),
 ]
 
 
@@ -377,6 +386,23 @@ def test_cli_rejects_malformed_input(tmp_path, capsys, argv, contents, line):
     assert any(x.startswith(line) for x in err.splitlines()), err
     if line.startswith("error: --"):  # a malformed flag: nothing written
         assert not (tmp_path / "out").exists()
+
+
+def test_readme_cli_section_names_every_option():
+    # every option of every subcommand, as the parser defines it, against
+    # the README's CLI section (its examples, prose and spec schema)
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## CLI")[1].split("\n## ")[0]
+    ap = cli._build_parser()
+    sub = next(a for a in ap._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {opt for p in sub.choices.values() for a in p._actions
+               for opt in a.option_strings if opt.startswith("--")}
+    options.discard("--help")
+    assert len(options) > 20
+    missing = sorted(opt for opt in options
+                     if not re.search(re.escape(opt) + r"(?![\w-])", section))
+    assert missing == []
 
 
 def test_every_oracle_is_imported_by_a_test():

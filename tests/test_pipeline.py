@@ -425,9 +425,13 @@ FREE = {"schema": CONFIG_SCHEMA, "scenario": "free"}
         (FREE | {"omega": "1/3"}, "'omega' must be"),
         (FREE | {"z_gird": 64}, "unknown config field(s): z_gird"),
         (FREE | {"evidence_threshold": 0.25}, "evidence_threshold"),
+        # a second coordinate was once dropped without a word
+        ({**FREE, "scenario": "liouville-rotation", "omega": ["0", "1/3"]},
+         "'omega' must be tuple[str], got [\"0\", \"1/3\"]"),
     ],
     ids=["no-scenario", "list", "string", "boundary-number", "k_list-number",
-         "seed-null", "omega-string", "unknown-key", "retired-key"],
+         "seed-null", "omega-string", "unknown-key", "retired-key",
+         "omega-two-coordinates"],
 )
 def test_cli_run_rejects_malformed_config(tmp_path, capsys, config, message):
     cfg_path = tmp_path / "cfg.json"
@@ -515,6 +519,12 @@ GOOD_SPEC = {
         ({**GOOD_SPEC, "center": ["0"]}, "2 coordinates"),
         ({**GOOD_SPEC, "period": "2"}, "period"),
         ({**GOOD_SPEC, "system": "shift"}, "rotation or skew"),
+        ({**GOOD_SPEC, "period": 0}, "period must be an integer >= 1, got 0"),
+        ({**GOOD_SPEC, "center": []}, "'center' must not be empty"),
+        ({**GOOD_SPEC, "center": [None, "0"]}, "'center' must be"),
+        ({**GOOD_SPEC, "freq": ["golden"]}, "'freq' must be"),
+        ({k: v for k, v in GOOD_SPEC.items() if k != "epsilon"}, "epsilon"),
+        ({**GOOD_SPEC, "periods": 2}, "unknown construct spec field(s)"),
     ],
 )
 def test_cli_construct_ck_rejects_bad_spec(tmp_path, capsys, spec, message):
@@ -526,6 +536,19 @@ def test_cli_construct_ck_rejects_bad_spec(tmp_path, capsys, spec, message):
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert not (tmp_path / "verblunsky.csv").exists()
+
+
+def test_cli_construct_ck_reads_numbers_as_rationals(tmp_path):
+    # a rational given as a JSON number is read from its text, as a string
+    spec = {k: v for k, v in GOOD_SPEC.items() if k != "epsilon"}
+    spec |= {"system": "rotation", "center": [0.25], "radius": 0.001}
+    runs = [spec, {**spec, "center": ["0.25"], "radius": "0.001"}]
+    for i, s in enumerate(runs):
+        (tmp_path / f"{i}.json").write_text(json.dumps(s))
+        assert main(["sample", "--construct-ck", str(tmp_path / f"{i}.json"),
+                     "--window=-4:6", "--out", str(tmp_path / str(i))]) == 0
+    assert (tmp_path / "0" / "verblunsky.csv").read_bytes() == (
+        tmp_path / "1" / "verblunsky.csv").read_bytes()
 
 
 def test_cli_construct_ck_skew(tmp_path):

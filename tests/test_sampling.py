@@ -1005,6 +1005,15 @@ def test_four_difference_maxima_zero_on_designated_point():
     assert maxima == (0.0, 0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("q", [0, -1])
+def test_four_difference_maxima_reject_q_below_one(q):
+    # q = 0 once failed inside verblunsky_window with "n_min must be <=
+    # n_max", a message that does not name q
+    f, _, _ = build_tubes(k=1)
+    with pytest.raises(DomainError, match=f"q must be >= 1, got {q}"):
+        periodic_defect_maxima(f, ROT, f.gordon_point(), q)
+
+
 def test_perturbed_function_still_certifies():
     f, _, _ = build_tubes(k=2)
     q = f.q
