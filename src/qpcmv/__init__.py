@@ -24,8 +24,7 @@ __version__ = "0.1.0"
 _SUBMODULE = {
     name: module
     for module, names in {
-        "arith": "DEFAULT_PRECISION_BITS as_fraction dist_to_int "
-                 "working_precision",
+        "arith": "DEFAULT_PRECISION_BITS as_fraction dist_to_int",
         "cmv": "CMVOperator SpectralDecomposition assemble eigenvector_profile "
                "spectrum",
         "dynamics": "RepetitionCertificate Rotation SkewShift TorusPoint "

@@ -1,12 +1,11 @@
 """Exact and extended-precision real helpers.
 
-Torus coordinates and frequencies are carried either as exact
-``fractions.Fraction`` values or as mpmath floats.  Every finite binary
-float (Python float or mpf) is itself a rational number, so conversion to
-``Fraction`` is lossless; conversion the other way rounds to the current
-mpmath working precision.  mpmath is imported only where an mpf is made
-or the precision is set; ``is_mpf`` needs no import, since no mpf can
-exist before mpmath is loaded.
+Torus coordinates and frequencies are carried as exact
+``fractions.Fraction`` values.  Every finite binary float (Python float or
+mpmath mpf) is itself a rational number, so conversion to ``Fraction`` is
+lossless, and an mpf a caller passes in is read from its raw mantissa.
+The package never imports mpmath: ``is_mpf`` looks it up in
+``sys.modules``, since no mpf can exist before mpmath is loaded.
 """
 
 from __future__ import annotations
@@ -14,21 +13,11 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from contextlib import contextmanager
 from fractions import Fraction
 
 from .errors import DomainError
 
 DEFAULT_PRECISION_BITS = 256
-
-
-@contextmanager
-def working_precision(bits: int):
-    """Temporarily set the mpmath binary working precision."""
-    from mpmath import mp
-
-    with mp.workprec(bits):
-        yield
 
 
 def is_mpf(x) -> bool:
@@ -41,13 +30,8 @@ def mpf_to_fraction(x) -> Fraction:
     """Lossless conversion of a finite mpf to an exact rational."""
     # read the raw mantissa tuple; mp.mpf(x) would re-round to the current
     # working precision and silently discard bits
-    if not hasattr(x, "_mpf_"):
-        from mpmath import mp
-
-        x = mp.mpf(x)
     sign, man, exp, _ = x._mpf_
-    man = int(man)
-    exp = int(exp)
+    man, exp = int(man), int(exp)
     if man == 0 and exp != 0:
         raise DomainError("non-finite value cannot become a Fraction")
     num = -man if sign else man
@@ -77,15 +61,14 @@ def as_fraction(x) -> Fraction:
 
 
 def floor_int(x) -> int:
-    """Floor of a real-like value as a Python int."""
+    """Floor of a real-like value as a Python int; an mpf is floored
+    exactly, at its rational value."""
     if isinstance(x, Fraction):
         return x.numerator // x.denominator
     if isinstance(x, int):
         return x
     if is_mpf(x):
-        from mpmath import mp
-
-        return int(mp.floor(x))
+        return floor_int(mpf_to_fraction(x))
     return math.floor(x)
 
 

@@ -199,30 +199,44 @@ def _cmd_sample(args) -> int:
                            tube_function, verblunsky_window)
 
     n_min, n_max = _parse_pair(args.window, ":", int, "--window", "N_MIN:N_MAX")
-    if args.construct_ck:
-        with open(args.construct_ck) as fh:
+    flags = vars(args)  # a sample flag that is not given is absent
+    if "construct_ck" in flags:
+        given = [f"--{k}" for k in ("family", "params", "freq", "omega")
+                 if k in flags]
+        if given:
+            raise QpcmvError(f"--construct-ck reads the frequency, point and "
+                             f"values from its spec; drop {', '.join(given)}")
+        with open(flags["construct_ck"]) as fh:
             spec = artifacts.read_fields(_ConstructSpec, json.load(fh),
                                          "construct spec")
-        freq = parse_frequency(spec.freq)
-        center = TorusPoint([as_fraction(c) for c in spec.center])
+
+        def rational(name, text):
+            return _parse_flag(text, as_fraction,
+                               f"construct spec field {name!r}", _RATIONAL_FORM)
+
+        freq = _parse_flag(spec.freq, parse_frequency,
+                           "construct spec field 'freq'", _FREQUENCY_FORM)
+        center = TorusPoint([rational("center", c) for c in spec.center])
         system = _system(spec.system, freq, center.dim)
         if spec.radius == "auto":
             radius = ball_radius(system, center, spec.period,
-                                 as_fraction(spec.epsilon)).radius
+                                 rational("epsilon", spec.epsilon)).radius
         else:
-            radius = as_fraction(spec.radius)
+            radius = rational("radius", spec.radius)
         f = tube_function(system, center, spec.period, radius,
                           [complex(*v) for v in spec.values])
         omega = f.gordon_point()
+    elif "family" not in flags:
+        raise QpcmvError("sample needs --family or --construct-ck")
     else:
         families = {"constant": ConstantFunction, "harmonic": HarmonicFunction}
-        if args.family not in families:
-            raise QpcmvError(f"unknown family {args.family!r}")
-        f = families[args.family](
-            _parse_flag(args.params, _parse_complex, "--params", "RE[,IM]"))
-        freq = _parse_flag(args.freq, parse_frequency, "--freq",
-                           _FREQUENCY_FORM)
-        omega = _parse_flag(args.omega, _parse_point, "--omega", _POINT_FORM)
+        f = families[args.family](_parse_flag(
+            flags.get("params", "0.5,0"), _parse_complex, "--params",
+            "RE[,IM]"))
+        freq = _parse_flag(flags.get("freq", "golden"), parse_frequency,
+                           "--freq", _FREQUENCY_FORM)
+        omega = _parse_flag(flags.get("omega", "0"), _parse_point, "--omega",
+                            _POINT_FORM)
         system = _system("rotation", freq, omega.dim)
     out = _out_dir(args)
     seq = verblunsky_window(f, system, omega, n_min, n_max)
@@ -364,13 +378,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_orbit)
 
-    p = sub.add_parser("sample", help="coefficient windows")
+    p = sub.add_parser("sample", help="coefficient windows",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--family", choices=("constant", "harmonic"))
-    p.add_argument("--params", default="0.5,0")
+    p.add_argument("--params", help="default 0.5,0")
     p.add_argument("--construct-ck", metavar="FILE",
                    help="JSON tube-construction spec")
-    p.add_argument("--freq", default="golden")
-    p.add_argument("--omega", default="0")
+    p.add_argument("--freq", help="default golden")
+    p.add_argument("--omega", help="default 0")
     p.add_argument("--window", default="-8:8", metavar="N_MIN:N_MAX")
     common(p)
     p.set_defaults(func=_cmd_sample)

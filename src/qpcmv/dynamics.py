@@ -317,13 +317,10 @@ class RepetitionCertificate:
     m: Optional[int] = None
     base_q: Optional[int] = None
     level: Optional[int] = None
-    parity: str = "even"
 
     def __post_init__(self):
-        if self.parity == "even" and (self.q < 2 or self.q % 2 != 0):
+        if self.q < 2 or self.q % 2 != 0:
             raise DomainError("certificate period must be even and >= 2")
-        if self.q < 1:
-            raise DomainError("certificate period must be >= 1")
         if not self.max_deviation < self.threshold:
             raise DomainError(
                 f"deviation {float(self.max_deviation)} not below "
@@ -381,11 +378,10 @@ def find_even_repetition(
     epsilon,
     s,
     q_max: int,
-    parity: str = "even",
 ) -> Optional[RepetitionCertificate]:
-    """Smallest (even) q <= q_max with dist(w_n, w_(n+q)) < epsilon for
-    n = 0..floor(s q), or None; q_max below the first candidate (2, or 1
-    for ``parity="any"``) is a DomainError.
+    """Smallest even q <= q_max with dist(w_n, w_(n+q)) < epsilon for
+    n = 0..floor(s q), or None; q_max below 2, the first candidate, is a
+    DomainError.
 
     For rotations the per-q test is the O(1) shortcut max_i <q a_i>, on
     the integer residues of the shift, which equals the orbit scan because
@@ -398,16 +394,13 @@ def find_even_repetition(
     if epsilon <= 0 or s <= 0:
         raise DomainError("epsilon and s must be positive")
     _require_dim(system, omega)
-    if parity not in ("even", "any"):
-        raise DomainError("parity must be 'even' or 'any'")
-    step = start = 2 if parity == "even" else 1
-    if q_max < start:
-        raise DomainError(f"q_max must be >= {start}")
+    if q_max < 2:
+        raise DomainError("q_max must be >= 2")
     rotation = isinstance(system, Rotation)
     if rotation:
         d = common_denominator(*system.shift)
         shift = [scaled(x, d) for x in system.shift]
-    for q in range(start, q_max + 1, step):
+    for q in range(2, q_max + 1, 2):
         window = s.numerator * q // s.denominator
         if rotation:
             # max_i <q s_i> = circle_dist(q S_i, d) / d, attained at n = 0;
@@ -431,7 +424,6 @@ def find_even_repetition(
             validated=_validate_certificate(
                 system, omega, q, window, deviation, argmax
             ),
-            parity=parity,
         )
     return None
 
@@ -458,7 +450,6 @@ def skew_repetition_times(
     omega: TorusPoint,
     epsilon,
     r,
-    system: Optional[SkewShift] = None,
 ) -> SkewRepetitionTimes:
     """Even repetition times m_k q_k for the skew-shift with frequency a.
 
@@ -473,8 +464,7 @@ def skew_repetition_times(
         raise DomainError("epsilon and r must be positive")
     if not freq.designated_denominators:
         raise DomainError("frequency carries no designated denominators")
-    if system is None:
-        system = SkewShift(freq.value)
+    system = SkewShift(freq.value)
     _require_dim(system, omega)
     w1 = omega.coords[0]
     m_top = int(1 / epsilon) + 1

@@ -22,7 +22,6 @@ from .arith import (
     circle_dist,
     dist_to_int,
     is_mpf,
-    mpf_to_fraction,
 )
 from .errors import DomainError, PrecisionError
 
@@ -34,7 +33,12 @@ _CF_GUARD_BITS = 8
 # q * <q a> before it will return a value.
 _SCORE_GUARD_BITS = 32
 
-DEFAULT_BADLY_APPROXIMABLE_THRESHOLD = 0.01
+# badly_approximable_score reports a frequency badly approximable when its
+# minimum score exceeds this; liouville_frequency refuses a sum that needs
+# more bits than this; parse_frequency keeps at most this many quotients.
+_BADLY_APPROXIMABLE_THRESHOLD = 0.01
+_LIOUVILLE_MAX_BITS = 1_000_000
+_PARSE_TERMS = 48
 
 
 @dataclass(frozen=True)
@@ -114,9 +118,7 @@ def continued_fraction(
     if isinstance(a, float) and precision_bits is None:
         precision_bits = 53
     if is_mpf(a) and precision_bits is None:
-        from mpmath import mp
-
-        precision_bits = mp.prec
+        precision_bits = a.context.prec
     value = as_fraction(a)
     if not (0 < value < 1):
         raise DomainError(f"expected a in (0,1), got {value}")
@@ -134,12 +136,18 @@ def continued_fraction(
 
 
 def golden_mean(bits: int = DEFAULT_PRECISION_BITS, terms: int = 64) -> Frequency:
-    """(sqrt(5)-1)/2 rounded to ``bits`` bits, with its expansion."""
-    from mpmath import mp
+    """(sqrt(5)-1)/2 rounded to ``bits`` bits, with its expansion.
 
-    with mp.workprec(bits):
-        g = (mp.sqrt(5) - 1) / 2
-    return continued_fraction(mpf_to_fraction(g), terms, precision_bits=bits)
+    sqrt(5) in [2, 4) rounds to S / 2^(bits-2), S the integer nearest to
+    sqrt(n), n = 5 * 4^(bits-2): r = isqrt(n), plus one when n > r^2 + r
+    (no tie, sqrt(5) being irrational).  Less 1 and halved, it is exact.
+    """
+    if bits < 2:
+        raise DomainError(f"golden_mean needs bits >= 2, got bits={bits}")
+    n = 5 << (2 * bits - 4)
+    r = math.isqrt(n)
+    g = Fraction(r + (n > r * r + r) - (1 << (bits - 2)), 1 << (bits - 1))
+    return continued_fraction(g, terms, precision_bits=bits)
 
 
 @dataclass(frozen=True)
@@ -158,11 +166,7 @@ class ScoreScan:
     reported_badly_approximable: bool
 
 
-def badly_approximable_score(
-    freq: Frequency,
-    q_max: int,
-    threshold: float = DEFAULT_BADLY_APPROXIMABLE_THRESHOLD,
-) -> ScoreScan:
+def badly_approximable_score(freq: Frequency, q_max: int) -> ScoreScan:
     """Exact min of q * <q a> over 1 <= q <= q_max, ties to the smallest q.
 
     By Legendre's theorem (Khinchin, *Continued Fractions*, Thm 19) a q
@@ -201,17 +205,12 @@ def badly_approximable_score(
         argmin_q=best_q,
         per_convergent=per,
         q_max=q_max,
-        threshold=threshold,
-        reported_badly_approximable=min_score > Fraction(threshold),
+        threshold=_BADLY_APPROXIMABLE_THRESHOLD,
+        reported_badly_approximable=min_score > _BADLY_APPROXIMABLE_THRESHOLD,
     )
 
 
-def liouville_frequency(
-    base: int,
-    depth: int,
-    terms: int = 32,
-    max_bits: int = 1_000_000,
-) -> Frequency:
+def liouville_frequency(base: int, depth: int, terms: int = 32) -> Frequency:
     """a = sum_{n=1..depth} base^(-n!) with repetition denominators base^(n!).
 
     The value is exact, so q_n * <a q_n> along the returned denominators is
@@ -224,10 +223,10 @@ def liouville_frequency(
         raise DomainError("depth must be >= 2")
     top = math.factorial(depth)
     bits_needed = top * max(base.bit_length() - 1, 1) + base.bit_length()
-    if bits_needed > max_bits:
+    if bits_needed > _LIOUVILLE_MAX_BITS:
         raise PrecisionError(
             f"base={base}, depth={depth} needs ~{bits_needed} bits "
-            f"(budget {max_bits})"
+            f"(budget {_LIOUVILLE_MAX_BITS})"
         )
     value = Fraction(0)
     dens = []
@@ -247,14 +246,14 @@ def liouville_frequency(
     )
 
 
-def parse_frequency(text: str, bits: int = DEFAULT_PRECISION_BITS,
-                    terms: int = 48) -> Frequency:
+def parse_frequency(text: str) -> Frequency:
     """CLI-facing parser: 'golden', 'liouville:BASE,DEPTH', 'p/q' or decimal."""
     text = text.strip()
     if text == "golden":
-        return golden_mean(bits=bits, terms=terms)
+        return golden_mean(terms=_PARSE_TERMS)
     if text.startswith("liouville:"):
         spec = text.split(":", 1)[1]
         base_s, depth_s = spec.split(",")
-        return liouville_frequency(int(base_s), int(depth_s), terms=terms)
-    return continued_fraction(as_fraction(text), terms=terms, precision_bits=None)
+        return liouville_frequency(int(base_s), int(depth_s),
+                                   terms=_PARSE_TERMS)
+    return continued_fraction(as_fraction(text), terms=_PARSE_TERMS)

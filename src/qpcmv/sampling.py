@@ -630,9 +630,10 @@ class VerblunskySequence:
 
     @staticmethod
     def impurity(background: complex, site_value: complex, n_min: int,
-                 n_max: int, site: int = 0) -> "VerblunskySequence":
+                 n_max: int) -> "VerblunskySequence":
+        """``background`` everywhere but ``site_value`` at n = 0."""
         vals = np.full(n_max - n_min + 1, complex(background))
-        vals[site - n_min] = complex(site_value)
+        vals[-n_min] = complex(site_value)
         return VerblunskySequence(n_min, n_max, vals)
 
     def to_csv(self, path, seed: Optional[int] = None):

@@ -12,14 +12,17 @@ Hermitian band eigenvector solve that ``qpcmv.cmv.spectrum`` replaced.
 The transfer walk and count that ``qpcmv.cmv._Chain`` replaced carry the
 pair (x', y') with two divisions by rho per block, and the CSV tables
 that ``qpcmv.artifacts`` now joins itself are written row by row through
-the csv module.
+the csv module.  The golden mean is rounded by mpmath, which the package
+replaced with an integer square root.
 """
 
 import cmath
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
+from mpmath import mp
 
 from qpcmv.arith import circle_dist
 from qpcmv.cmv import _PHI, _band_adjoint, _band_matvec, _runs
@@ -33,6 +36,14 @@ from qpcmv.sampling import (
     VerblunskySequence,
 )
 from qpcmv.transfer import inv_2x2, min_max_over_unit_vectors
+
+
+def mpmath_golden_mean(bits: int) -> Fraction:
+    """(sqrt(5)-1)/2 computed by mpmath at ``bits`` bits, as the exact
+    rational its mantissa and exponent spell."""
+    with mp.workprec(bits):
+        man, exp = ((mp.sqrt(5) - 1) / 2).man_exp
+    return Fraction(man) * Fraction(2) ** exp
 
 
 def oracle_value(f, point):

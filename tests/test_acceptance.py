@@ -18,7 +18,6 @@ from mpmath import mp
 from oracles import szego_batch, validate_periodic_floor
 
 from qpcmv import sampling
-from qpcmv.arith import working_precision
 from qpcmv.cmv import assemble, eigenvector_profile, spectrum
 from qpcmv.dynamics import (
     Rotation,
@@ -188,7 +187,7 @@ def test_criterion_6_skew_shift_construction():
         # genuine 256-bit float arithmetic (not exact rationals), so the
         # comparison measures the rounding of the two computation paths
         worst = 0.0
-        with working_precision(256):
+        with mp.workprec(256):
             a = mp.sqrt(2) - 1
             T = SkewShift(a)
             for _ in range(50):

@@ -1,11 +1,14 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
+from oracles import mpmath_golden_mean
 
-from qpcmv.arith import dist_to_int
+from qpcmv.arith import dist_to_int, floor_int, mod1
 from qpcmv.errors import DomainError, PrecisionError
 from qpcmv.frequency import (
     badly_approximable_score,
@@ -22,6 +25,47 @@ def test_golden_mean_expansion():
     assert g.convergent_denominators()[:6] == (1, 2, 3, 5, 8, 13)
     assert not g.truncated
     assert g.precision_bits == 256
+
+
+def test_golden_mean_matches_mpmath():
+    # the integer square root rounds sqrt(5) to nearest, as mpmath does
+    for bits in [*range(2, 400), 512, 1000, 4096]:
+        assert golden_mean(bits, terms=1).value == mpmath_golden_mean(bits), \
+            bits
+
+
+def test_golden_mean_needs_two_bits():
+    with pytest.raises(DomainError, match="bits=1"):
+        golden_mean(bits=1)
+
+
+def test_float_input_is_trusted_to_53_bits():
+    f = continued_fraction(math.sqrt(2) - 1, terms=100)
+    assert f.precision_bits == 53
+    assert f.precision_limited
+    assert f.partial_quotients[:5] == (2, 2, 2, 2, 2)
+
+
+def test_mpf_input_is_trusted_to_its_precision():
+    with mp.workprec(100):
+        f = continued_fraction(mp.sqrt(2) - 1, terms=200)
+    assert f.precision_bits == 100
+    assert f.precision_limited
+    # sqrt(2) - 1 = [0; 2, 2, 2, ...]: every kept quotient is genuine, and
+    # the last kept convergent is below the 100-bit floor
+    assert set(f.partial_quotients) == {2}
+    assert f.convergents[-1][1] ** 2 < 2 ** 100
+
+
+def test_floor_and_mod1_of_mpf_agree_with_mpmath():
+    rng = random.Random(7)
+    with mp.workprec(200):
+        for _ in range(200):
+            x = mp.mpf(rng.uniform(-1e6, 1e6)) + mp.mpf(rng.choice(
+                [0, 1, -1])) * mp.mpf(2) ** -150
+            assert floor_int(x) == int(mp.floor(x))
+            assert mod1(x) == x - mp.floor(x)
+            assert floor_int(mp.mpf(int(x))) == int(x)
 
 
 def test_rational_truncates():

@@ -1,7 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
 and none imports another package module's private (underscore) names;
-importing the CLI leaves numpy, scipy and mpmath unloaded, and the exact
-commands (``frequency``, ``orbit``) never load numpy; the package
+importing the CLI leaves numpy, scipy and mpmath unloaded, the exact
+commands (``frequency``, ``orbit``) never load numpy, no command loads
+mpmath, and the third-party packages the source imports are the runtime
+dependencies ``pyproject.toml`` declares; the package
 resolves each exported name from its submodule on first access; the
 README's config table names exactly the config fields, its CLI section
 names every option of every subcommand, and its library tour only names
@@ -119,9 +121,7 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_cli_import_leaves_mpmath_unloaded():
-    # mpmath is only needed to round the golden mean, set a working
-    # precision or convert an mpf input; importing it costs every command
-    # about 0.03 s of start-up
+    # importing mpmath costs a command about 0.03 s of start-up
     assert not loaded_after("mpmath")
 
 
@@ -143,12 +143,55 @@ def test_exact_commands_leave_numpy_unloaded(tmp_path):
     assert not loaded_after("numpy", code)
 
 
+def test_golden_commands_leave_mpmath_unloaded(tmp_path):
+    # the golden mean is rounded by an integer square root, and the
+    # package imports mpmath nowhere; an mpf is only ever a caller's input
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(tube_spec()))
+    out = str(tmp_path / "out")
+    code = "\n".join(
+        f"assert cli.main({argv!r} + ['--out', {out!r}]) == 0"
+        for argv in (
+            ["frequency", "--value", "golden"],
+            ["orbit", "--freq", "golden"],
+            ["orbit", "--system", "skew", "--freq", "golden",
+             "--omega", "0,0"],
+            ["sample", "--family", "harmonic", "--freq", "golden"],
+            ["sample", "--construct-ck", str(spec)],
+        )
+    )
+    assert not loaded_after("mpmath", "from qpcmv import cli\n" + code)
+
+
+def imported_packages(source: str) -> set[str]:
+    """Top-level names of the absolute imports in ``source``, those inside
+    functions included."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_third_party_imports_are_the_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[\w.-]+", d).group() for d in deps}
+    imported = set().union(*(imported_packages(p.read_text())
+                             for p in MODULES))
+    third_party = imported - set(sys.stdlib_module_names) - {"qpcmv"}
+    assert third_party == declared == {"numpy", "scipy"}
+
+
 def test_package_names_are_their_submodules_objects():
     # each exported name is read from the submodule that defines it; the
-    # package exports 53 names
+    # package exports 52 names
     import qpcmv
 
-    assert len(set(qpcmv.__all__)) == len(qpcmv.__all__) == 53
+    assert len(set(qpcmv.__all__)) == len(qpcmv.__all__) == 52
     for name in qpcmv.__all__:
         home = importlib.import_module(f"qpcmv.{qpcmv._SUBMODULE[name]}")
         assert getattr(qpcmv, name) is vars(home)[name], name
@@ -260,6 +303,43 @@ MALFORMED_ARGV = [
      ["sample", "--construct-ck", "{input}"], tube_spec(radius="0")),
     ("sample-construct-radius-negative",
      ["sample", "--construct-ck", "{input}"], tube_spec(radius="-1/100")),
+    # malformed spec fields once surfaced as "Invalid literal for
+    # Fraction", "not enough values to unpack" or "invalid literal for
+    # int()", naming no field
+    ("sample-construct-freq-not-a-frequency",
+     ["sample", "--construct-ck", "{input}"], tube_spec(freq="zz"),
+     "error: construct spec field 'freq' expects golden, "
+     "liouville:BASE,DEPTH, P/Q or a decimal, got 'zz'"),
+    ("sample-construct-freq-liouville-one-field",
+     ["sample", "--construct-ck", "{input}"], tube_spec(freq="liouville:2"),
+     "error: construct spec field 'freq' expects"),
+    ("sample-construct-freq-liouville-not-integers",
+     ["sample", "--construct-ck", "{input}"],
+     tube_spec(freq="liouville:a,b"),
+     "error: construct spec field 'freq' expects"),
+    ("sample-construct-center-not-a-number",
+     ["sample", "--construct-ck", "{input}"], tube_spec(center=["x"]),
+     "error: construct spec field 'center' expects P/Q or a decimal, "
+     "got 'x'"),
+    ("sample-construct-radius-not-a-number",
+     ["sample", "--construct-ck", "{input}"], tube_spec(radius="x"),
+     "error: construct spec field 'radius' expects"),
+    ("sample-construct-epsilon-not-a-number",
+     ["sample", "--construct-ck", "{input}"],
+     tube_spec(radius="auto", epsilon="x"),
+     "error: construct spec field 'epsilon' expects"),
+    # the family flags were once ignored beside --construct-ck, and with
+    # neither the error was "unknown family None"
+    ("sample-construct-with-family-flags",
+     ["sample", "--construct-ck", "{input}", "--family", "constant",
+      "--params", "0.3", "--freq", "1/3"], tube_spec(),
+     "error: --construct-ck reads the frequency, point and values from its "
+     "spec; drop --family, --params, --freq"),
+    ("sample-construct-with-omega",
+     ["sample", "--construct-ck", "{input}", "--omega", "0"], tube_spec(),
+     "error: --construct-ck reads"),
+    ("sample-neither-family-nor-spec", ["sample"], None,
+     "error: sample needs --family or --construct-ck"),
     ("gordon-missing-sequence", ["gordon", "--seq-file", "{missing}"], None),
     ("cmv-sequence-without-header", ["cmv", "--seq-file", "{input}"],
      "n,re,im\n0,0,0\n"),
@@ -513,7 +593,6 @@ OPENNESS = "ROADMAP item 3 openness"
 # every top-level symbol that neither a command (cli.main) nor a scenario
 # (pipeline.run) reaches, with the reason it stays
 UNREACHED = {
-    "arith.working_precision": ACCEPTANCE,
     "dynamics.SkewRepetitionTimes": ACCEPTANCE,
     "dynamics.block_displacement": ACCEPTANCE,
     "dynamics.skew_repetition_times": ACCEPTANCE,
