@@ -58,11 +58,13 @@ def test_mpf_input_is_trusted_to_its_precision():
 
 
 def test_floor_and_mod1_of_mpf_agree_with_mpmath():
+    # doubles in (-1e6, 1e6), nudged by 2^-150 so that some need more
+    # than 53 bits, and their integer parts
     rng = random.Random(7)
     with mp.workprec(200):
         for _ in range(200):
-            x = mp.mpf(rng.uniform(-1e6, 1e6)) + mp.mpf(rng.choice(
-                [0, 1, -1])) * mp.mpf(2) ** -150
+            nudge = rng.choice([0, 1, -1]) * mp.mpf(2) ** -150
+            x = mp.mpf(rng.uniform(-1e6, 1e6)) + nudge
             assert floor_int(x) == int(mp.floor(x))
             assert mod1(x) == x - mp.floor(x)
             assert floor_int(mp.mpf(int(x))) == int(x)
