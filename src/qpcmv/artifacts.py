@@ -5,7 +5,8 @@ JSON artifact goes through this module.  A CSV artifact is an optional
 ``# ...`` comment line, a header row and the data rows, each float
 written as its ``repr`` so that it reads back bit for bit and each row
 ended in the csv module's "\r\n"; a JSON artifact has sorted keys, an
-indent of 2 and a trailing newline, so equal documents are equal bytes.
+indent of 2 and a trailing newline, so equal documents are equal bytes;
+a NaN or infinity, which JSON cannot hold, is a ValueError, not written.
 The two JSON inputs, the run config and the tube-construction spec, are
 read by one typed reader, ``read_fields``.
 """
@@ -29,9 +30,8 @@ Rational = NewType("Rational", str)
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_bytes(
-        (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
-    )
+    Path(path).write_bytes((json.dumps(
+        obj, sort_keys=True, indent=2, allow_nan=False) + "\n").encode())
 
 
 def write_csv(path, comment: Optional[str], header, rows: Iterable) -> None:

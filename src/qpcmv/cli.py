@@ -278,11 +278,12 @@ def _cmd_gordon(args) -> int:
     report_path = Path(args.report) if args.report else out / "gordon.json"
     artifacts.write_json(report_path, doc)
     worst = min((l.defect - l.threshold for l in cert.levels), default=0.0)
-    print(
-        f"gordon: {'PASS' if cert.all_passed else 'FAIL'} "
-        f"({len(cert.levels)} levels, worst slack {-worst:.3e})"
-        + (f"; evidence {table.verdict} (min c = {table.min_c:.4g})" if table else "")
-    )
+    line = (f"gordon: {'PASS' if cert.all_passed else 'FAIL'} "
+            f"({len(cert.levels)} levels, worst slack {-worst:.3e})")
+    if table:
+        min_c = "none finite" if table.min_c is None else f"{table.min_c:.4g}"
+        line += f"; evidence {table.verdict} (min c = {min_c})"
+    print(line)
     return 0
 
 

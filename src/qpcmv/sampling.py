@@ -632,6 +632,8 @@ class VerblunskySequence:
     def impurity(background: complex, site_value: complex, n_min: int,
                  n_max: int) -> "VerblunskySequence":
         """``background`` everywhere but ``site_value`` at n = 0."""
+        if not n_min <= 0 <= n_max:
+            raise WindowError(f"window [{n_min},{n_max}] does not hold n = 0")
         vals = np.full(n_max - n_min + 1, complex(background))
         vals[-n_min] = complex(site_value)
         return VerblunskySequence(n_min, n_max, vals)
@@ -780,11 +782,12 @@ class TubeDistanceReport:
 
 
 def distance_to_tubes(f, tubes: TubeFunction, grid: int = 5) -> TubeDistanceReport:
-    """Upper bound on the sup-distance from f to the tube-constant class.
+    """Sup-distance from f to the tube-constant class, estimated from below.
 
     The nearest constant-on-tubes function can match f exactly off the
     tubes, so the distance is the worst Chebyshev radius of f's value set
-    over a single tube, estimated on a sample grid.
+    over a single tube.  Only a sample grid of each tube is read, and a
+    subset's radius is at most the whole set's: never an upper bound.
     """
     if grid < 1:
         raise DomainError("grid must be >= 1")
@@ -802,7 +805,8 @@ def tube_tolerance_verdict(f, tubes: TubeFunction, k: int, grid: int = 5):
     """Is f within half of (tolerance/4) of the tube-constant class?
 
     The tolerance is the coefficient perturbation budget from the transfer
-    module at level k, period q, radius sup|f|.
+    module at level k, period q, radius sup|f|.  The distance is sampled
+    from below (``distance_to_tubes``), so "inside" is not a proof.
     """
     from .transfer import coefficient_tolerance
 

@@ -118,16 +118,6 @@ def spectral_norm_2x2(A: np.ndarray) -> np.ndarray:
     return np.ldexp(s, e)
 
 
-def inv_2x2(A: np.ndarray) -> np.ndarray:
-    det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
-    out = np.empty_like(A)
-    out[..., 0, 0] = A[..., 1, 1]
-    out[..., 0, 1] = -A[..., 0, 1]
-    out[..., 1, 0] = -A[..., 1, 0]
-    out[..., 1, 1] = A[..., 0, 0]
-    return out / det[..., None, None]
-
-
 # ---------------------------------------------------------------------------
 # Lipschitz budget for three-step products
 # ---------------------------------------------------------------------------
@@ -449,13 +439,14 @@ def min_max_over_unit_vectors(
     return best, bt, bp
 
 
-def _three_blocks(seq, zs: np.ndarray, q: int):
-    """(B+, B++, B-) per z as (len(zs), 3, 2, 2), and the product over
-    [-q, 0) that B- inverts."""
-    back = block_product_grid(seq, zs, -q, 0)
+def _three_blocks(seq, zs: np.ndarray, q: int) -> np.ndarray:
+    """(B+, B++, B-) per z as (len(zs), 3, 2, 2), with B- = adj P for the
+    product P over [-q, 0): no determinant is formed, so none cancels."""
+    b = block_product_grid(seq, zs, -q, 0)
     fwd = block_product_grid(seq, zs, 0, q)
     dbl = block_product_grid(seq, zs, q, 2 * q, start=fwd)
-    return np.stack([fwd, dbl, inv_2x2(back)], axis=1), back
+    adj = np.stack([b[:, 1, 1], -b[:, 0, 1], -b[:, 1, 0], b[:, 0, 0]], -1)
+    return np.stack([fwd, dbl, adj.reshape(-1, 2, 2)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -473,18 +464,20 @@ class EvidenceTable:
 
     ``source`` records whether q came from a passing certificate or was
     supplied explicitly (the negative-control path for sequences that are
-    deliberately not Gordon).  ``nonfinite_rows`` counts the rows whose
-    block products or block norms are not finite; a row whose products are
-    not finite has c = inf.  ``max_log10_norm`` is the largest log10 block
-    norm over the rows whose norms are finite (None if there are none);
-    once ||P||^2 ulp outgrows c, the value of c is set by rounding.
+    deliberately not Gordon).  The blocks are B+, B++ and B- = adj P for
+    the product P over [-q, 0), or A, A^2 and adj A on a q-periodic window.
+    ``nonfinite_rows`` counts the rows whose block norms are not finite;
+    such a row has c = inf and makes the verdict FAIL.  ``min_c``,
+    ``argmin_angle`` and ``max_log10_norm`` (the largest log10 block norm)
+    are taken over the finite rows, None if there are none; once
+    ||P||^2 ulp outgrows c, the value of c is set by rounding.
     """
 
     q: int
     source: str
     rows: tuple[EvidenceRow, ...]
-    min_c: float
-    argmin_angle: float
+    min_c: Optional[float]
+    argmin_angle: Optional[float]
     threshold: float
     verdict: str
     nonfinite_rows: int
@@ -509,12 +502,13 @@ def no_point_spectrum_evidence(
     angles) at the largest certified period, or at an explicit q.
 
     c(z) = min over unit v of max(||B+ v||, ||B++ v||, ||B- v||), where B+
-    propagates 0 -> q, B++ 0 -> 2q and B- 0 -> -q.  For an exactly
-    q-periodic window these are A, A^2 and A^-1, and the Cayley-Hamilton
-    argument for unit-modulus determinants floors c at 1/2.
+    propagates 0 -> q, B++ 0 -> 2q and B- = adj P = z^q P^-1 for the
+    product P over [-q, 0) (det P = z^q), with the norms of P^-1, 0 -> -q.
+    For a q-periodic window they are A, A^2 and adj A, and Cayley-Hamilton
+    for unit-modulus determinants floors c at 1/2.
 
-    Verdict is PASS when the minimum stays at or above 1/4, half the
-    periodic-case constant; FAIL otherwise.
+    Verdict is PASS when every row is finite and the minimum stays at or
+    above 1/4, half the periodic-case constant; FAIL otherwise.
     """
     if certificate is not None:
         level = certificate.largest_passing()
@@ -537,26 +531,26 @@ def no_point_spectrum_evidence(
     angles = list(2.0 * math.pi * np.arange(z_grid) / z_grid)
     angles.extend(float(a) for a in extra_angles)
     zs = np.exp(1j * np.array(angles))
-    mats, back = _three_blocks(seq, zs, q_use)
+    mats = _three_blocks(seq, zs, q_use)
     cs, _, _ = min_max_over_unit_vectors(mats)
-    nf, nd, nb = spectral_norm_2x2(mats).T
-    # a non-finite entry makes the norm non-finite; the norm of the product
-    # over [-q, 0) also catches a determinant overflow that zeroes bwd
-    finite = np.isfinite(nf + nd + nb + spectral_norm_2x2(back))
+    norms = spectral_norm_2x2(mats)
+    finite = np.isfinite(norms).all(axis=1)
     rows = tuple(
-        EvidenceRow(float(a), float(c), float(f), float(d), float(b))
-        for a, c, f, d, b in zip(angles, cs, nf, nd, nb)
+        EvidenceRow(float(a), float(c), *map(float, n))
+        for a, c, n in zip(angles, cs, norms)
     )
-    imin = int(np.argmin(cs))
-    min_c = float(cs[imin])
-    verdict = "PASS" if min_c >= EVIDENCE_PASS_THRESHOLD else "FAIL"
+    min_c = argmin_angle = None
+    if finite.any():
+        imin = int(np.argmin(np.where(finite, cs, np.inf)))
+        min_c, argmin_angle = float(cs[imin]), float(angles[imin])
+    passed = finite.all() and min_c >= EVIDENCE_PASS_THRESHOLD
     return EvidenceTable(
         q=q_use,
         source=source,
         rows=rows,
         min_c=min_c,
-        argmin_angle=float(angles[imin]),
+        argmin_angle=argmin_angle,
         threshold=EVIDENCE_PASS_THRESHOLD,
-        verdict=verdict,
+        verdict="PASS" if passed else "FAIL",
         nonfinite_rows=int((~finite).sum()),
     )

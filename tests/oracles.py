@@ -9,6 +9,8 @@ evaluation in ``qpcmv.sampling``; they measure circle diameters over all
 pairs; and they build CMV blocks, gauge rotations and eigenvectors by the
 textbook routes: dense Theta blocks, the parity conjugation, and the
 Hermitian band eigenvector solve that ``qpcmv.cmv.spectrum`` replaced.
+Transfer products are also formed in mpmath at 60 digits, and the
+backward block is inverted there rather than taken as an adjugate.
 The transfer walk and count that ``qpcmv.cmv._Chain`` replaced carry the
 pair (x', y') with two divisions by rho per block, and the CSV tables
 that ``qpcmv.artifacts`` now joins itself are written row by row through
@@ -35,7 +37,7 @@ from qpcmv.sampling import (
     TubeFunction,
     VerblunskySequence,
 )
-from qpcmv.transfer import inv_2x2, min_max_over_unit_vectors
+from qpcmv.transfer import min_max_over_unit_vectors
 
 
 def mpmath_golden_mean(bits: int) -> Fraction:
@@ -147,6 +149,32 @@ def matmul_three_step_difference(a, at, z) -> np.ndarray:
     return S[2] @ S[1] @ S[0] - St[2] @ St[1] @ St[0]
 
 
+def mpmath_block_product(seq, z, n_from, n_to):
+    """The product over [n_from, n_to) in mpmath at the working precision,
+    from the same float coefficients and z."""
+    z = mp.mpc(z)
+    P = mp.eye(2)
+    for n in range(n_from, n_to):
+        a = mp.mpc(seq.alpha(n))
+        S = mp.matrix([[z, -mp.conj(a)], [-a * z, 1]]) / mp.sqrt(1 - abs(a) ** 2)
+        P = S * P
+    return P
+
+
+def mpmath_three_blocks(seq, zs, q: int) -> np.ndarray:
+    """(B+, B++, B-) per z as (len(zs), 3, 2, 2): the products over [0, q)
+    and [0, 2q) and the inverse of the one over [-q, 0), each formed in
+    mpmath at 60 digits and rounded to floats only at the end."""
+    out = []
+    with mp.workdps(60):
+        for z in map(complex, zs):
+            blocks = (mpmath_block_product(seq, z, 0, q),
+                      mpmath_block_product(seq, z, 0, 2 * q),
+                      mpmath_block_product(seq, z, -q, 0) ** -1)
+            out.append([np.array(b.tolist(), dtype=complex) for b in blocks])
+    return np.array(out)
+
+
 def validate_periodic_floor(samples: int = 10_000, seed: int = 20240601,
                             chunk: int = 512) -> float:
     """Brute-force floor check: random 2x2 matrices with |det| = 1 give
@@ -168,7 +196,7 @@ def validate_periodic_floor(samples: int = 10_000, seed: int = 20240601,
         A[bad] = np.eye(2)
         det[bad] = 1.0
         A = A / np.sqrt(np.abs(det))[:, None, None]
-        mats = np.stack([A, A @ A, inv_2x2(A)], axis=1)
+        mats = np.stack([A, A @ A, np.linalg.inv(A)], axis=1)
         vals, _, _ = min_max_over_unit_vectors(mats)
         worst = min(worst, float(vals.min()))
     return worst

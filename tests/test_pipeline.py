@@ -177,6 +177,30 @@ def test_cli_gordon_reports_worst_block_norm(tmp_path):
     assert ev["max_log10_norm"] == float(np.log10(max(norms)))
 
 
+def test_cli_gordon_with_no_finite_row(tmp_path, capsys):
+    # a q = 3000 periodic window overflows on every row: the summary and
+    # gordon.json must say so without an infinity, which JSON cannot hold
+    q = 3000
+    cell = 0.5 * np.exp(2j * np.pi * np.random.default_rng(q).random(q))
+    seq_file = tmp_path / "seq.csv"
+    VerblunskySequence(-q, 2 * q, np.tile(cell, 4)[: 3 * q + 1]).to_csv(seq_file)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["gordon", "--seq-file", str(seq_file), "--k-list", "1:2",
+                   "--q", str(q), "--z-grid", "64", "--out", str(tmp_path)])
+    assert rc == 0
+    assert capsys.readouterr().out.endswith(
+        "; evidence FAIL (min c = none finite)\n")
+    ev = json.loads((tmp_path / "gordon.json").read_text())["evidence"]
+    assert (ev["verdict"], ev["nonfinite_rows"]) == ("FAIL", 64)
+    assert ev["min_c"] is ev["argmin_angle"] is ev["max_log10_norm"] is None
+
+
+def test_write_json_refuses_nan_and_infinity(tmp_path):
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            artifacts.write_json(tmp_path / "x.json", {"min_c": bad})
+
+
 def test_impurity_bound_state_is_the_negative_angle_of_its_pair(tmp_path):
     # real coefficients: the bound state is a conjugate pair +-theta of
     # equal participation ratio; the pick is the smaller angle

@@ -34,6 +34,7 @@ from qpcmv.errors import (
     DegenerateOrbitError,
     DomainError,
     InvariantViolation,
+    WindowError,
 )
 from qpcmv.frequency import golden_mean
 from qpcmv.sampling import (
@@ -96,6 +97,20 @@ def test_rho_alpha_identity():
     for n in range(-20, 21):
         a = seq.alpha(n)
         assert abs(seq.rho(n) ** 2 + abs(a) ** 2 - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("n_min, n_max", [(-3, 10), (0, 4), (-4, 0)])
+def test_impurity_sits_at_site_zero(n_min, n_max):
+    seq = VerblunskySequence.impurity(0.5, -0.99, n_min, n_max)
+    assert [seq.alpha(n) for n in range(n_min, n_max + 1)] == [
+        -0.99 if n == 0 else 0.5 for n in range(n_min, n_max + 1)]
+
+
+@pytest.mark.parametrize("n_min, n_max", [(3, 10), (-10, -3)])
+def test_impurity_window_must_hold_site_zero(n_min, n_max):
+    with pytest.raises(WindowError,
+                       match=rf"window \[{n_min},{n_max}\] does not hold n = 0"):
+        VerblunskySequence.impurity(0.5, -0.99, n_min, n_max)
 
 
 def test_csv_rows_are_the_sequence_values(tmp_path):

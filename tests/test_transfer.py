@@ -10,6 +10,8 @@ from oracles import (
     block_difference_loop,
     gordon_defect_loop,
     matmul_three_step_difference,
+    mpmath_block_product,
+    mpmath_three_blocks,
     szego_batch,
     validate_periodic_floor,
 )
@@ -147,18 +149,6 @@ def matmul_block_product(seq, zs, n_from, n_to):
     return P
 
 
-def mp_block_product(seq, z, n_from, n_to):
-    """Reference: the product in mpmath at the working precision, from the
-    same float coefficients and z."""
-    z = mp.mpc(z)
-    P = mp.eye(2)
-    for n in range(n_from, n_to):
-        a = mp.mpc(seq.alpha(n))
-        S = mp.matrix([[z, -mp.conj(a)], [-a * z, 1]]) / mp.sqrt(1 - abs(a) ** 2)
-        P = S * P
-    return P
-
-
 def periodic_seq(rng, q, modulus=0.5):
     """An exactly q-periodic window on [-q, 2q] with |alpha| = modulus."""
     cell = modulus * np.exp(2j * np.pi * rng.random(q))
@@ -198,7 +188,7 @@ def test_block_product_matches_mpmath(q, kind):
     oracle = matmul_block_product(seq, zs, 0, q)
     with mp.workdps(60):
         for i, z in enumerate(zs):
-            exact = mp_block_product(seq, complex(z), 0, q)
+            exact = mpmath_block_product(seq, complex(z), 0, q)
             ref = np.array(exact.tolist(), dtype=complex)
             for P in (kernel[i], oracle[i]):
                 diff = np.array((mp.matrix(P.tolist()) - exact).tolist(),
@@ -222,10 +212,15 @@ def test_three_blocks_double_block_is_the_product_from_scratch():
     q = 32
     seq = random_seq(rng, -q, 2 * q)
     zs = np.exp(2j * np.pi * np.arange(64) / 64)
-    mats, back = _three_blocks(seq, zs, q)
+    mats = _three_blocks(seq, zs, q)
     assert np.array_equal(mats[:, 0], block_product_grid(seq, zs, 0, q))
     assert np.array_equal(mats[:, 1], block_product_grid(seq, zs, 0, 2 * q))
-    assert np.array_equal(back, block_product_grid(seq, zs, -q, 0))
+    # B- is the adjugate of the product over [-q, 0), entry for entry
+    back = block_product_grid(seq, zs, -q, 0)
+    adj = np.empty_like(back)
+    adj[:, 0, 0], adj[:, 1, 1] = back[:, 1, 1], back[:, 0, 0]
+    adj[:, 0, 1], adj[:, 1, 0] = -back[:, 0, 1], -back[:, 1, 0]
+    assert np.array_equal(mats[:, 2], adj)
 
 
 def test_evidence_reads_each_coefficient_once():
@@ -825,6 +820,55 @@ def test_evidence_max_log10_norm():
     norms = [max(r.norm_forward, r.norm_double, r.norm_backward)
              for r in table.rows]
     assert table.max_log10_norm == float(np.log10(max(norms)))
+
+
+@pytest.mark.parametrize("q", [8, 64, 256, 512])
+def test_periodic_backward_norm_is_the_forward_norm(q):
+    # on a q-periodic window the product over [-q, 0) is A itself, and
+    # ||adj A|| = ||A||; a float determinant of A cancels, so an inverse
+    # divided by it can miss this by up to all its digits
+    seq = periodic_seq(np.random.default_rng(q), q)
+    table = no_point_spectrum_evidence(seq, q=q)
+    nf = np.array([r.norm_forward for r in table.rows])
+    nb = np.array([r.norm_backward for r in table.rows])
+    assert (np.abs(nb - nf) <= 4 * np.finfo(float).eps * nf).all()
+
+
+def test_evidence_c_matches_a_60_digit_reference_at_q64():
+    # the four rows whose c a float inverse of the backward product moved
+    # most (by 6e-4 to 1.1e-3 relative); the reference forms all three
+    # blocks in mpmath and hands them to the same solver, whose own
+    # rounding with ||B++|| up to 3e12 leaves up to 8.3e-7 here
+    q = 64
+    seq = periodic_seq(np.random.default_rng(q), q)
+    table = no_point_spectrum_evidence(seq, q=q)
+    rows = [table.rows[i] for i in (489, 490, 492, 498)]
+    zs = np.exp(1j * np.array([r.angle for r in rows]))
+    ref, _, _ = min_max_over_unit_vectors(mpmath_three_blocks(seq, zs, q))
+    assert [r.c for r in rows] == pytest.approx(ref.tolist(), rel=1e-6)
+
+
+@pytest.mark.parametrize("q", [2400, 3000])
+def test_evidence_never_passes_from_a_nonfinite_row(q):
+    # |alpha| = 0.5 periodic windows whose products overflow on some rows
+    # (q = 2400) or on all of them (q = 3000): c is not known on those rows
+    seq = periodic_seq(np.random.default_rng(q), q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = no_point_spectrum_evidence(seq, q=q, z_grid=64)
+    norms = np.array(
+        [[r.norm_forward, r.norm_double, r.norm_backward] for r in table.rows]
+    )
+    finite = np.isfinite(norms).all(axis=1)
+    assert table.nonfinite_rows == (~finite).sum() > 0
+    assert table.verdict == "FAIL"
+    assert finite.any() == (q == 2400)
+    if q == 2400:
+        c = np.array([r.c for r in table.rows])
+        imin = int(np.argmin(np.where(finite, c, np.inf)))
+        assert table.min_c == c[imin] < np.inf
+        assert table.argmin_angle == table.rows[imin].angle
+    else:
+        assert table.min_c is table.argmin_angle is table.max_log10_norm is None
 
 
 def test_evidence_on_a_q1024_window_warns_nothing():
