@@ -1,12 +1,12 @@
 """Artifact file formats, written in one place.
 
 The CLI and the config pipeline write the same tables, so every CSV and
-JSON artifact goes through this module.  A CSV artifact is an optional
-``# ...`` comment line, a header row and the data rows, each float
-written as its ``repr`` so that it reads back bit for bit and each row
-ended in the csv module's "\r\n"; a JSON artifact has sorted keys, an
-indent of 2 and a trailing newline, so equal documents are equal bytes;
-a NaN or infinity, which JSON cannot hold, is a ValueError, not written.
+JSON artifact goes through this module.  A CSV artifact is a ``# ...``
+comment line, a header row and the data rows, each float written as its
+``repr`` so that it reads back bit for bit and each row ended in the csv
+module's "\r\n"; a JSON artifact has sorted keys, an indent of 2 and a
+trailing newline, so equal documents are equal bytes; a NaN or infinity,
+which JSON cannot hold, is a ValueError, not written.
 The two JSON inputs, the run config and the tube-construction spec, are
 read by one typed reader, ``read_fields``.
 """
@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import (Iterable, NewType, Optional, Union, get_args, get_origin,
+from typing import (Iterable, NewType, Union, get_args, get_origin,
                     get_type_hints)
 
 from .dynamics import scaled_deviations
@@ -34,8 +33,8 @@ def write_json(path, obj) -> None:
         obj, sort_keys=True, indent=2, allow_nan=False) + "\n").encode())
 
 
-def write_csv(path, comment: Optional[str], header, rows: Iterable) -> None:
-    """``# comment`` (if any), the header row, then ``rows``.
+def write_csv(path, comment: str, header, rows: Iterable) -> None:
+    """``# comment``, the header row, then ``rows``.
 
     Every field is a string: an int's ``str`` or a float's ``repr``, which
     hold no comma, quote or line break.  The csv module would quote none of
@@ -43,9 +42,8 @@ def write_csv(path, comment: Optional[str], header, rows: Iterable) -> None:
     bytes.  Rows are streamed, not gathered into one string, so a long
     table adds nothing to the peak memory.
     """
-    head = "" if comment is None else f"# {comment}\n"
     with open(path, "w", newline="") as fh:
-        fh.write(head + ",".join(header) + "\r\n")
+        fh.write(f"# {comment}\n" + ",".join(header) + "\r\n")
         fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
@@ -139,21 +137,14 @@ def write_orbit_csv(path, comment: str, system, omega, cert) -> None:
               ([str(n), repr(k / d)] for n, k in zip(ns, devs)))
 
 
-def write_verblunsky_csv(path, seq, seed: Optional[int] = None) -> None:
-    """Coefficients alpha(n) and rho(n) over the sequence's window.
-
-    The value array is read once; rho is sqrt((1 - |a|)(1 + |a|)), the
-    formula of ``VerblunskySequence.rho``, on the same Python complex.
-    """
-    def row(n, a):
-        m = abs(a)
-        return [str(n), repr(a.real), repr(a.imag),
-                repr(math.sqrt((1.0 - m) * (1.0 + m)))]
-
+def write_verblunsky_csv(path, seq, seed: int) -> None:
+    """Coefficients alpha(n) and ``VerblunskySequence.rho`` over the
+    sequence's window."""
     write_csv(
-        path, None if seed is None else f"seed={seed}",
-        ["n", "re_alpha", "im_alpha", "rho"],
-        map(row, range(seq.n_min, seq.n_max + 1), seq.values.tolist()),
+        path, f"seed={seed}", ["n", "re_alpha", "im_alpha", "rho"],
+        ([str(n), repr(a.real), repr(a.imag), repr(r)] for n, a, r in zip(
+            range(seq.n_min, seq.n_max + 1), seq.values.tolist(),
+            seq.rho(seq.n_min, seq.n_max).tolist())),
     )
 
 

@@ -47,8 +47,10 @@ def _parse_point(text: str) -> TorusPoint:
 
 
 def _parse_complex(text: str) -> complex:
-    re, im = (text.split(",") + ["0"])[:2]
-    return complex(float(re), float(im))
+    fields = text.split(",")
+    if len(fields) > 2:
+        raise ValueError(text)
+    return complex(*map(float, fields))
 
 
 def _parse_flag(text: str, parse, flag: str, form: str):

@@ -18,7 +18,6 @@ below costs O(N) per column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -174,12 +173,11 @@ class CMVOperator:
         """Dense M (odd-index blocks), built on each access."""
         return _band_to_dense(self.factor_bands[1])
 
-    def dump_triplets(self, fh, seed: Optional[int] = None):
+    def dump_triplets(self, fh, seed: int):
         """Sparse-triplet text dump: lines 'row col re im' (window coords),
         one per nonzero entry in row-major order."""
-        if seed is not None:
-            fh.write(f"# seed={seed}\n")
         fh.write(
+            f"# seed={seed}\n"
             f"# cmv triplets window=[{self.n_min},{self.n_max}] "
             f"size={self.size} unitary=True\n"
         )
@@ -212,10 +210,8 @@ def _coefficients(seq: VerblunskySequence, n_min: int, n_max: int,
     for b in (bm, bp):
         if abs(abs(b) - 1.0) > _BOUNDARY_TOL:
             raise DomainError("boundary coefficients must be unimodular")
-    inner = seq.slice(n_min, n_max - 1)
-    a = np.concatenate(([bm, bm], inner, [bp, bp]))
-    m = np.hypot(inner.real, inner.imag)  # abs() of a Python complex, bit for bit
-    rho = np.concatenate(([0.0, 0.0], np.sqrt((1.0 - m) * (1.0 + m)), [0.0, 0.0]))
+    a = np.concatenate(([bm, bm], seq.slice(n_min, n_max - 1), [bp, bp]))
+    rho = np.concatenate(([0.0, 0.0], seq.rho(n_min, n_max - 1), [0.0, 0.0]))
     return a, rho, (bm, bp)
 
 
@@ -640,7 +636,7 @@ def _checked(band: np.ndarray, lam: np.ndarray, V: np.ndarray, tol: float,
     )
 
 
-def spectrum(op: CMVOperator, tol: float = _EIG_TOL) -> SpectralDecomposition:
+def spectrum(op: CMVOperator) -> SpectralDecomposition:
     """Eigenvalues (sorted by angle) and orthonormal eigenvectors, in
     O(N^2) from the one-block transfer step (``_Chain.walk``).
 
@@ -669,16 +665,17 @@ def spectrum(op: CMVOperator, tol: float = _EIG_TOL) -> SpectralDecomposition:
     diagonalising position.
 
     Residuals ||E v - lambda v|| (banded matvec) and moduli |lambda| are
-    checked against ``tol``.  If the gate or either check fails, the dense
-    complex Schur decomposition (diagonal for a normal matrix) is checked
-    in its place, and only its failure is raised, so no silently wrong
-    pairs are returned.  ``fallback`` records which path produced the
-    result.
+    checked against ``_EIG_TOL``, read at call time.  If the gate or
+    either check fails, the dense complex Schur decomposition (diagonal
+    for a normal matrix) is checked in its place, and only its failure is
+    raised, so no silently wrong pairs are returned.  ``fallback``
+    records which path produced the result.
     """
     try:
-        return _checked(op.band, *_band_spectrum(op), tol, fallback=False)
+        return _checked(op.band, *_band_spectrum(op), _EIG_TOL, fallback=False)
     except EigensolverError:
-        return _checked(op.band, *_schur_spectrum(op.matrix), tol, fallback=True)
+        return _checked(op.band, *_schur_spectrum(op.matrix), _EIG_TOL,
+                        fallback=True)
 
 
 @dataclass(frozen=True)

@@ -331,11 +331,12 @@ class RepetitionCertificate:
 def _orbit_deviation(system: SkewShift, omega: TorusPoint, q: int,
                      window: int) -> tuple[Fraction, int]:
     """(max, first argmax) over n = 0..window of dist(T^n w, T^(n+q) w)
-    for the skew-shift: the exact progression maximum."""
-    a = system.a
-    w1 = omega.coords[0]
-    coord1 = dist_to_int(2 * q * a)
-    m = ap_max_dist(q * w1 + q * q * a - q * a, 2 * q * a, window)
+    for the skew-shift: the exact progression maximum.  At n the
+    displacement is ``block_displacement`` at 0 plus (0, n * step), step
+    its first coordinate."""
+    step, start = block_displacement(system, omega, 0, q).coords
+    coord1 = dist_to_int(step)
+    m = ap_max_dist(start, step, window)
     # the first coordinate is constant in n, so it is already attained at 0
     if m.value > coord1:
         return m.value, m.argmax

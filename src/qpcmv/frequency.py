@@ -20,7 +20,6 @@ from .arith import (
     DEFAULT_PRECISION_BITS,
     as_fraction,
     circle_dist,
-    dist_to_int,
     is_mpf,
 )
 from .errors import DomainError, PrecisionError
@@ -187,19 +186,20 @@ def badly_approximable_score(freq: Frequency, q_max: int) -> ScoreScan:
             )
     num = freq.value.numerator
     den = freq.value.denominator
-    best_num, best_q = circle_dist(num, den), 1
+
+    def score(q):  # den * q <q a>
+        return q * circle_dist(q * num, den)
+
+    best_num, best_q = score(1), 1
     for _, _, q in _convergents(freq.value):
         if q > q_max:
             break
-        s = q * circle_dist(q * num, den)
+        s = score(q)
         if s < best_num:
             best_num, best_q = s, q
     min_score = Fraction(best_num, den)
-    per = tuple(
-        (q, q * dist_to_int(q * freq.value))
-        for _, q in freq.convergents
-        if q <= q_max
-    )
+    per = tuple((q, Fraction(score(q), den))
+                for _, q in freq.convergents if q <= q_max)
     return ScoreScan(
         min_score=min_score,
         argmin_q=best_q,

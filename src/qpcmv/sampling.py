@@ -615,13 +615,16 @@ class VerblunskySequence:
         self.require(n, n)
         return complex(self.values[n - self.n_min])
 
-    def rho(self, n: int) -> float:
-        a = abs(self.alpha(n))
-        return math.sqrt((1.0 - a) * (1.0 + a))
-
     def slice(self, n_from: int, n_to: int) -> np.ndarray:
         self.require(n_from, n_to)
         return self.values[n_from - self.n_min : n_to - self.n_min + 1]
+
+    def rho(self, n_from: int, n_to: int) -> np.ndarray:
+        """rho(n) = sqrt((1 - |a|)(1 + |a|)) for n in [n_from, n_to], with
+        |a| by ``np.hypot``, which is Python's complex ``abs`` bit for bit."""
+        a = self.slice(n_from, n_to)
+        m = np.hypot(a.real, a.imag)
+        return np.sqrt((1.0 - m) * (1.0 + m))
 
     @staticmethod
     def constant(value: complex, n_min: int, n_max: int) -> "VerblunskySequence":
@@ -638,7 +641,7 @@ class VerblunskySequence:
         vals[-n_min] = complex(site_value)
         return VerblunskySequence(n_min, n_max, vals)
 
-    def to_csv(self, path, seed: Optional[int] = None):
+    def to_csv(self, path, seed: int):
         write_verblunsky_csv(path, self, seed)
 
     @staticmethod

@@ -35,7 +35,13 @@ _CHUNK = 4096  # Lipschitz samples per block, to bound the entry arrays
 
 
 def _inv_rho(alpha):
-    """1 / rho(alpha) = (1 - |alpha|^2)^(-1/2), elementwise."""
+    """1 / rho(alpha) = (1 - |alpha|^2)^(-1/2), elementwise.
+
+    |alpha| is taken by ``np.abs``, which can differ in the last bit from
+    the ``np.hypot`` of ``VerblunskySequence.rho`` (the rho of the CSV and
+    of the CMV operator), so the products here may use a rho an ulp away
+    from theirs.  Sharing theirs would move the last bits of the evidence
+    tables, and possibly ``min_c``."""
     m = np.abs(alpha)
     return 1.0 / np.sqrt((1.0 - m) * (1.0 + m))
 
@@ -481,14 +487,7 @@ class EvidenceTable:
     threshold: float
     verdict: str
     nonfinite_rows: int
-
-    @property
-    def max_log10_norm(self) -> Optional[float]:
-        norms = np.array(
-            [(r.norm_forward, r.norm_double, r.norm_backward) for r in self.rows]
-        )
-        norms = norms[np.isfinite(norms).all(axis=1)]
-        return float(np.log10(norms.max())) if norms.size else None
+    max_log10_norm: Optional[float]
 
 
 def no_point_spectrum_evidence(
@@ -539,10 +538,11 @@ def no_point_spectrum_evidence(
         EvidenceRow(float(a), float(c), *map(float, n))
         for a, c, n in zip(angles, cs, norms)
     )
-    min_c = argmin_angle = None
+    min_c = argmin_angle = max_log10_norm = None
     if finite.any():
         imin = int(np.argmin(np.where(finite, cs, np.inf)))
         min_c, argmin_angle = float(cs[imin]), float(angles[imin])
+        max_log10_norm = float(np.log10(norms[finite].max()))
     passed = finite.all() and min_c >= EVIDENCE_PASS_THRESHOLD
     return EvidenceTable(
         q=q_use,
@@ -553,4 +553,5 @@ def no_point_spectrum_evidence(
         threshold=EVIDENCE_PASS_THRESHOLD,
         verdict="PASS" if passed else "FAIL",
         nonfinite_rows=int((~finite).sum()),
+        max_log10_norm=max_log10_norm,
     )

@@ -8,7 +8,8 @@ formulas, independently of the integer residue walk and the residue
 evaluation in ``qpcmv.sampling``; they measure circle diameters over all
 pairs; and they build CMV blocks, gauge rotations and eigenvectors by the
 textbook routes: dense Theta blocks, the parity conjugation, and the
-Hermitian band eigenvector solve that ``qpcmv.cmv.spectrum`` replaced.
+Hermitian band eigenvector solve that ``qpcmv.cmv.spectrum`` replaced;
+rho is taken one coefficient at a time in Python float arithmetic.
 Transfer products are also formed in mpmath at 60 digits, and the
 backward block is inverted there rather than taken as an adjugate.
 The transfer walk and count that ``qpcmv.cmv._Chain`` replaced carry the
@@ -200,6 +201,14 @@ def validate_periodic_floor(samples: int = 10_000, seed: int = 20240601,
         vals, _, _ = min_max_over_unit_vectors(mats)
         worst = min(worst, float(vals.min()))
     return worst
+
+
+def rho_at(seq: VerblunskySequence, n: int) -> float:
+    """rho(n) = sqrt((1 - |a|)(1 + |a|)) of one coefficient, in Python
+    complex and float arithmetic, against the vectorised
+    ``VerblunskySequence.rho``."""
+    a = abs(seq.alpha(n))
+    return math.sqrt((1.0 - a) * (1.0 + a))
 
 
 def theta_block(alpha: complex) -> np.ndarray:

@@ -13,6 +13,7 @@ from oracles import (
     gauge_rotate,
     hermitian_band_spectrum,
     parity_gauge_matrix,
+    rho_at,
     theta_block,
     theta_step_count,
     theta_step_walk,
@@ -74,7 +75,10 @@ def test_band_structure_matches_displayed_rows():
     seq = random_seq(1, -8, 8)
     op = assemble(seq, -6, 6)
     a = seq.alpha
-    r = seq.rho
+
+    def r(n):
+        return rho_at(seq, n)
+
     E = {(m, n): op.matrix[m + 6, n + 6] for m in range(-3, 5) for n in range(-4, 6)}
     assert E[(0, 0)] == -np.conj(a(0)) * a(-1)
     assert E[(0, 1)] == np.conj(a(1)) * r(0)
@@ -519,9 +523,10 @@ def test_spectrum_tolerance_too_tight_raises_after_fallback(monkeypatch):
         return schur(matrix)
 
     monkeypatch.setattr(cmv, "_schur_spectrum", counted)
+    monkeypatch.setattr(cmv, "_EIG_TOL", 1e-15)
     op = assemble(random_seq(8, -30, 30), -25, 24)
     with pytest.raises(EigensolverError):
-        spectrum(op, tol=1e-15)
+        spectrum(op)
     assert calls == [(50, 50)]
 
 

@@ -376,6 +376,15 @@ MALFORMED_ARGV = [
     ("cmv-boundary-not-a-number",
      ["cmv", "--seq-file", "{missing}", "--boundary", "1,a;1,0"], None,
      "error: --boundary expects RE,IM;RE,IM"),
+    # a third comma field was once dropped: the window of 0.5 was written,
+    # and the operator assembled with b- = 1
+    ("sample-params-three-fields",
+     ["sample", "--family", "harmonic", "--params", "0.5,0,7",
+      "--window=-2:2"], None,
+     "error: --params expects RE[,IM], got '0.5,0,7'"),
+    ("cmv-boundary-three-fields",
+     ["cmv", "--seq-file", "{missing}", "--boundary", "1,0,9;1,0"], None,
+     "error: --boundary expects RE,IM;RE,IM (b-;b+), got '1,0,9;1,0'"),
     ("gordon-k-list-one-field",
      ["gordon", "--seq-file", "{missing}", "--k-list", "1:2,3"], None,
      "error: --k-list expects K:Q"),
@@ -594,7 +603,6 @@ OPENNESS = "ROADMAP item 3 openness"
 # (pipeline.run) reaches, with the reason it stays
 UNREACHED = {
     "dynamics.SkewRepetitionTimes": ACCEPTANCE,
-    "dynamics.block_displacement": ACCEPTANCE,
     "dynamics.skew_repetition_times": ACCEPTANCE,
     "sampling.periodic_defect_maxima": ACCEPTANCE,
     "transfer.szego_matrix": PUBLIC_API,

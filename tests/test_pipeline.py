@@ -165,7 +165,7 @@ def test_evidence_reports_worst_block_norm(tmp_path):
 
 def test_cli_gordon_reports_worst_block_norm(tmp_path):
     seq_file = tmp_path / "seq.csv"
-    VerblunskySequence.constant(0.5, -20, 20).to_csv(seq_file)
+    VerblunskySequence.constant(0.5, -20, 20).to_csv(seq_file, seed=0)
     rc = main(
         ["gordon", "--seq-file", str(seq_file), "--k-list", "1:4",
          "--z-grid", "32", "--out", str(tmp_path)]
@@ -183,7 +183,8 @@ def test_cli_gordon_with_no_finite_row(tmp_path, capsys):
     q = 3000
     cell = 0.5 * np.exp(2j * np.pi * np.random.default_rng(q).random(q))
     seq_file = tmp_path / "seq.csv"
-    VerblunskySequence(-q, 2 * q, np.tile(cell, 4)[: 3 * q + 1]).to_csv(seq_file)
+    VerblunskySequence(-q, 2 * q, np.tile(cell, 4)[: 3 * q + 1]).to_csv(
+        seq_file, seed=0)
     with np.errstate(over="ignore", invalid="ignore"):
         rc = main(["gordon", "--seq-file", str(seq_file), "--k-list", "1:2",
                    "--q", str(q), "--z-grid", "64", "--out", str(tmp_path)])
@@ -471,7 +472,7 @@ def test_cli_run_rejects_malformed_config(tmp_path, capsys, config, message):
 @pytest.mark.parametrize("index", ["10", "99", "-1"])
 def test_cli_cmv_rejects_profile_index_outside_window(tmp_path, capsys, index):
     seq_file = tmp_path / "verblunsky.csv"
-    VerblunskySequence.constant(0.3, -10, 10).to_csv(seq_file)
+    VerblunskySequence.constant(0.3, -10, 10).to_csv(seq_file, seed=0)
     rc = main(["cmv", "--seq-file", str(seq_file), "--window=-5:4",
                "--profile", index, "--out", str(tmp_path / "o")])
     assert rc == 1

@@ -10,6 +10,7 @@ from oracles import (
     fraction_window,
     oracle_value,
     pairwise_circle_diameter,
+    rho_at,
 )
 
 from qpcmv.artifacts import read_csv
@@ -79,7 +80,7 @@ def build_tubes(k=2, q=None, values=None):
 def test_zero_function_window():
     seq = verblunsky_window(ConstantFunction(0), ROT, ORIGIN, -5, 5)
     assert np.all(seq.values == 0)
-    assert all(seq.rho(n) == 1.0 for n in range(-5, 6))
+    assert all(rho_at(seq, n) == 1.0 for n in range(-5, 6))
 
 
 def test_harmonic_quarter_turn():
@@ -96,7 +97,7 @@ def test_rho_alpha_identity():
     seq = verblunsky_window(f, ROT, TorusPoint.exact("0.13"), -20, 20)
     for n in range(-20, 21):
         a = seq.alpha(n)
-        assert abs(seq.rho(n) ** 2 + abs(a) ** 2 - 1.0) <= 1e-15
+        assert abs(rho_at(seq, n) ** 2 + abs(a) ** 2 - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize("n_min, n_max", [(-3, 10), (0, 4), (-4, 0)])
@@ -115,15 +116,18 @@ def test_impurity_window_must_hold_site_zero(n_min, n_max):
 
 def test_csv_rows_are_the_sequence_values(tmp_path):
     # the writer reads the value array once; every row must still be the
-    # repr of alpha(n) and of rho(n) as the sequence computes them
+    # repr of alpha(n) and of rho(n) taken one Python complex at a time,
+    # also at the moduli 0, 1e-300 and 1 - 1e-12 (each at two phases)
     rng = np.random.default_rng(20261018)
     vals = np.sqrt(rng.random(500)) * 0.999 * np.exp(2j * np.pi * rng.random(500))
-    seq = VerblunskySequence(-250, 249, vals)
+    edges = (np.repeat([0.0, 1e-300, 1 - 1e-12], 2)
+             * np.exp(2j * np.pi * rng.random(6)))
+    seq = VerblunskySequence(-250, 255, np.concatenate([vals, edges]))
     seq.to_csv(tmp_path / "verblunsky.csv", seed=3)
     header, rows = read_csv(tmp_path / "verblunsky.csv")
     assert header == ["n", "re_alpha", "im_alpha", "rho"]
     assert rows == [[str(n), repr(seq.alpha(n).real), repr(seq.alpha(n).imag),
-                     repr(seq.rho(n))] for n in range(-250, 250)]
+                     repr(rho_at(seq, n))] for n in range(-250, 256)]
 
 
 def test_window_rejects_escaping_function():
