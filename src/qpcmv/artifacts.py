@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import (Iterable, NewType, Union, get_args, get_origin,
@@ -59,8 +60,10 @@ def _decode(hint, v):
     """JSON value ``v`` as a value of the field type ``hint``: an int, a
     float from any number, a str, a Rational from a string or a number, a
     complex from a number or an [re, im] pair, a tuple from a list of its
-    items, an Optional[X] as an X; TypeError when ``v`` does not fit."""
-    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    items, an Optional[X] as an X; TypeError when ``v`` does not fit.  The
+    ``NaN`` and ``Infinity`` that ``json`` reads are not numbers here."""
+    number = (isinstance(v, float) and math.isfinite(v)
+              or isinstance(v, int) and not isinstance(v, bool))
     if get_origin(hint) is Union:  # Optional[X]: given, it is an X
         return _decode(get_args(hint)[0], v)
     if get_origin(hint) is tuple:

@@ -208,7 +208,7 @@ def _coefficients(seq: VerblunskySequence, n_min: int, n_max: int,
     """
     bm, bp = (complex(boundary[0]), complex(boundary[1]))
     for b in (bm, bp):
-        if abs(abs(b) - 1.0) > _BOUNDARY_TOL:
+        if not abs(abs(b) - 1.0) <= _BOUNDARY_TOL:
             raise DomainError("boundary coefficients must be unimodular")
     a = np.concatenate(([bm, bm], seq.slice(n_min, n_max - 1), [bp, bp]))
     rho = np.concatenate(([0.0, 0.0], seq.rho(n_min, n_max - 1), [0.0, 0.0]))

@@ -11,7 +11,7 @@ cannot support.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import islice
 from typing import Optional
@@ -81,26 +81,6 @@ def _convergents(value: Fraction):
         x = inv - a
 
 
-def _expand(value: Fraction, terms: int, precision_bits: Optional[int]):
-    """At most ``terms`` quotients of ``value``, with a precision floor."""
-    quotients: list[int] = []
-    convergents: list[tuple[int, int]] = []
-    q_cur = 1
-    limit = None
-    if precision_bits is not None:
-        limit = 1 << max(precision_bits - _CF_GUARD_BITS, 1)
-    for a, p, q in islice(_convergents(value), terms):
-        if limit is not None and q_cur * q > limit:
-            # the last kept convergent is within 1/(q_cur q) of value, below
-            # the trust radius of the input; further quotients are noise.
-            return tuple(quotients), tuple(convergents), False, True
-        quotients.append(a)
-        convergents.append((p, q))
-        q_cur = q
-    truncated = len(quotients) < terms
-    return tuple(quotients), tuple(convergents), truncated, False
-
-
 def continued_fraction(
     a,
     terms: int,
@@ -121,14 +101,27 @@ def continued_fraction(
     value = as_fraction(a)
     if not (0 < value < 1):
         raise DomainError(f"expected a in (0,1), got {value}")
-    quotients, convergents, truncated, limited = _expand(
-        value, terms, precision_bits
-    )
+    quotients: list[int] = []
+    convergents: list[tuple[int, int]] = []
+    q_cur = 1
+    limit = None
+    if precision_bits is not None:
+        limit = 1 << max(precision_bits - _CF_GUARD_BITS, 1)
+    limited = False
+    for a_k, p, q in islice(_convergents(value), terms):
+        if limit is not None and q_cur * q > limit:
+            # the last kept convergent is within 1/(q_cur q) of value, below
+            # the trust radius of the input; further quotients are noise.
+            limited = True
+            break
+        quotients.append(a_k)
+        convergents.append((p, q))
+        q_cur = q
     return Frequency(
         value=value,
-        partial_quotients=quotients,
-        convergents=convergents,
-        truncated=truncated,
+        partial_quotients=tuple(quotients),
+        convergents=tuple(convergents),
+        truncated=not limited and len(quotients) < terms,
         precision_limited=limited,
         precision_bits=precision_bits,
     )
@@ -234,16 +227,8 @@ def liouville_frequency(base: int, depth: int, terms: int = 32) -> Frequency:
         q = base ** math.factorial(n)
         value += Fraction(1, q)
         dens.append(q)
-    quotients, convergents, truncated, limited = _expand(value, terms, None)
-    return Frequency(
-        value=value,
-        partial_quotients=quotients,
-        convergents=convergents,
-        truncated=truncated,
-        precision_limited=limited,
-        precision_bits=None,
-        designated_denominators=tuple(dens),
-    )
+    return replace(continued_fraction(value, terms),
+                   designated_denominators=tuple(dens))
 
 
 def parse_frequency(text: str) -> Frequency:

@@ -80,7 +80,7 @@ class ConstantFunction(_ResidueEvaluated):
 
     def __init__(self, value: complex):
         value = complex(value)
-        if abs(value) >= 1:
+        if not abs(value) < 1:
             raise DomainError("constant value must lie in the open unit disk")
         self.value = value
         self.sup_norm = abs(value)
@@ -97,7 +97,7 @@ class HarmonicFunction(_ResidueEvaluated):
 
     def __init__(self, coefficient: complex):
         coefficient = complex(coefficient)
-        if abs(coefficient) >= 1:
+        if not abs(coefficient) < 1:
             raise DomainError("coefficient must lie in the open unit disk")
         self.coefficient = coefficient
         self.sup_norm = abs(coefficient)
@@ -136,7 +136,7 @@ class PerturbedFunction(_ResidueEvaluated):
         self.base = base
         self.bump = bump
         self.sup_norm = base.sup_norm + abs(bump.amplitude)
-        if self.sup_norm >= 1:
+        if not self.sup_norm < 1:
             raise DomainError("perturbation pushes the range onto the circle")
 
     def denominator(self, d0: int) -> int:
@@ -242,7 +242,6 @@ def ball_radius(
         raise DegenerateOrbitError("no positive radius above the precision floor")
     if not verify_ball(system, center, q, epsilon, radius, grid):
         raise DegenerateOrbitError("boundary-grid verification failed")
-    offsets = _sample_offsets(center.dim, radius, grid)
     return BallRadiusReport(
         radius=radius,
         min_center_gap=Fraction(min_gap, d),
@@ -250,9 +249,8 @@ def ball_radius(
         disjoint_bound=disjoint_bound,
         containment_bound=contain_bound,
         verified=True,
-        denominator_bits=integer_kernel(
-            system, center, 10 * epsilon, *chain.from_iterable(offsets)
-        )[0].bit_length(),
+        denominator_bits=_sample_kernel(
+            system, center, epsilon, radius, grid)[0].bit_length(),
     )
 
 
@@ -331,10 +329,17 @@ def _boundary_offsets(dim: int, radius: Fraction, grid: int):
     raise DomainError("boundary grid implemented for d <= 2")
 
 
-def _sample_offsets(dim: int, radius: Fraction, grid: int):
-    """The distinct boundary offsets (corners appear twice) and the centre."""
-    offsets = _boundary_offsets(dim, radius, grid) + [(Fraction(0),) * dim]
-    return list(dict.fromkeys(offsets))
+def _sample_kernel(system, center, epsilon, radius, grid: int):
+    """(D, the centre's residues, the image map, the sample offsets over D)
+    for the samples of B(center, radius): the distinct boundary offsets
+    (corners appear twice) and the centre.  D is the common denominator of
+    the centre, the frequency, the offsets and 10 epsilon."""
+    offsets = _boundary_offsets(center.dim, radius, grid)
+    offsets = list(dict.fromkeys(offsets + [(Fraction(0),) * center.dim]))
+    d, c, image = integer_kernel(
+        system, center, 10 * epsilon, *chain.from_iterable(offsets)
+    )
+    return d, c, image, [tuple(scaled(x, d) for x in off) for off in offsets]
 
 
 def verify_ball(system, center, q, epsilon, radius, grid: int = 8) -> bool:
@@ -358,12 +363,8 @@ def verify_ball(system, center, q, epsilon, radius, grid: int = 8) -> bool:
     wrong, so callers treat it as fatal.
     """
     epsilon = as_fraction(epsilon)
-    radius = as_fraction(radius)
-    offsets = _sample_offsets(center.dim, radius, grid)
-    d, c, image = integer_kernel(
-        system, center, 10 * epsilon, *chain.from_iterable(offsets)
-    )
-    offsets = [tuple(scaled(x, d) for x in off) for off in offsets]
+    d, c, image, offsets = _sample_kernel(system, center, epsilon,
+                                          as_fraction(radius), grid)
     # circle distances never exceed d / 2, so this bound acts as
     # min(10 epsilon, 1/2) * d
     ten_eps = scaled(10 * epsilon, d)
@@ -434,8 +435,7 @@ class TubeFunction(_ResidueEvaluated):
         if len(values) != q:
             raise ConstructionError(f"need exactly q={q} tube values")
         values = tuple(complex(v) for v in values)
-        vmax = max(abs(v) for v in values)
-        if vmax >= 1:
+        if not all(abs(v) < 1 for v in values):
             raise ConstructionError("tube values must lie in the open disk")
         self.system = system
         self.center = center
@@ -444,7 +444,7 @@ class TubeFunction(_ResidueEvaluated):
         if self.radius <= 0:
             raise DomainError("tube radius must be positive")
         self.values = values
-        self.sup_norm = vmax
+        self.sup_norm = max(abs(v) for v in values)
         d, c, image = integer_kernel(system, center, self.radius)
         self._d, self._r, self._image = d, scaled(self.radius, d), image
         # ball n is centred at the residues _orbit[n]; _orbit[0] is the centre
@@ -600,8 +600,12 @@ class VerblunskySequence:
         vals = np.asarray(self.values, dtype=complex)
         if vals.shape != (self.n_max - self.n_min + 1,):
             raise WindowError("value array does not match the window")
-        if np.any(np.abs(vals) >= 1):
-            raise InvariantViolation("coefficients must lie inside the disk")
+        # |a| as ``rho`` takes it; NaN is not < 1 either
+        outside = np.flatnonzero(~(np.hypot(vals.real, vals.imag) < 1))
+        if outside.size:
+            k = outside[0]
+            raise InvariantViolation(f"alpha({self.n_min + k}) = {vals[k]} "
+                                     "does not lie in the open unit disk")
         object.__setattr__(self, "values", vals)
 
     def require(self, n_from: int, n_to: int):
@@ -673,21 +677,15 @@ def verblunsky_window(
     denominator d that f evaluates on (``f.denominator`` of the common
     denominator of the system and omega), ``integer_orbit`` steps those
     residues from T^n_min omega on, and f evaluates each with
-    ``at_residues``, so no torus point is built.
+    ``at_residues``, so no torus point is built.  ``VerblunskySequence``
+    checks that every value lies in the open unit disk.
     """
     if n_min > n_max:
         raise WindowError("n_min must be <= n_max")
     d = f.denominator(integer_kernel(system, omega)[0])
     p = tuple(scaled(x, d) for x in omega.coords)
-    vals = np.empty(n_max - n_min + 1, dtype=complex)
-    for k, x in enumerate(integer_orbit(system, d, p, n_min, n_max)):
-        v = f.at_residues(x, d)
-        if abs(v) >= 1:
-            raise InvariantViolation(
-                f"sampling function left the unit disk at n={n_min + k}"
-            )
-        vals[k] = v
-    return VerblunskySequence(n_min, n_max, vals)
+    vals = [f.at_residues(x, d) for x in integer_orbit(system, d, p, n_min, n_max)]
+    return VerblunskySequence(n_min, n_max, np.array(vals, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -708,13 +706,11 @@ def _circumcircle(a: complex, b: complex, c: complex):
     return ctr, abs(a - ctr)
 
 
-def _cross(o: complex, a: complex, b: complex) -> float:
-    return ((a.real - o.real) * (b.imag - o.imag)
-            - (a.imag - o.imag) * (b.real - o.real))
-
-
 def min_enclosing_circle(points: Sequence[complex]) -> tuple[complex, float]:
-    """Smallest circle containing the points (Welzl, deterministic order)."""
+    """Smallest circle containing the points (Welzl, "Smallest enclosing
+    disks", 1991): three passes over the points in their given order.  A
+    point p outside restarts the circle on p, the next pass keeps p on the
+    boundary and the innermost keeps p and s there."""
     pts = [complex(p) for p in points]
     if not pts:
         raise DomainError("no points")
@@ -722,48 +718,18 @@ def min_enclosing_circle(points: Sequence[complex]) -> tuple[complex, float]:
     def contains(c, r, p):
         return abs(p - c) <= r + 1e-12 * (1 + r)
 
-    def circle_two(p, q, support):
-        c = (p + q) / 2
-        r = abs(p - c)
-        if all(contains(c, r, s) for s in support):
-            return c, r
-        left = None
-        right = None
-        for s in support:
-            if contains(c, r, s):
-                continue
-            got = _circumcircle(p, q, s)
-            if got is None:
-                continue
-            side = _cross(p, q, s)
-            key = _cross(p, q, got[0])
-            if side > 0 and (left is None or key > left[2]):
-                left = (got[0], got[1], key)
-            elif side < 0 and (right is None or key < right[2]):
-                right = (got[0], got[1], key)
-        if left is None and right is None:
-            return c, r
-        if left is None:
-            return right[0], right[1]
-        if right is None:
-            return left[0], left[1]
-        return (left[:2] if left[1] <= right[1] else right[:2])
-
-    def circle_one(p, support):
-        c, r = p, 0.0
-        for i, s in enumerate(support):
-            if contains(c, r, s):
-                continue
-            if r == 0.0:
-                c, r = (p + s) / 2, abs(p - s) / 2
-            else:
-                c, r = circle_two(p, s, support[: i + 1])
-        return c, r
-
     c, r = pts[0], 0.0
     for i, p in enumerate(pts):
-        if not contains(c, r, p):
-            c, r = circle_one(p, pts[:i])
+        if contains(c, r, p):
+            continue
+        c, r = p, 0.0
+        for j, s in enumerate(pts[:i]):
+            if contains(c, r, s):
+                continue
+            c, r = (p + s) / 2, abs(p - s) / 2
+            for t in pts[:j]:
+                if not contains(c, r, t):
+                    c, r = _circumcircle(p, s, t)
     return c, r
 
 

@@ -64,9 +64,9 @@ def _szego(alpha, z):
 
 
 def szego_matrix(alpha: complex, z: complex) -> np.ndarray:
-    if abs(alpha) >= 1:
+    if not abs(alpha) < 1:
         raise DomainError("|alpha| must be < 1")
-    if abs(abs(z) - 1.0) > 1e-9:
+    if not abs(abs(z) - 1.0) <= 1e-9:
         raise DomainError("z must lie on the unit circle")
     return np.array(_szego(alpha, z)).reshape(2, 2)
 
@@ -258,8 +258,6 @@ class ToleranceBound:
 def coefficient_tolerance(k: int, q: int, r: float) -> ToleranceBound:
     if k < 1 or q < 1:
         raise DomainError("k and q must be positive integers")
-    if not 0 <= r < 1:
-        raise DomainError("r must lie in [0, 1)")
     L = three_step_lipschitz(r)
     log10 = -q * math.log10(k) - math.log10(L)
     if log10 < _UNDERFLOW_LOG10:

@@ -16,13 +16,15 @@ The transfer walk and count that ``qpcmv.cmv._Chain`` replaced carry the
 pair (x', y') with two divisions by rho per block, and the CSV tables
 that ``qpcmv.artifacts`` now joins itself are written row by row through
 the csv module.  The golden mean is rounded by mpmath, which the package
-replaced with an integer square root.
+replaced with an integer square root.  The smallest enclosing circle is
+found by trying every circle on two or three of the points.
 """
 
 import cmath
 import csv
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 from mpmath import mp
@@ -209,6 +211,26 @@ def rho_at(seq: VerblunskySequence, n: int) -> float:
     ``VerblunskySequence.rho``."""
     a = abs(seq.alpha(n))
     return math.sqrt((1.0 - a) * (1.0 + a))
+
+
+def enclosing_radius_brute_force(points) -> float:
+    """Radius of the smallest circle holding n <= 12 points: the smallest
+    of the circles through one point, on two as a diameter, or through
+    three that holds them all (the smallest circle is one of them), each
+    point held within 1e-14 (1 + r).  Circumcentres are taken by the
+    complex formula, not by ``sampling._circumcircle``'s coordinates."""
+    pts = [complex(p) for p in points]
+    assert 1 <= len(pts) <= 12
+    circles = [(pts[0], 0.0)]
+    circles += [((a + b) / 2, abs(a - b) / 2) for a, b in combinations(pts, 2)]
+    for a, b, c in combinations(pts, 3):
+        u, v = b - a, c - a
+        den = u.conjugate() * v - u * v.conjugate()
+        if den != 0:
+            z = (abs(u) ** 2 * v - abs(v) ** 2 * u) / den
+            circles.append((a + z, abs(z)))
+    return min(r for c, r in circles
+               if all(abs(p - c) <= r + 1e-14 * (1 + r) for p in pts))
 
 
 def theta_block(alpha: complex) -> np.ndarray:

@@ -122,6 +122,10 @@ def test_boundary_must_be_unimodular():
     seq = random_seq(7, -10, 10)
     with pytest.raises(DomainError):
         assemble(seq, -5, 5, boundary=(0.5, 1.0))
+    # a NaN boundary once assembled a NaN matrix reported unitary
+    for boundary in ((math.nan, 1.0), (1.0, complex(0.0, math.nan))):
+        with pytest.raises(DomainError, match="unimodular"):
+            assemble(seq, -5, 5, boundary=boundary)
 
 
 def test_window_too_small():

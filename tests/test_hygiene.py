@@ -382,6 +382,18 @@ MALFORMED_ARGV = [
      ["sample", "--family", "harmonic", "--params", "0.5,0,7",
       "--window=-2:2"], None,
      "error: --params expects RE[,IM], got '0.5,0,7'"),
+    # a NaN boundary once assembled a NaN matrix under unitary=True, and
+    # a NaN coefficient or constant passed the disk checks
+    ("cmv-boundary-nan",
+     ["cmv", "--seq-file", "{input}", "--window=-4:3", "--boundary",
+      "nan,0;1,0"], UNPERIODIC_SEQ,
+     "error: boundary coefficients must be unimodular"),
+    ("cmv-sequence-nan", ["cmv", "--seq-file", "{input}", "--window=-1:1"],
+     "n,re_alpha,im_alpha\n-1,0,0\n0,nan,0\n1,0,0\n",
+     "error: alpha(0) = (nan+0j) does not lie in the open unit disk"),
+    ("sample-constant-nan",
+     ["sample", "--family", "constant", "--params", "nan", "--window=-2:2"],
+     None, "error: constant value must lie in the open unit disk"),
     ("cmv-boundary-three-fields",
      ["cmv", "--seq-file", "{missing}", "--boundary", "1,0,9;1,0"], None,
      "error: --boundary expects RE,IM;RE,IM (b-;b+), got '1,0,9;1,0'"),
@@ -610,7 +622,6 @@ UNREACHED = {
     "sampling.TentBump": OPENNESS,
     "sampling.TubeDistanceReport": OPENNESS,
     "sampling._circumcircle": OPENNESS,
-    "sampling._cross": OPENNESS,
     "sampling.distance_to_tubes": OPENNESS,
     "sampling.min_enclosing_circle": OPENNESS,
     "sampling.tube_sample_points": OPENNESS,

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,22 @@ def test_free_run_deterministic_bytes(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
         ).read_bytes(), name
+
+
+@pytest.mark.parametrize("name", ["free.json", "impurity_control.json",
+                                  "liouville_rotation.json"])
+def test_shipped_config_runs_repeat_byte_for_byte(tmp_path, name):
+    # every artifact of a shipped config, run twice, timings aside
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    for out in ("a", "b"):
+        run(ExperimentConfig.from_file(configs / name), tmp_path / out)
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert "report.json" in names and "verblunsky.csv" in names
+    for n in names:
+        if n != "timings.json":
+            assert (tmp_path / "a" / n).read_bytes() == (
+                tmp_path / "b" / n).read_bytes(), n
 
 
 def test_config_echo_reruns_to_same_verdict(tmp_path):
@@ -453,10 +470,17 @@ FREE = {"schema": CONFIG_SCHEMA, "scenario": "free"}
         # a second coordinate was once dropped without a word
         ({**FREE, "scenario": "liouville-rotation", "omega": ["0", "1/3"]},
          "'omega' must be tuple[str], got [\"0\", \"1/3\"]"),
+        # json reads NaN and Infinity; a NaN impurity once wrote a NaN
+        # coefficient row and ended without a report
+        ({**FREE, "scenario": "impurity-control",
+          "impurity_value": [math.nan, 0.0]},
+         "config field 'impurity_value' must be"),
+        (FREE | {"lipschitz_r": math.inf},
+         "config field 'lipschitz_r' must be"),
     ],
     ids=["no-scenario", "list", "string", "boundary-number", "k_list-number",
          "seed-null", "omega-string", "unknown-key", "retired-key",
-         "omega-two-coordinates"],
+         "omega-two-coordinates", "impurity-value-nan", "lipschitz-r-infinity"],
 )
 def test_cli_run_rejects_malformed_config(tmp_path, capsys, config, message):
     cfg_path = tmp_path / "cfg.json"
@@ -550,6 +574,9 @@ GOOD_SPEC = {
         ({**GOOD_SPEC, "freq": ["golden"]}, "'freq' must be"),
         ({k: v for k, v in GOOD_SPEC.items() if k != "epsilon"}, "epsilon"),
         ({**GOOD_SPEC, "periods": 2}, "unknown construct spec field(s)"),
+        # a NaN value once wrote a window of NaN rows with exit 0
+        ({**GOOD_SPEC, "values": [[math.nan, 0.0], [0.0, 0.5]]},
+         "construct spec field 'values' must be"),
     ],
 )
 def test_cli_construct_ck_rejects_bad_spec(tmp_path, capsys, spec, message):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from oracles import (
+    enclosing_radius_brute_force,
     fraction_window,
     oracle_value,
     pairwise_circle_diameter,
@@ -142,6 +143,34 @@ def test_window_rejects_escaping_function():
 
     with pytest.raises(InvariantViolation):
         verblunsky_window(Bad(), ROT, ORIGIN, 0, 1)
+    # NaN once passed the disk test, and the error now names n and alpha(n)
+    Bad.at_residues = lambda self, p, d: complex(math.nan, 0.0)
+    with pytest.raises(InvariantViolation,
+                       match=r"alpha\(-2\) = \(nan\+0j\) does not lie"):
+        verblunsky_window(Bad(), ROT, ORIGIN, -2, 2)
+
+
+@pytest.mark.parametrize("value", [1.0, -1j, 2.0, math.nan,
+                                   complex(0.0, math.nan), math.inf])
+def test_sequence_rejects_a_coefficient_off_the_open_disk(value):
+    vals = np.array([0.1, 0.5j, value, -0.3, value], dtype=complex)
+    with pytest.raises(InvariantViolation, match=r"^alpha\(3\) = "):
+        VerblunskySequence(1, 5, vals)
+
+
+@pytest.mark.parametrize("value", [1.0, 1j, 1.5, math.nan,
+                                   complex(math.nan, 0.0), math.inf])
+def test_sampling_families_reject_values_off_the_open_disk(value):
+    # NaN once passed every one of these checks, with sup-norm nan
+    with pytest.raises(DomainError, match="constant value must lie"):
+        ConstantFunction(value)
+    with pytest.raises(DomainError, match="coefficient must lie"):
+        HarmonicFunction(value)
+    bump = TentBump(ORIGIN, Fraction(1, 10), value)
+    with pytest.raises(DomainError, match="perturbation pushes"):
+        PerturbedFunction(ConstantFunction(0.1), bump)
+    with pytest.raises(ConstructionError, match="tube values must lie"):
+        TubeFunction(ROT, ORIGIN, 2, Fraction(1, 1000), [0.1, value])
 
 
 # ---------------------------------------------------------------------------
@@ -951,6 +980,27 @@ def test_min_enclosing_circle_against_oracle():
         oracle = brute_force_chebyshev_radius(pts)
         assert r <= oracle + 1e-3
         assert oracle <= r * (1 + 2e-2) + 1e-3
+
+
+def _enclosing_sets(rng):
+    """Seeded sets of 1 to 12 points: Gaussian, drawn with repeats from a
+    few points of a 1/3-grid, and collinear to 1e-13."""
+    for _ in range(150):
+        n = int(rng.integers(1, 13))
+        yield "gaussian", rng.normal(size=n) + 1j * rng.normal(size=n)
+        pool = (rng.integers(-3, 4, size=4) + 1j * rng.integers(-3, 4, size=4)) / 3
+        yield "repeated", rng.choice(pool, size=n)
+        t = rng.normal(size=n)
+        yield "collinear", (0.2 - 0.1j) + t * (0.6 + 0.8j) + 1e-13j * rng.normal(size=n)
+
+
+def test_min_enclosing_circle_is_the_exact_minimum():
+    rng = np.random.default_rng(24)
+    for kind, pts in _enclosing_sets(rng):
+        c, r = min_enclosing_circle(pts)
+        assert np.abs(pts - c).max() <= r + 1e-12 * (1 + r), kind
+        oracle = enclosing_radius_brute_force(pts)
+        assert abs(r - oracle) <= 1e-12 * oracle, (kind, r, oracle)
 
 
 def test_distance_zero_for_members():

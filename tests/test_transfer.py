@@ -82,6 +82,11 @@ def test_szego_domain_errors():
         szego_matrix(1.0, 1.0)
     with pytest.raises(DomainError):
         szego_matrix(0.5, 1.5)
+    # NaN once passed both checks and gave a NaN matrix
+    with pytest.raises(DomainError, match=r"\|alpha\| must be < 1"):
+        szego_matrix(float("nan"), 1.0)
+    with pytest.raises(DomainError, match="unit circle"):
+        szego_matrix(0.5, complex(float("nan"), 0.0))
 
 
 def test_szego_matrix_matches_the_stack_oracle():
@@ -380,6 +385,13 @@ def test_tolerance_values():
     # monotone in q (k >= 2) and r
     assert coefficient_tolerance(2, 5, 0.5).value <= t2.value
     assert coefficient_tolerance(2, 4, 0.7).value <= t2.value
+
+
+@pytest.mark.parametrize("r", [-0.1, 1.0, 1.5, float("nan")])
+def test_tolerance_rejects_a_radius_outside_0_1(r):
+    # the check is three_step_lipschitz's, through szego_norm_bound
+    with pytest.raises(DomainError, match=r"r must lie in \[0, 1\)"):
+        coefficient_tolerance(2, 4, r)
 
 
 def test_tolerance_underflow_flag():
