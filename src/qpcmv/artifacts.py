@@ -129,13 +129,16 @@ def write_frequency_csv(path, seed, freq, scan) -> None:
 
 
 def write_orbit_csv(path, comment: str, system, omega, cert) -> None:
-    """dist(T^n w, T^(n+q) w) for n = 0..window of a repetition certificate.
+    """dist(T^n w, T^(n+q) w) for n = 0..window of a repetition certificate
+    of ``system`` from ``omega``.
 
     Each distance is the exact integer k = D * dist divided by D, which is
-    the correctly rounded float of the exact rational distance.
+    the correctly rounded float of the exact rational distance.  The k are
+    the certificate's ``deviations`` when its validation scanned the whole
+    window, and are scanned here otherwise (a spot-scanned certificate).
     """
     ns = range(cert.window + 1)
-    d, devs = scaled_deviations(system, omega, cert.q, ns)
+    d, devs = cert.deviations or scaled_deviations(system, omega, cert.q, ns)
     write_csv(path, comment, ["n", "dist"],
               ([str(n), repr(k / d)] for n, k in zip(ns, devs)))
 

@@ -21,7 +21,7 @@ residues: ``integer_map`` jumps to any time in closed form, and
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, repeat
 from typing import Optional, Sequence, Union
@@ -303,7 +303,9 @@ class RepetitionCertificate:
     max_deviation is the exact max over n = 0..window of
     dist(T^n w, T^(n+q) w), first attained at ``argmax``; ``threshold`` is
     the bound it was certified against (epsilon for plain searches,
-    5*epsilon for the skew-shift construction).
+    5*epsilon for the skew-shift construction).  A full-scan validation
+    keeps what it scanned as ``deviations``: (D, the integers
+    D * dist(T^n w, T^(n+q) w) for n = 0..window), for the orbit table.
     """
 
     q: int
@@ -317,6 +319,8 @@ class RepetitionCertificate:
     m: Optional[int] = None
     base_q: Optional[int] = None
     level: Optional[int] = None
+    deviations: Optional[tuple[int, tuple[int, ...]]] = field(
+        default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.q < 2 or self.q % 2 != 0:
@@ -345,32 +349,36 @@ def _orbit_deviation(system: SkewShift, omega: TorusPoint, q: int,
 
 def _scan_deviation(system: TorusDynamics, omega: TorusPoint, q: int,
                     window: int, samples: Optional[Sequence[int]] = None):
-    """Independent orbit scan: (max, first argmax) over n in ``samples``
-    (default 0..window) of the exact deviation, from integer iterates."""
+    """Independent orbit scan: ((max, first argmax), (D, scanned)) over n
+    in ``samples`` (default 0..window) of the exact deviation, from integer
+    iterates; ``scanned`` holds the integers D * deviation in the order of
+    the samples."""
     ns = range(window + 1) if samples is None else samples
     d, devs = scaled_deviations(system, omega, q, ns)
+    devs = tuple(devs)
     k, n = max(zip(devs, ns), key=lambda kn: kn[0])
-    return Fraction(k, d), n
+    return (Fraction(k, d), n), (d, devs)
 
 
 def _validate_certificate(system, omega, q, window, deviation, argmax):
     """Re-check a closed-form maximum against integer iterates: a full scan
     up to FULL_SCAN_CAP points, else the endpoints, the argmax and its
-    neighbours and seeded random spots."""
+    neighbours and seeded random spots.  Returns (mode, deviations): a full
+    scan's (D, scanned deviations), None for a spot scan."""
     if window <= FULL_SCAN_CAP:
-        scan = _scan_deviation(system, omega, q, window)
+        scan, deviations = _scan_deviation(system, omega, q, window)
         if scan != (deviation, argmax):
             raise PrecisionError(
                 "orbit-scan revalidation disagrees with closed-form maximum"
             )
-        return "full-scan"
+        return "full-scan", deviations
     r = random.Random(1)
     spots = {0, window, max(argmax - 1, 0), argmax, min(argmax + 1, window)}
     spots |= {r.randrange(window + 1) for _ in range(_SPOT_SAMPLES)}
-    scan_max, _ = _scan_deviation(system, omega, q, window, sorted(spots))
+    (scan_max, _), _ = _scan_deviation(system, omega, q, window, sorted(spots))
     if scan_max != deviation:
         raise PrecisionError("spot scan disagrees with the closed-form maximum")
-    return "spot-scan"
+    return "spot-scan", None
 
 
 def find_even_repetition(
@@ -388,7 +396,7 @@ def find_even_repetition(
     the integer residues of the shift, which equals the orbit scan because
     rotation displacements do not depend on n; for the skew-shift it is the
     exact progression maximum.  The returned certificate is re-validated by
-    an independent scan.
+    an independent scan; a full scan stays on it as ``deviations``.
     """
     epsilon = as_fraction(epsilon)
     s = as_fraction(s)
@@ -414,6 +422,9 @@ def find_even_repetition(
             deviation, argmax = _orbit_deviation(system, omega, q, window)
             if deviation >= epsilon:
                 continue
+        validated, deviations = _validate_certificate(
+            system, omega, q, window, deviation, argmax
+        )
         return RepetitionCertificate(
             q=q,
             epsilon=epsilon,
@@ -422,9 +433,8 @@ def find_even_repetition(
             threshold=epsilon,
             max_deviation=deviation,
             argmax=argmax,
-            validated=_validate_certificate(
-                system, omega, q, window, deviation, argmax
-            ),
+            validated=validated,
+            deviations=deviations,
         )
     return None
 
@@ -502,7 +512,7 @@ def skew_repetition_times(
                     argmax=argmax,
                     validated=_validate_certificate(
                         system, omega, q_tilde, window, deviation, argmax
-                    ),
+                    )[0],
                     m=m_sel,
                     base_q=q_even,
                     level=level,

@@ -79,6 +79,17 @@ class ExperimentConfig:
         if self.scenario == "free" and n != m:
             raise QpcmvError(f"config fields 'k_list' and 'free_q_list' pair "
                              f"levels with periods, got {n} and {m} entries")
+        # a malformed rational stops the run before any stage; a well-formed
+        # one outside its domain ("1/0") fails the stage that reads it
+        for name, text in (("omega", self.omega[0]),
+                           ("window_factor", self.window_factor)):
+            try:
+                as_fraction(text)
+            except QpcmvError:
+                pass
+            except ValueError:
+                raise QpcmvError(f"config field {name!r} expects P/Q or a "
+                                 f"decimal, got {text!r}") from None
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

@@ -424,10 +424,12 @@ class TubeFunction(_ResidueEvaluated):
     rotation T^-n is a translation, so this is its distance to T^n(c).
     Only the balls whose first coordinate can reach p are tested (see
     ``_BallCentres``).  Points are evaluated as residues over this D, the
-    function's ``denominator`` whatever grid they come from.  Off the tubes
-    the value is an inverse-distance weighted blend of the tube values,
-    which is continuous and stays inside the convex hull of the values,
-    hence inside the disk.
+    function's ``denominator`` whatever grid they come from.  The ball
+    centres that :func:`tube_function` has located are recorded, residues
+    to ball n, and read back without a search; one built directly records
+    none.  Off the tubes the value is an inverse-distance weighted blend of
+    the tube values, which is continuous and stays inside the convex hull
+    of the values, hence inside the disk.
     """
 
     def __init__(self, system: TorusDynamics, center: TorusPoint, q: int,
@@ -450,6 +452,8 @@ class TubeFunction(_ResidueEvaluated):
         # ball n is centred at the residues _orbit[n]; _orbit[0] is the centre
         self._orbit = list(integer_orbit(system, d, c, 0, 5 * q))
         self._centres = _BallCentres(self._orbit, d)
+        # residues -> the ball _locate found them in, filled by tube_function
+        self._found: dict[tuple, int] = {}
         self._orbit_f = None
         if isinstance(system, Rotation):
             # int / int is correctly rounded, as float(Fraction) is
@@ -538,7 +542,12 @@ class TubeFunction(_ResidueEvaluated):
         return self.at_residues(self._scaled(point), self._d)
 
     def at_residues(self, p, d: int) -> complex:
-        """The value at p / d, for p the residues over d = ``_d``."""
+        """The value at p / d, for p the residues over d = ``_d``.  A
+        recorded ball centre reads its ball from the record, which holds
+        what ``_locate`` returned for it; any other p is searched."""
+        n = self._found.get(p)
+        if n is not None:
+            return self.values[(n - 1) % self.q]
         n, tested = self._locate(p)
         if n is not None:
             return self.values[(n - 1) % self.q]
@@ -572,7 +581,10 @@ def tube_function(
 
     ``radius`` should come from :func:`ball_radius`; overlapping tubes are
     a construction error.  The lookup is re-verified on the residues of
-    the 5q ball centres: each must fall in its own ball.
+    the 5q ball centres: each must fall in its own ball.  The function
+    records each centre's residues with the ball it was found in, so
+    ``at_residues`` reads a centre's value without searching again; the
+    window from ``gordon_point`` meets a centre at all but two times.
     """
     f = TubeFunction(system, center, q, radius, values)
     for n in range(1, 5 * q + 1):
@@ -580,6 +592,7 @@ def tube_function(
             raise ConstructionError(
                 f"tube {(n - 1) % q + 1} centre {n} is not found in its ball"
             )
+    f._found = dict(zip(f._orbit[1:], range(1, 5 * q + 1)))
     return f
 
 
@@ -677,8 +690,11 @@ def verblunsky_window(
     denominator d that f evaluates on (``f.denominator`` of the common
     denominator of the system and omega), ``integer_orbit`` steps those
     residues from T^n_min omega on, and f evaluates each with
-    ``at_residues``, so no torus point is built.  ``VerblunskySequence``
-    checks that every value lies in the open unit disk.
+    ``at_residues``, so no torus point is built.  For f from
+    :func:`tube_function` a time whose point is a ball centre reads the
+    ball that construction located, one dict read; other times are
+    searched.  ``VerblunskySequence`` checks that every value lies in the
+    open unit disk.
     """
     if n_min > n_max:
         raise WindowError("n_min must be <= n_max")

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from qpcmv import dynamics
+from qpcmv import artifacts, dynamics
 from qpcmv.arith import (
     as_fraction,
     circle_dist,
@@ -317,7 +318,7 @@ def test_orbit_deviation_matches_scan(a, w1, q, window):
     system = SkewShift(a)
     omega = TorusPoint([w1, Fraction(2, 7)])
     assert (_orbit_deviation(system, omega, q, window)
-            == _scan_deviation(system, omega, q, window))
+            == _scan_deviation(system, omega, q, window)[0])
 
 
 @pytest.mark.parametrize("q", [2, 4, 6])
@@ -328,7 +329,7 @@ def test_orbit_deviation_matches_scan_above_scan_cap(q):
     window = 20_000 * q
     assert window > FULL_SCAN_CAP
     exact = _orbit_deviation(system, omega, q, window)
-    assert exact == _scan_deviation(system, omega, q, window)
+    assert exact == _scan_deviation(system, omega, q, window)[0]
     assert exact[0] > Fraction(49, 100)
 
 
@@ -339,9 +340,58 @@ def test_full_scan_validation_checks_the_first_argmax():
     # the constant first coordinate ties the progression term at n = 1
     assert (value, argmax) == (Fraction(1, 21), 0)
     assert _validate_certificate(system, omega, 8, 1, value,
-                                 argmax) == "full-scan"
+                                 argmax)[0] == "full-scan"
     with pytest.raises(PrecisionError):
         _validate_certificate(system, omega, 8, 1, value, 1)
+
+
+@pytest.mark.parametrize("system,omega,epsilon", [
+    (Rotation([GOLDEN.value]), TorusPoint.exact("357/1024"), Fraction(1, 1000)),
+    (SkewShift(liouville_frequency(2, 4).value), TorusPoint.exact(0, 0),
+     Fraction(1, 10)),
+])
+def test_orbit_table_reads_the_full_scan(tmp_path, monkeypatch, system, omega,
+                                         epsilon):
+    # the validation's scan stays on the certificate, outside its repr and
+    # equality, and the orbit table writes it with no second scan
+    cert = find_even_repetition(system, omega, epsilon, 4, 1000)
+    assert cert.validated == "full-scan"
+    d, devs = scaled_deviations(system, omega, cert.q, range(cert.window + 1))
+    assert cert.deviations == (d, tuple(devs))
+    rescanned = dataclasses.replace(cert, deviations=None)
+    assert rescanned == cert and repr(rescanned) == repr(cert)
+    artifacts.write_orbit_csv(tmp_path / "rescanned.csv", "c", system, omega,
+                              rescanned)
+
+    def no_scan(*args):
+        raise AssertionError("a full-scan certificate's table is not rescanned")
+
+    monkeypatch.setattr(artifacts, "scaled_deviations", no_scan)
+    artifacts.write_orbit_csv(tmp_path / "kept.csv", "c", system, omega, cert)
+    assert ((tmp_path / "kept.csv").read_bytes()
+            == (tmp_path / "rescanned.csv").read_bytes())
+
+
+def test_spot_scanned_orbit_table_is_scanned(tmp_path, monkeypatch):
+    # golden q = 8 at epsilon 1/10 and s = 2501: a window of 20008 points
+    system, omega = Rotation([GOLDEN.value]), TorusPoint.exact(0)
+    cert = find_even_repetition(system, omega, Fraction(1, 10), 2501, 8)
+    assert cert.window > FULL_SCAN_CAP
+    assert (cert.validated, cert.deviations) == ("spot-scan", None)
+    scans = []
+    scan = artifacts.scaled_deviations
+
+    def counted(*args):
+        scans.append(args[3])
+        return scan(*args)
+
+    monkeypatch.setattr(artifacts, "scaled_deviations", counted)
+    artifacts.write_orbit_csv(tmp_path / "orbit.csv", "c", system, omega, cert)
+    assert scans == [range(cert.window + 1)]
+    _, rows = artifacts.read_csv(tmp_path / "orbit.csv")
+    # a rotation's displacement is the same at every n
+    assert rows == [[str(n), repr(float(cert.max_deviation))]
+                    for n in range(cert.window + 1)]
 
 
 def test_wide_skew_window_without_repetition_returns_none():

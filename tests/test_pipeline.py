@@ -477,10 +477,19 @@ FREE = {"schema": CONFIG_SCHEMA, "scenario": "free"}
          "config field 'impurity_value' must be"),
         (FREE | {"lipschitz_r": math.inf},
          "config field 'lipschitz_r' must be"),
+        # the exact rationals once failed in the repetition stage, after
+        # the frequency stage had run, with a message naming no field
+        ({**FREE, "scenario": "liouville-rotation", "omega": ["nan"]},
+         "config field 'omega' expects P/Q or a decimal, got 'nan'"),
+        ({**FREE, "scenario": "liouville-rotation", "omega": ["inf"]},
+         "config field 'omega' expects P/Q or a decimal, got 'inf'"),
+        ({**FREE, "scenario": "liouville-rotation", "window_factor": "nan"},
+         "config field 'window_factor' expects P/Q or a decimal, got 'nan'"),
     ],
     ids=["no-scenario", "list", "string", "boundary-number", "k_list-number",
          "seed-null", "omega-string", "unknown-key", "retired-key",
-         "omega-two-coordinates", "impurity-value-nan", "lipschitz-r-infinity"],
+         "omega-two-coordinates", "impurity-value-nan", "lipschitz-r-infinity",
+         "omega-nan", "omega-infinity", "window-factor-nan"],
 )
 def test_cli_run_rejects_malformed_config(tmp_path, capsys, config, message):
     cfg_path = tmp_path / "cfg.json"
@@ -489,6 +498,8 @@ def test_cli_run_rejects_malformed_config(tmp_path, capsys, config, message):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+    # no stage ran
+    assert not (tmp_path / "o").exists()
     with pytest.raises(QpcmvError):
         ExperimentConfig.from_dict(config)
 

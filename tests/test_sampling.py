@@ -260,6 +260,89 @@ def test_residue_window_walks_no_fraction_points(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the ball centres that tube_function located, read back by the window
+# ---------------------------------------------------------------------------
+
+
+def _recording_cases():
+    """(label, system, centre, q, epsilon, values) for tube_function: a
+    golden rotation at q = 610 (the benchmark's size), a small rotation
+    and skew-shifts at q = 2 and 4."""
+    rng = random.Random(20261020)
+
+    def values(q):
+        return [rng.uniform(0.1, 0.6) * cmath.exp(2j * math.pi * rng.random())
+                for _ in range(q)]
+
+    skew = SkewShift(GOLDEN.value)
+    return [
+        ("rotation-610", ROT, TorusPoint.exact("357/1024"), 610,
+         Fraction(1, 1000), values(610)),
+        ("rotation-8", Rotation([golden_mean(bits=64).value]),
+         TorusPoint.exact("1/3"), 8, Fraction(1, 10), values(8)),
+        ("skew-2", skew, TorusPoint.exact("3/1024", "700/1024"), 2,
+         Fraction(1, 10), values(2)),
+        ("skew-4", skew, TorusPoint.exact("0", "1/4"), 4, Fraction(1, 10),
+         values(4)),
+    ]
+
+
+@pytest.fixture(scope="module", params=_recording_cases(),
+                ids=lambda case: case[0])
+def recorded_tubes(request):
+    """(tube_function's f, a directly built TubeFunction with the same
+    data, which has recorded nothing)."""
+    _, system, center, q, eps, values = request.param
+    radius = ball_radius(system, center, q, eps).radius
+    f = tube_function(system, center, q, radius, values)
+    return f, TubeFunction(system, center, q, radius, values)
+
+
+@pytest.mark.parametrize("window", ["gordon", "offset", "shifted"])
+def test_recorded_lookups_match_the_search_bit_for_bit(recorded_tubes, window):
+    # the same window read through the record and with every point
+    # searched: on the tubes (the Gordon window, or from an offset point
+    # of the base ball) and off them (times past the 5q balls)
+    f, g = recorded_tubes
+    q = f.q
+    n_min, n_max = -2 * q, 3 * q + 1
+    if window == "offset":
+        omega = f.gordon_point([f.radius / 2] * f.center.dim)
+    else:
+        omega = f.gordon_point()
+    if window == "shifted":
+        n_min, n_max = 3 * q - 2, 3 * q + min(4 * q, 40)
+    seq = verblunsky_window(f, f.system, omega, n_min, n_max)
+    searched = verblunsky_window(g, g.system, omega, n_min, n_max)
+    assert seq.values.tobytes() == searched.values.tobytes()
+    if window != "shifted":
+        assert set(seq.slice(-2 * q + 1, 3 * q).tolist()) == set(f.values)
+
+
+def test_gordon_window_searches_only_off_the_centres(monkeypatch,
+                                                     recorded_tubes):
+    # the Gordon window -2q..3q+1 meets ball n + 2q at time n, so only its
+    # two end points are not ball centres
+    f, g = recorded_tubes
+    q = f.q
+    calls = []
+    locate = TubeFunction._locate
+
+    def counted(self, p):
+        calls.append(p)
+        return locate(self, p)
+
+    monkeypatch.setattr(TubeFunction, "_locate", counted)
+    verblunsky_window(f, f.system, f.gordon_point(), -2 * q, 3 * q + 1)
+    assert len(calls) == 2
+    assert not any(p in f._found for p in calls)
+    calls.clear()
+    # built directly, the function searches every point
+    verblunsky_window(g, g.system, g.gordon_point(), -2 * q, 3 * q + 1)
+    assert len(calls) == 5 * q + 2
+
+
+# ---------------------------------------------------------------------------
 # the sorted-residue circle diameter against all pairs
 # ---------------------------------------------------------------------------
 
