@@ -3,10 +3,11 @@
     PYTHONPATH=TREE/src python3 .github/artifact_runs.py TREE HEAD OUT [SEED]
 
 In the new directory OUT this runs the configs of TREE/configs at
-``--seed 1801``, then every step of the four benchmark workloads at SEED
-(default 1), with the inputs built by HEAD/perfbench/workloads.py
-(imported, never written to).  Every path the commands see is relative to OUT, so two trees
-that compute the same thing write the same bytes; each step's label, exit
+``--seed 1801`` and again at each config's own seed (no ``--seed``), then
+every step of the four benchmark workloads at SEED (default 1), with the
+inputs built by HEAD/perfbench/workloads.py (imported, never written to).
+Every path the commands see is relative to OUT, so two trees that compute
+the same thing write the same bytes; each step's label, exit
 code and standard output go to OUT/exits.txt.  Compare two runs with
 ``diff -rq -x timings.json OUT_A OUT_B``.
 """
@@ -31,9 +32,13 @@ def main(tree: Path, head: Path, out: Path, seed: int) -> None:
     # the configs are copied in, so that the scenarios workload reads them
     # at the same relative path in either tree
     shutil.copytree(tree / "configs", "configs")
+    configs = sorted(Path("configs").glob("*.json"))
     steps = [(f"config-{p.stem}", ["run", "--config", str(p), "--seed",
                                    "1801", "--out", f"runs/{p.stem}"])
-             for p in sorted(Path("configs").glob("*.json"))]
+             for p in configs]
+    steps += [(f"config-{p.stem}-own-seed",
+               ["run", "--config", str(p), "--out", f"runs/{p.stem}-own-seed"])
+              for p in configs]
     for name in workloads.DEFINITIONS:
         workload = workloads.build(name, Path("."), Path("workloads") / name,
                                    seed)

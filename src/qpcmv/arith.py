@@ -1,9 +1,10 @@
-"""Exact and extended-precision real helpers.
+"""Exact rational helpers.
 
 Torus coordinates and frequencies are carried as exact
-``fractions.Fraction`` values.  Every finite binary float (Python float or
-mpmath mpf) is itself a rational number, so conversion to ``Fraction`` is
-lossless, and an mpf a caller passes in is read from its raw mantissa.
+``fractions.Fraction`` values, whatever number type a caller passes in.
+Every finite binary float (Python float or mpmath mpf) is itself a
+rational number, so conversion to ``Fraction`` is lossless, and an mpf is
+read from its raw mantissa.
 The package never imports mpmath: ``is_mpf`` looks it up in
 ``sys.modules``, since no mpf can exist before mpmath is loaded.
 """
@@ -60,30 +61,6 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def floor_int(x) -> int:
-    """Floor of a real-like value as a Python int; an mpf is floored
-    exactly, at its rational value."""
-    if isinstance(x, Fraction):
-        return x.numerator // x.denominator
-    if isinstance(x, int):
-        return x
-    if is_mpf(x):
-        return floor_int(mpf_to_fraction(x))
-    return math.floor(x)
-
-
-def mod1(x):
-    """Reduce to [0, 1), preserving the arithmetic type."""
-    return x - floor_int(x)
-
-
-def dist_to_int(x):
-    """Distance from x to the nearest integer, in [0, 1/2]."""
-    f = mod1(x)
-    other = 1 - f
-    return f if f <= other else other
-
-
 def common_denominator(*values) -> int:
     """Least common multiple of the denominators of exact rationals.
 
@@ -94,9 +71,17 @@ def common_denominator(*values) -> int:
 
 
 def circle_dist(x: int, d: int) -> int:
-    """Integer form of ``dist_to_int``: D * dist_to_int(x / D), for D = d."""
+    """Distance from the integer x to the nearest multiple of d, so that
+    circle_dist(x, d) / d is the distance from x / d to the integers."""
     r = x % d
     return min(r, d - r)
+
+
+def dist_to_int(x) -> Fraction:
+    """Distance from x to the nearest integer, in [0, 1/2], exact:
+    ``circle_dist`` of x's numerator over its denominator."""
+    x = as_fraction(x)
+    return Fraction(circle_dist(x.numerator, x.denominator), x.denominator)
 
 
 def circle_diameter(values, d: int) -> int:

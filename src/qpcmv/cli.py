@@ -43,7 +43,7 @@ def _out_dir(args) -> Path:
 
 
 def _parse_point(text: str) -> TorusPoint:
-    return TorusPoint([as_fraction(c) for c in text.split(",")])
+    return TorusPoint(text.split(","))
 
 
 def _parse_complex(text: str) -> complex:

@@ -1,9 +1,9 @@
 """Torus dynamics: rotations on T^d and the skew-shift on T^2.
 
-Iteration is closed-form throughout, so an orbit point at time n costs the
-same as at time 1 and no rounding accumulates along orbits.  With Fraction
-coordinates every quantity here is exact; with mpf coordinates results are
-correct to the working precision.
+Points and maps hold each coordinate as an exact Fraction in [0, 1), read
+exactly from an int, float, str, Fraction or mpf, so every quantity here
+is exact.  Iteration is closed-form throughout, so an orbit point at time
+n costs the same as at time 1.
 
 Repetition searches use the fact that for both systems the displacement
 dist(T^(n+q) w, T^n w) is, per coordinate, the distance to the integers of
@@ -31,7 +31,6 @@ from .arith import (
     circle_dist,
     common_denominator,
     dist_to_int,
-    mod1,
     residue_dist,
     scaled,
 )
@@ -49,7 +48,8 @@ class TorusPoint:
     coords: tuple
 
     def __init__(self, coords: Sequence):
-        object.__setattr__(self, "coords", tuple(mod1(c) for c in coords))
+        object.__setattr__(self, "coords",
+                           tuple(as_fraction(c) % 1 for c in coords))
 
     @property
     def dim(self) -> int:
@@ -65,7 +65,7 @@ class TorusPoint:
 
     @staticmethod
     def exact(*coords) -> "TorusPoint":
-        return TorusPoint([as_fraction(c) for c in coords])
+        return TorusPoint(coords)
 
 
 class Rotation:
@@ -74,7 +74,7 @@ class Rotation:
     kind = "rotation"
 
     def __init__(self, shift: Sequence):
-        self.shift = tuple(mod1(s) for s in shift)
+        self.shift = tuple(as_fraction(s) % 1 for s in shift)
         self.dim = len(self.shift)
 
     def iterate(self, omega: TorusPoint, n: int) -> TorusPoint:
@@ -92,7 +92,7 @@ class SkewShift:
     dim = 2
 
     def __init__(self, a):
-        self.a = mod1(a)
+        self.a = as_fraction(a) % 1
 
     def iterate(self, omega: TorusPoint, n: int) -> TorusPoint:
         _require_dim(self, omega)

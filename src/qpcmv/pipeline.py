@@ -219,7 +219,7 @@ def _repetition_stage(rep: _Report, cfg: ExperimentConfig, system):
     (epsilon = 1/k)."""
     results = {}
     with rep.stage("repetition") as st:
-        omega = TorusPoint([as_fraction(cfg.omega[0])])
+        omega = TorusPoint([cfg.omega[0]])
         s = as_fraction(cfg.window_factor)
         rows = []
         for k in cfg.k_list:
@@ -281,12 +281,6 @@ def _tube_stage(rep: _Report, cfg: ExperimentConfig, system, omega, reps):
 
 def _verdict(passed) -> str:
     return "PASS" if passed else "FAIL"
-
-
-def _sampling(rep: _Report, cfg: ExperimentConfig, seq):
-    """The sampling stage of a scenario that builds its window directly."""
-    with rep.stage("sampling"):
-        seq.to_csv(rep.artifact("sampling", "verblunsky.csv"), seed=cfg.seed)
 
 
 # _gordon, _evidence and _cmv do the work and write the artifacts that
@@ -392,8 +386,9 @@ def _run_free(rep: _Report, cfg: ExperimentConfig):
     half = cfg.cmv_n // 2
     lo = min(-pad, -half - 1)
     hi = max(pad, cfg.cmv_n - half)
-    seq = VerblunskySequence.constant(cfg.free_value, lo, hi)
-    _sampling(rep, cfg, seq)
+    with rep.stage("sampling"):
+        seq = VerblunskySequence.constant(cfg.free_value, lo, hi)
+        seq.to_csv(rep.artifact("sampling", "verblunsky.csv"), seed=cfg.seed)
     with rep.stage("gordon"):
         pairs = list(zip(cfg.k_list, cfg.free_q_list))
         cert, = _gordon(rep, cfg, [(seq, pairs, "free")])
@@ -437,10 +432,10 @@ def _run_liouville_rotation(rep: _Report, cfg: ExperimentConfig):
 def _run_impurity_control(rep: _Report, cfg: ExperimentConfig):
     half = cfg.cmv_n // 2
     pad = max(2 * cfg.impurity_q + 2, half + 2)
-    seq = VerblunskySequence.impurity(
-        cfg.impurity_background, cfg.impurity_value, -pad, pad
-    )
-    _sampling(rep, cfg, seq)
+    with rep.stage("sampling"):
+        seq = VerblunskySequence.impurity(cfg.impurity_background,
+                                          cfg.impurity_value, -pad, pad)
+        seq.to_csv(rep.artifact("sampling", "verblunsky.csv"), seed=cfg.seed)
     with rep.stage("cmv") as st:
         # the bound state: the most localized eigenvector peaked near the
         # impurity

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -467,7 +469,66 @@ def test_group_property_extended_precision():
         w = TorusPoint([mp.mpf(1) / 7, mp.mpf(2) / 11])
         a = iterate(T, iterate(T, w, 23), -50)
         b = iterate(T, w, -27)
-        assert float(a.dist(b)) < 1e-40
+    # the mpf inputs are read exactly, so the orbit is exact
+    assert a == b
+
+
+# each value with its reduction mod 1, worked by hand
+_NUMBERS = [
+    (-3, Fraction(0)),
+    (5, Fraction(0)),
+    (0.25, Fraction(1, 4)),
+    (-0.4, Fraction(-0.4) + 1),
+    (2.75, Fraction(3, 4)),
+    ("7/3", Fraction(1, 3)),
+    ("-0.3", Fraction(7, 10)),
+    ("1", Fraction(0)),
+    (Fraction(-5, 2), Fraction(1, 2)),
+    (Fraction(9, 4), Fraction(1, 4)),
+]
+
+
+def _nudged_mpfs():
+    """(mpf, its reduction mod 1): values off the 53-bit grid by 2^-150."""
+    tiny = Fraction(1, 2 ** 150)
+    with mp.workprec(200):
+        return [(mp.mpf(1.25) + mp.mpf(2) ** -150, Fraction(1, 4) + tiny),
+                (mp.mpf(-1.25) - mp.mpf(2) ** -150, Fraction(3, 4) - tiny),
+                (mp.mpf(3) - mp.mpf(2) ** -150, 1 - tiny)]
+
+
+@pytest.mark.parametrize("x,reduced", _NUMBERS + _nudged_mpfs())
+def test_torus_types_hold_reduced_fractions(x, reduced):
+    assert as_fraction(x) % 1 == reduced
+    held = [TorusPoint([x]).coords[0], TorusPoint.exact(x).coords[0],
+            Rotation([x]).shift[0], SkewShift(x).a]
+    for value in held:
+        assert type(value) is Fraction
+        assert value == reduced and 0 <= value < 1
+
+
+def test_dist_to_int_matches_floor_and_ceil():
+    rng = random.Random(26)
+    values = [Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4))
+              for _ in range(500)]
+    values += [Fraction(2 * k + 1, 2) for k in range(-5, 5)]
+    values += [Fraction(k) for k in range(-3, 4)]
+    for x in values:
+        expected = min(x - math.floor(x), math.ceil(x) - x)
+        got = dist_to_int(x)
+        assert type(got) is Fraction and got == expected
+
+
+def test_torus_reduction_of_mpf_agrees_with_mpmath():
+    # doubles in (-1e6, 1e6), nudged by 2^-150 so that some need more
+    # than 53 bits, and their integer parts
+    rng = random.Random(7)
+    with mp.workprec(200):
+        for _ in range(200):
+            nudge = rng.choice([0, 1, -1]) * mp.mpf(2) ** -150
+            x = mp.mpf(rng.uniform(-1e6, 1e6)) + nudge
+            point = TorusPoint([x, mp.mpf(int(x))])
+            assert point.coords == (as_fraction(x - mp.floor(x)), 0)
 
 
 def test_certificate_rejects_odd_or_failing():

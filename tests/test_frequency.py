@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 from oracles import mpmath_golden_mean
 
-from qpcmv.arith import dist_to_int, floor_int, mod1
+from qpcmv.arith import dist_to_int
 from qpcmv.errors import DomainError, PrecisionError
 from qpcmv.frequency import (
     badly_approximable_score,
@@ -55,19 +54,6 @@ def test_mpf_input_is_trusted_to_its_precision():
     # the last kept convergent is below the 100-bit floor
     assert set(f.partial_quotients) == {2}
     assert f.convergents[-1][1] ** 2 < 2 ** 100
-
-
-def test_floor_and_mod1_of_mpf_agree_with_mpmath():
-    # doubles in (-1e6, 1e6), nudged by 2^-150 so that some need more
-    # than 53 bits, and their integer parts
-    rng = random.Random(7)
-    with mp.workprec(200):
-        for _ in range(200):
-            nudge = rng.choice([0, 1, -1]) * mp.mpf(2) ** -150
-            x = mp.mpf(rng.uniform(-1e6, 1e6)) + nudge
-            assert floor_int(x) == int(mp.floor(x))
-            assert mod1(x) == x - mp.floor(x)
-            assert floor_int(mp.mpf(int(x))) == int(x)
 
 
 def test_rational_truncates():

@@ -609,7 +609,7 @@ def test_unreached_detector():
 
 ACCEPTANCE = "acceptance criterion"
 PUBLIC_API = "public API under test"
-OPENNESS = "ROADMAP item 3 openness"
+OPENNESS = "ROADMAP item 5 openness"
 
 # every top-level symbol that neither a command (cli.main) nor a scenario
 # (pipeline.run) reaches, with the reason it stays

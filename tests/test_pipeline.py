@@ -504,6 +504,38 @@ def test_cli_run_rejects_malformed_config(tmp_path, capsys, config, message):
         ExperimentConfig.from_dict(config)
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("free_value", [1.0, 0.0], "alpha(-101) = (1+0j)"),
+        ("impurity_value", [1.5, 0.0], "alpha(0) = (1.5+0j)"),
+        ("impurity_background", [1.0, 0.0], "alpha(-102) = (1+0j)"),
+    ],
+)
+def test_cli_run_reports_a_window_outside_the_disk(tmp_path, capsys, field,
+                                                    value, message):
+    # a well-formed coefficient outside the open unit disk fails the
+    # sampling stage, which builds the window, and the run writes its report
+    scenario = "free" if field == "free_value" else "impurity-control"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**FREE, "scenario": scenario,
+                                    field: value}))
+    out = tmp_path / "o"
+    rc = main(["run", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 1
+    error = (f"InvariantViolation: {message} does not lie in the open "
+             f"unit disk")
+    assert capsys.readouterr().err == f"error: sampling stage: {error}\n"
+    doc = json.loads((out / "report.json").read_text())
+    assert (doc["overall"], doc["exit_code"]) == ("ERROR", 1)
+    # no later stage ran
+    assert doc["stages"] == {
+        "sampling": {"status": "failed", "artifacts": [], "error": error}}
+    assert doc["verdicts"] == {}
+    assert sorted(p.name for p in out.iterdir()) == ["report.json",
+                                                     "timings.json"]
+
+
 @pytest.mark.parametrize("index", ["10", "99", "-1"])
 def test_cli_cmv_rejects_profile_index_outside_window(tmp_path, capsys, index):
     seq_file = tmp_path / "verblunsky.csv"
