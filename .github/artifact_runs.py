@@ -5,7 +5,10 @@
 In the new directory OUT this runs the configs of TREE/configs at
 ``--seed 1801`` and again at each config's own seed (no ``--seed``), then
 every step of the four benchmark workloads at SEED (default 1), with the
-inputs built by HEAD/perfbench/workloads.py (imported, never written to).
+inputs built by HEAD/perfbench/workloads.py (imported, never written to),
+then two ``orbit`` searches at SEED whose windows pass the full-scan cap,
+so that their certificates are spot-scanned and their orbit tables are
+scanned anew, a path that no config or workload step takes.
 Every path the commands see is relative to OUT, so two trees that compute
 the same thing write the same bytes; each step's label, exit
 code and standard output go to OUT/exits.txt.  Compare two runs with
@@ -43,6 +46,16 @@ def main(tree: Path, head: Path, out: Path, seed: int) -> None:
         workload = workloads.build(name, Path("."), Path("workloads") / name,
                                    seed)
         steps += [(f"{name}/{s.label}", s.argv) for s in workload.steps]
+    # golden q = 610 over 24 400 steps; liouville:2,4 skew q = 64 over 20 480
+    spot_scans = {
+        "rotation": ["--freq", "golden", "--epsilon", "1/1000", "--s", "40"],
+        "skew": ["--system", "skew", "--freq", "liouville:2,4", "--omega",
+                 "0,0", "--epsilon", "1/4", "--s", "320"],
+    }
+    steps += [(f"orbit-spot-scan-{kind}",
+               ["orbit", *flags, "--seed", str(seed),
+                "--out", f"orbit-spot-scan/{kind}"])
+              for kind, flags in spot_scans.items()]
 
     with open("exits.txt", "w") as log:
         for label, argv in steps:

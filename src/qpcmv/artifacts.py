@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import (Iterable, NewType, Union, get_args, get_origin,
                     get_type_hints)
 
-from .dynamics import scaled_deviations
 from .errors import QpcmvError
 
 # an exact rational given in JSON as a string ("3/10", "0.3") or a number,
@@ -56,43 +55,48 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
         return header, [row for row in reader if row]
 
 
-def _decode(hint, v):
-    """JSON value ``v`` as a value of the field type ``hint``: an int, a
-    float from any number, a str, a Rational from a string or a number, a
-    complex from a number or an [re, im] pair, a tuple from a list of its
-    items, an Optional[X] as an X; TypeError when ``v`` does not fit.  The
-    ``NaN`` and ``Infinity`` that ``json`` reads are not numbers here."""
-    number = (isinstance(v, float) and math.isfinite(v)
-              or isinstance(v, int) and not isinstance(v, bool))
-    if get_origin(hint) is Union:  # Optional[X]: given, it is an X
-        return _decode(get_args(hint)[0], v)
-    if get_origin(hint) is tuple:
-        items = get_args(hint)
-        if isinstance(v, list) and items[-1] is Ellipsis:
-            items = items[:1] * len(v)
-        if isinstance(v, list) and len(v) == len(items):
-            return tuple(_decode(h, x) for h, x in zip(items, v))
-    elif hint is complex:
-        if number:
-            return complex(v)
-        return complex(*_decode(tuple[float, float], v))
-    elif hint is float and number:
-        return float(v)
-    elif hint is int and isinstance(v, int) and not isinstance(v, bool):
-        return v
-    elif hint is Rational and (number or isinstance(v, str)):
-        return str(v)
-    elif hint is str and isinstance(v, str):
-        return v
-    raise TypeError(v)
+def _decoder(hint):
+    """The reader of a JSON value as a value of the field type ``hint``:
+    an int, a float from any number, a str, a Rational from a string or a
+    number, a complex from a number or an [re, im] pair, a tuple from a
+    list of its items, an Optional[X] as an X; it raises TypeError when a
+    value does not fit.  The ``NaN`` and ``Infinity`` that ``json`` reads
+    are not numbers here.  The hint is resolved once, here, not per value,
+    so a long list of items costs one resolution of the item type."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:  # Optional[X]: given, it is an X
+        return _decoder(args[0])
+    items = [_decoder(h) for h in args if h is not Ellipsis]
+    pair = _decoder(tuple[float, float]) if hint is complex else None
+
+    def decode(v):
+        number = (isinstance(v, float) and math.isfinite(v)
+                  or isinstance(v, int) and not isinstance(v, bool))
+        if origin is tuple:
+            if isinstance(v, list) and args[-1] is Ellipsis:
+                return tuple(map(items[0], v))
+            if isinstance(v, list) and len(v) == len(items):
+                return tuple(f(x) for f, x in zip(items, v))
+        elif hint is complex:
+            return complex(v) if number else complex(*pair(v))
+        elif hint is float and number:
+            return float(v)
+        elif hint is int and isinstance(v, int) and not isinstance(v, bool):
+            return v
+        elif hint is Rational and (number or isinstance(v, str)):
+            return str(v)
+        elif hint is str and isinstance(v, str):
+            return v
+        raise TypeError(v)
+    return decode
 
 
 def read_fields(cls, d, what: str):
     """The dataclass ``cls`` from the JSON object ``d``, each field read
-    from its key by ``_decode``.  Not an object, a missing field without
-    default, an unknown key, a value of the wrong JSON type (described by
-    the field's ``form`` metadata, if any) or an empty list raise
-    QpcmvError naming ``what``."""
+    from its key by the ``_decoder`` of its type.  Not an object, a
+    missing field without default, an unknown key, a value of the wrong
+    JSON type (described by the field's ``form`` metadata, if any) or an
+    empty list raise QpcmvError naming ``what``."""
     if not isinstance(d, dict):
         raise QpcmvError(f"{what} must be a JSON object")
     missing = [f.name for f in fields(cls) if f.name not in d
@@ -109,7 +113,7 @@ def read_fields(cls, d, what: str):
             if d[f.name] == []:
                 raise QpcmvError(f"{what} field {f.name!r} must not be empty")
             try:
-                kw[f.name] = _decode(hints[f.name], d[f.name])
+                kw[f.name] = _decoder(hints[f.name])(d[f.name])
             except TypeError:
                 raise QpcmvError(
                     f"{what} field {f.name!r} must be "
@@ -128,19 +132,16 @@ def write_frequency_csv(path, seed, freq, scan) -> None:
     )
 
 
-def write_orbit_csv(path, comment: str, system, omega, cert) -> None:
-    """dist(T^n w, T^(n+q) w) for n = 0..window of a repetition certificate
-    of ``system`` from ``omega``.
+def write_orbit_csv(path, comment: str, table) -> None:
+    """dist(T^n w, T^(n+q) w) for n = 0, 1, ... from ``table``, the
+    (D, integers k = D * dist) of ``dynamics.orbit_table``.
 
-    Each distance is the exact integer k = D * dist divided by D, which is
-    the correctly rounded float of the exact rational distance.  The k are
-    the certificate's ``deviations`` when its validation scanned the whole
-    window, and are scanned here otherwise (a spot-scanned certificate).
+    Each distance is k divided by D, which is the correctly rounded float
+    of the exact rational distance.
     """
-    ns = range(cert.window + 1)
-    d, devs = cert.deviations or scaled_deviations(system, omega, cert.q, ns)
+    d, devs = table
     write_csv(path, comment, ["n", "dist"],
-              ([str(n), repr(k / d)] for n, k in zip(ns, devs)))
+              ([str(n), repr(k / d)] for n, k in enumerate(devs)))
 
 
 def write_verblunsky_csv(path, seq, seed: int) -> None:

@@ -31,7 +31,8 @@ from typing import Optional
 from . import artifacts
 from .arith import as_fraction
 from .artifacts import Rational
-from .dynamics import Rotation, SkewShift, TorusPoint, find_even_repetition
+from .dynamics import (Rotation, SkewShift, TorusPoint, find_even_repetition,
+                       orbit_table)
 from .errors import QpcmvError
 from .frequency import badly_approximable_score, parse_frequency
 
@@ -146,9 +147,8 @@ def _cmd_orbit(args) -> int:
         )
         print(f"orbit: no even repetition time q <= {args.qmax}")
         return 0
-    artifacts.write_orbit_csv(
-        out / "orbit.csv", f"seed={args.seed} q={cert.q}", system, omega, cert
-    )
+    artifacts.write_orbit_csv(out / "orbit.csv", f"seed={args.seed} q={cert.q}",
+                              orbit_table(system, omega, cert))
     artifacts.write_json(
         out / "orbit.json",
         {

@@ -12,10 +12,10 @@ range, and its first argmax, are computed exactly by a Euclid-style walk
 instead of scanning the orbit, so every certificate is exact and a window
 of 10^8 points costs about as much as a short one.
 
-Exact orbit geometry (the re-validation scans here, the tube checks and
-lookups of ``sampling``, the orbit table of ``artifacts``) runs on integer
-residues: ``integer_map`` jumps to any time in closed form, and
-``integer_orbit`` walks consecutive times by one addition step each.
+Exact orbit geometry (the re-validation scans and orbit tables here, the
+tube checks and lookups of ``sampling``) runs on integer residues:
+``integer_map`` jumps to any time in closed form, and ``integer_orbit``
+walks consecutive times by one addition step each.
 """
 
 from __future__ import annotations
@@ -305,7 +305,7 @@ class RepetitionCertificate:
     the bound it was certified against (epsilon for plain searches,
     5*epsilon for the skew-shift construction).  A full-scan validation
     keeps what it scanned as ``deviations``: (D, the integers
-    D * dist(T^n w, T^(n+q) w) for n = 0..window), for the orbit table.
+    D * dist(T^n w, T^(n+q) w) for n = 0..window), for ``orbit_table``.
     """
 
     q: int
@@ -360,25 +360,37 @@ def _scan_deviation(system: TorusDynamics, omega: TorusPoint, q: int,
     return (Fraction(k, d), n), (d, devs)
 
 
-def _validate_certificate(system, omega, q, window, deviation, argmax):
-    """Re-check a closed-form maximum against integer iterates: a full scan
-    up to FULL_SCAN_CAP points, else the endpoints, the argmax and its
-    neighbours and seeded random spots.  Returns (mode, deviations): a full
-    scan's (D, scanned deviations), None for a spot scan."""
-    if window <= FULL_SCAN_CAP:
-        scan, deviations = _scan_deviation(system, omega, q, window)
-        if scan != (deviation, argmax):
-            raise PrecisionError(
-                "orbit-scan revalidation disagrees with closed-form maximum"
-            )
-        return "full-scan", deviations
-    r = random.Random(1)
-    spots = {0, window, max(argmax - 1, 0), argmax, min(argmax + 1, window)}
-    spots |= {r.randrange(window + 1) for _ in range(_SPOT_SAMPLES)}
-    (scan_max, _), _ = _scan_deviation(system, omega, q, window, sorted(spots))
-    if scan_max != deviation:
-        raise PrecisionError("spot scan disagrees with the closed-form maximum")
-    return "spot-scan", None
+def _certify(system, omega, q, window, deviation, argmax, **fields):
+    """The RepetitionCertificate of a closed-form maximum, re-checked
+    against integer iterates: a full scan up to FULL_SCAN_CAP points, which
+    must also find the first argmax and stays on the certificate as
+    ``deviations``, else the endpoints, the argmax and its neighbours and
+    seeded random spots.  ``fields`` are the certificate's other fields."""
+    full = window <= FULL_SCAN_CAP
+    samples = None
+    if not full:
+        r = random.Random(1)
+        spots = {0, window, max(argmax - 1, 0), argmax, min(argmax + 1, window)}
+        spots |= {r.randrange(window + 1) for _ in range(_SPOT_SAMPLES)}
+        samples = sorted(spots)
+    (scan_max, scan_argmax), deviations = _scan_deviation(
+        system, omega, q, window, samples)
+    if scan_max != deviation or full and scan_argmax != argmax:
+        raise PrecisionError(f"{'orbit' if full else 'spot'} scan disagrees "
+                             "with the closed-form maximum")
+    return RepetitionCertificate(
+        q=q, window=window, max_deviation=deviation, argmax=argmax,
+        validated="full-scan" if full else "spot-scan",
+        deviations=deviations if full else None, **fields)
+
+
+def orbit_table(system: TorusDynamics, omega: TorusPoint,
+                cert: RepetitionCertificate):
+    """(D, the integers D * dist(T^n w, T^(n+q) w) for n = 0..window) of a
+    certificate of ``system`` from ``omega``: the scan its validation kept,
+    or a new scan of the window for a spot-scanned certificate."""
+    return cert.deviations or scaled_deviations(
+        system, omega, cert.q, range(cert.window + 1))
 
 
 def find_even_repetition(
@@ -422,20 +434,8 @@ def find_even_repetition(
             deviation, argmax = _orbit_deviation(system, omega, q, window)
             if deviation >= epsilon:
                 continue
-        validated, deviations = _validate_certificate(
-            system, omega, q, window, deviation, argmax
-        )
-        return RepetitionCertificate(
-            q=q,
-            epsilon=epsilon,
-            window_factor=s,
-            window=window,
-            threshold=epsilon,
-            max_deviation=deviation,
-            argmax=argmax,
-            validated=validated,
-            deviations=deviations,
-        )
+        return _certify(system, omega, q, window, deviation, argmax,
+                        epsilon=epsilon, window_factor=s, threshold=epsilon)
     return None
 
 
@@ -501,23 +501,10 @@ def skew_repetition_times(
         window = r.numerator * q_tilde // r.denominator
         deviation, argmax = _orbit_deviation(system, omega, q_tilde, window)
         if deviation < threshold:
-            certs.append(
-                RepetitionCertificate(
-                    q=q_tilde,
-                    epsilon=epsilon,
-                    window_factor=r,
-                    window=window,
-                    threshold=threshold,
-                    max_deviation=deviation,
-                    argmax=argmax,
-                    validated=_validate_certificate(
-                        system, omega, q_tilde, window, deviation, argmax
-                    )[0],
-                    m=m_sel,
-                    base_q=q_even,
-                    level=level,
-                )
-            )
+            certs.append(_certify(
+                system, omega, q_tilde, window, deviation, argmax,
+                epsilon=epsilon, window_factor=r, threshold=threshold,
+                m=m_sel, base_q=q_even, level=level))
         else:
             rejected.append((level, q_even, m_sel, q_tilde, float(deviation)))
     return SkewRepetitionTimes(

@@ -183,20 +183,23 @@ def badly_approximable_score(freq: Frequency, q_max: int) -> ScoreScan:
     def score(q):  # den * q <q a>
         return q * circle_dist(q * num, den)
 
+    # the stored convergents are the first ones of the walk
+    stored = len(freq.convergents)
     best_num, best_q = score(1), 1
-    for _, _, q in _convergents(freq.value):
+    per = []
+    for k, (_, _, q) in enumerate(_convergents(freq.value)):
         if q > q_max:
             break
         s = score(q)
+        if k < stored:
+            per.append((q, Fraction(s, den)))
         if s < best_num:
             best_num, best_q = s, q
     min_score = Fraction(best_num, den)
-    per = tuple((q, Fraction(score(q), den))
-                for _, q in freq.convergents if q <= q_max)
     return ScoreScan(
         min_score=min_score,
         argmin_q=best_q,
-        per_convergent=per,
+        per_convergent=tuple(per),
         q_max=q_max,
         threshold=_BADLY_APPROXIMABLE_THRESHOLD,
         reported_badly_approximable=min_score > _BADLY_APPROXIMABLE_THRESHOLD,

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, artifacts
 from .arith import as_fraction
 from .cmv import assemble, eigenvector_profile, spectrum
-from .dynamics import Rotation, TorusPoint, find_even_repetition
+from .dynamics import Rotation, TorusPoint, find_even_repetition, orbit_table
 from .errors import QpcmvError
 from .frequency import Frequency, badly_approximable_score, liouville_frequency
 from .sampling import (
@@ -248,7 +248,8 @@ def _repetition_stage(rep: _Report, cfg: ExperimentConfig, system):
         cert = results[k_top]
         artifacts.write_orbit_csv(
             rep.artifact("repetition", "orbit.csv"),
-            f"seed={cfg.seed} k={k_top} q={cert.q}", system, omega, cert,
+            f"seed={cfg.seed} k={k_top} q={cert.q}",
+            orbit_table(system, omega, cert),
         )
         st["periods"] = {str(k): results[k].q for k in results}
         st["validated"] = {str(k): results[k].validated for k in results}
@@ -400,7 +401,6 @@ def _run_free(rep: _Report, cfg: ExperimentConfig):
         _, prs, _ = _cmv(rep, cfg, seq)
         # the free operator has no localized eigenvector
         rep.verdicts["profile"] = _verdict(prs.min() >= len(prs) / 4)
-    _lipschitz_stage(rep, cfg)
 
 
 def _run_liouville_rotation(rep: _Report, cfg: ExperimentConfig):
@@ -426,7 +426,6 @@ def _run_liouville_rotation(rep: _Report, cfg: ExperimentConfig):
     periodic = VerblunskySequence(-half - 1, cfg.cmv_n - half, np.array(vals))
     with rep.stage("cmv"):
         _cmv(rep, cfg, periodic)
-    _lipschitz_stage(rep, cfg)
 
 
 def _run_impurity_control(rep: _Report, cfg: ExperimentConfig):
@@ -460,7 +459,6 @@ def _run_impurity_control(rep: _Report, cfg: ExperimentConfig):
         st["expected"] = "FAIL"
         rep.verdicts["evidence-negative-control"] = _verdict(
             table.verdict == "FAIL")
-    _lipschitz_stage(rep, cfg)
 
 
 # each scenario's stages, by its config name
@@ -470,7 +468,8 @@ SCENARIOS = {"free": _run_free,
 
 
 def run(config: ExperimentConfig, out_dir) -> tuple[dict, int]:
-    """Execute the configured scenario; returns (report dict, exit code).
+    """Execute the configured scenario, then the Lipschitz validation that
+    every scenario ends with; returns (report dict, exit code).
 
     Artifacts land in ``out_dir``; the report is also written there as
     ``report.json`` with timings in ``timings.json``.  A stage failure
@@ -481,6 +480,7 @@ def run(config: ExperimentConfig, out_dir) -> tuple[dict, int]:
     rep = _Report(config, out)
     try:
         SCENARIOS[config.scenario](rep, config)
+        _lipschitz_stage(rep, config)
     except Exception:
         if rep.failure is None:
             raise

@@ -524,6 +524,9 @@ class TubeFunction(_ResidueEvaluated):
         tube constancy.
         """
         if offset:
+            if len(offset) != self.center.dim:
+                raise DomainError(f"offset needs {self.center.dim} "
+                                  f"coordinates, got {len(offset)}")
             base = TorusPoint(
                 [c + as_fraction(o) for c, o in zip(self.center.coords, offset)]
             )

@@ -23,15 +23,16 @@ from qpcmv.dynamics import (
     Rotation,
     SkewShift,
     TorusPoint,
+    _certify,
     _orbit_deviation,
     _scan_deviation,
-    _validate_certificate,
     ap_max_dist,
     block_displacement,
     find_even_repetition,
     integer_kernel,
     integer_orbit,
     iterate,
+    orbit_table,
     scaled_deviations,
     skew_repetition_times,
 )
@@ -341,10 +342,12 @@ def test_full_scan_validation_checks_the_first_argmax():
     value, argmax = _orbit_deviation(system, omega, 8, 1)
     # the constant first coordinate ties the progression term at n = 1
     assert (value, argmax) == (Fraction(1, 21), 0)
-    assert _validate_certificate(system, omega, 8, 1, value,
-                                 argmax)[0] == "full-scan"
+    bounds = dict(epsilon=Fraction(1, 10), window_factor=Fraction(1),
+                  threshold=Fraction(1, 10))
+    cert = _certify(system, omega, 8, 1, value, argmax, **bounds)
+    assert (cert.validated, cert.argmax) == ("full-scan", 0)
     with pytest.raises(PrecisionError):
-        _validate_certificate(system, omega, 8, 1, value, 1)
+        _certify(system, omega, 8, 1, value, 1, **bounds)
 
 
 @pytest.mark.parametrize("system,omega,epsilon", [
@@ -362,14 +365,15 @@ def test_orbit_table_reads_the_full_scan(tmp_path, monkeypatch, system, omega,
     assert cert.deviations == (d, tuple(devs))
     rescanned = dataclasses.replace(cert, deviations=None)
     assert rescanned == cert and repr(rescanned) == repr(cert)
-    artifacts.write_orbit_csv(tmp_path / "rescanned.csv", "c", system, omega,
-                              rescanned)
+    artifacts.write_orbit_csv(tmp_path / "rescanned.csv", "c",
+                              orbit_table(system, omega, rescanned))
 
     def no_scan(*args):
         raise AssertionError("a full-scan certificate's table is not rescanned")
 
-    monkeypatch.setattr(artifacts, "scaled_deviations", no_scan)
-    artifacts.write_orbit_csv(tmp_path / "kept.csv", "c", system, omega, cert)
+    monkeypatch.setattr(dynamics, "scaled_deviations", no_scan)
+    artifacts.write_orbit_csv(tmp_path / "kept.csv", "c",
+                              orbit_table(system, omega, cert))
     assert ((tmp_path / "kept.csv").read_bytes()
             == (tmp_path / "rescanned.csv").read_bytes())
 
@@ -381,14 +385,15 @@ def test_spot_scanned_orbit_table_is_scanned(tmp_path, monkeypatch):
     assert cert.window > FULL_SCAN_CAP
     assert (cert.validated, cert.deviations) == ("spot-scan", None)
     scans = []
-    scan = artifacts.scaled_deviations
+    scan = dynamics.scaled_deviations
 
     def counted(*args):
         scans.append(args[3])
         return scan(*args)
 
-    monkeypatch.setattr(artifacts, "scaled_deviations", counted)
-    artifacts.write_orbit_csv(tmp_path / "orbit.csv", "c", system, omega, cert)
+    monkeypatch.setattr(dynamics, "scaled_deviations", counted)
+    artifacts.write_orbit_csv(tmp_path / "orbit.csv", "c",
+                              orbit_table(system, omega, cert))
     assert scans == [range(cert.window + 1)]
     _, rows = artifacts.read_csv(tmp_path / "orbit.csv")
     # a rotation's displacement is the same at every n
@@ -416,6 +421,13 @@ def test_skew_repetition_times_liouville():
         assert 1 <= cert.m <= 11
         assert cert.max_deviation < 5 * Fraction(1, 10)
         assert cert.validated in ("full-scan", "spot-scan")
+    # the construction keeps its full scans, as the plain search does
+    full = [c for c in res.certificates if c.validated == "full-scan"]
+    assert full
+    for cert in full:
+        d, devs = scaled_deviations(skew(freq.value), w, cert.q,
+                                    range(cert.window + 1))
+        assert cert.deviations == (d, tuple(devs))
     # the deepest level repeats exactly up to the w1 term
     top = res.certificates[-1]
     assert top.base_q == 2**24

@@ -1,5 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
 and none imports another package module's private (underscore) names;
+``artifacts`` imports no package module but ``errors``, and its typed
+reader resolves each field type once per read, however long a list;
 importing the CLI leaves numpy, scipy and mpmath unloaded, the exact
 commands (``frequency``, ``orbit``) never load numpy, no command loads
 mpmath, and the third-party packages the source imports are the runtime
@@ -29,7 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from qpcmv import cli
+from qpcmv import artifacts, cli
 from qpcmv.pipeline import CONFIG_SCHEMA
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -99,6 +101,43 @@ def test_private_import_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_imports_across_modules(path):
     assert private_imports(path.read_text()) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The modules of the package that ``source`` imports, by relative or
+    absolute import, named without the package."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in (".", "qpcmv"):  # from . import x: module x
+                modules = [f"qpcmv.{a.name}" for a in node.names]
+            else:
+                modules = [module.replace(".", "qpcmv.", node.level > 0)]
+        else:
+            continue
+        found |= {m.removeprefix("qpcmv.") for m in modules
+                  if m.startswith("qpcmv.")}
+    return found
+
+
+def test_package_import_detector():
+    src = ("import os, qpcmv.cmv\n"
+           "from . import artifacts\n"
+           "from .errors import QpcmvError\n"
+           "from qpcmv.dynamics import TorusPoint\n"
+           "from qpcmv import sampling\n")
+    assert package_imports(src) == {"cmv", "artifacts", "errors", "dynamics",
+                                    "sampling"}
+
+
+def test_artifacts_imports_only_errors():
+    # the formats sit below every layer: what a table holds is chosen in
+    # the layer that computes it (an orbit table in dynamics), and
+    # artifacts only writes it
+    assert package_imports((SRC / "artifacts.py").read_text()) == {"errors"}
 
 
 def loaded_after(module: str, code: str = "import qpcmv.cli") -> bool:
@@ -272,6 +311,35 @@ def tube_spec(**fields):
     spec = {"system": "rotation", "freq": "golden", "center": ["0"],
             "period": 2, "radius": "1/1000", "values": [[0.1, 0], [0.2, 0]]}
     return {**spec, **fields}
+
+
+def test_long_values_list_resolves_each_hint_once(monkeypatch):
+    # each field type is resolved once per read: a spec of 2000 [re, im]
+    # pairs resolves as many hints as one of a single pair, and reads as
+    # the values it holds
+    from qpcmv.cli import _ConstructSpec
+
+    resolved = []
+    for name in ("get_origin", "get_args"):
+        def counted(hint, resolve=getattr(artifacts, name)):
+            resolved.append(hint)
+            return resolve(hint)
+
+        monkeypatch.setattr(artifacts, name, counted)
+
+    def read(values):
+        resolved.clear()
+        spec = artifacts.read_fields(
+            _ConstructSpec, tube_spec(period=len(values), values=values),
+            "construct spec")
+        return spec, sorted(map(repr, resolved))
+
+    pairs = [[k / 7, -k / 3] for k in range(2000)]
+    spec, long = read(pairs)
+    assert long == read(pairs[:1])[1]
+    assert spec == _ConstructSpec(
+        system="rotation", freq="golden", center=("0",), period=2000,
+        radius="1/1000", values=tuple(map(tuple, pairs)))
 
 
 # (id, argv, contents of the file "{input}" names or None[, the start of

@@ -342,6 +342,26 @@ def test_gordon_window_searches_only_off_the_centres(monkeypatch,
     assert len(calls) == 5 * q + 2
 
 
+@pytest.mark.parametrize("system,center,offsets", [
+    # an extra coordinate once was dropped without a word
+    (Rotation([golden_mean(bits=64).value]), TorusPoint.exact("1/3"),
+     [[Fraction(1, 10**4), 5], [0, 0, 0]]),
+    (SkewShift(GOLDEN.value), TorusPoint.exact("3/1024", "700/1024"),
+     [[Fraction(1, 10**4)], [0, 0, 0]]),
+])
+def test_gordon_point_rejects_an_offset_of_the_wrong_length(system, center,
+                                                            offsets):
+    f = TubeFunction(system, center, 2, Fraction(1, 10**3), [0.1, 0.2])
+    for offset in offsets:
+        with pytest.raises(DomainError, match="coordinates"):
+            f.gordon_point(offset)
+    # one coordinate per dimension is read, and zero is the centre
+    zero = [0] * center.dim
+    assert f.gordon_point(zero) == f.gordon_point()
+    assert (f.gordon_point([Fraction(1, 10**4)] * center.dim)
+            != f.gordon_point())
+
+
 # ---------------------------------------------------------------------------
 # the sorted-residue circle diameter against all pairs
 # ---------------------------------------------------------------------------
