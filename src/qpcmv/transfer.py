@@ -26,7 +26,7 @@ from .errors import DomainError
 
 EVIDENCE_PASS_THRESHOLD = 0.25  # half of the periodic-case floor 1/2
 _UNDERFLOW_LOG10 = -300.0
-_CHUNK = 4096  # Lipschitz samples per block, to bound the entry arrays
+_CHUNK = 2048  # Lipschitz samples drawn, differenced and reduced per block
 
 
 # ---------------------------------------------------------------------------
@@ -54,13 +54,14 @@ def _szego_step(a, ac, inv_rho, z, top, bot):
 
 
 def _szego(alpha, z):
-    """Entries (s00, s01, s10, s11) of S(alpha, z), elementwise: the step
-    applied to the columns of the identity."""
+    """Entries (s00, s01, s10, s11) of S(alpha, z), elementwise, built
+    directly as z/rho, -conj(alpha)/rho, -(alpha z)/rho and 1/rho: each
+    a product with 1/rho, as ``_szego_step`` forms it, so they equal the
+    step applied to the columns of the identity up to signed zeros."""
     alpha = np.asarray(alpha, dtype=complex)
-    step = (alpha, alpha.conj(), _inv_rho(alpha), np.asarray(z, dtype=complex))
-    s00, s10 = _szego_step(*step, 1.0, 0.0)
-    s01, s11 = _szego_step(*step, 0.0, 1.0)
-    return s00, s01, s10, s11
+    z = np.asarray(z, dtype=complex)
+    s = _inv_rho(alpha)
+    return z * s, -alpha.conj() * s, -(alpha * z) * s, s
 
 
 def szego_matrix(alpha: complex, z: complex) -> np.ndarray:
@@ -193,6 +194,20 @@ def _three_step_difference(a: np.ndarray, at: np.ndarray, z: np.ndarray):
     return np.stack([sum(e) for e in zip(*terms)], axis=-1).reshape(-1, 2, 2)
 
 
+def _draw_streams(seed: int, samples: int):
+    """Generators over the five parts of the PCG64 stream of
+    ``default_rng(seed)`` that one-shot draws of ``samples`` samples read
+    in turn: z (samples numbers), |a|, arg a, the scale exponent and
+    arg step (3 samples each).  Drawing from them chunk by chunk reads
+    exactly the numbers of the one-shot draws."""
+    streams = []
+    for offset in (0, 1, 4, 7, 10):
+        bits = np.random.PCG64(seed)
+        bits.advance(offset * samples)
+        streams.append(np.random.Generator(bits))
+    return streams
+
+
 def validate_three_step_lipschitz(
     r: float, samples: int = 100_000, seed: int = 20240601
 ) -> LipschitzValidation:
@@ -200,6 +215,8 @@ def validate_three_step_lipschitz(
 
     r must lie in (0, 1): at r = 0 no coefficient can move, so every
     sample would be dropped and the validation would pass on no evidence.
+    Samples are drawn, differenced and reduced ``_CHUNK`` at a time, so
+    memory does not grow with ``samples``.
     """
     if samples < 1 or seed < 0:
         raise DomainError(f"need samples >= 1 and seed >= 0, got {samples} "
@@ -207,31 +224,34 @@ def validate_three_step_lipschitz(
     if not 0 < r < 1:
         raise DomainError(f"need a radius r in (0, 1), got {r}")
     bound = three_step_lipschitz(r)
-    rng = np.random.default_rng(seed)
-    z = np.exp(2j * np.pi * rng.random(samples))
-    a = (
-        np.sqrt(rng.random((samples, 3)))
-        * r
-        * np.exp(2j * np.pi * rng.random((samples, 3)))
-    )
-    scale = 10.0 ** rng.uniform(-6, 0, (samples, 3))
-    step = scale * r * np.exp(2j * np.pi * rng.random((samples, 3)))
-    at = a + step
-    m = np.abs(at)
-    at = np.where(m > r, at * (r / np.where(m == 0, 1.0, m)), at)
-    diff = np.concatenate([
-        _three_step_difference(a[i:i + _CHUNK], at[i:i + _CHUNK], z[i:i + _CHUNK])
-        for i in range(0, samples, _CHUNK)
-    ])
-    dmax = np.abs(at - a).max(axis=1)
-    ok = dmax > 0
-    ratio = spectral_norm_2x2(diff[ok]) / (bound * dmax[ok])
+    g_z, g_abs, g_arg, g_scale, g_step = _draw_streams(seed, samples)
+    max_ratio, violations, used = 0.0, 0, 0
+    for i in range(0, samples, _CHUNK):
+        n = min(_CHUNK, samples - i)
+        z = np.exp(2j * np.pi * g_z.random(n))
+        a = (
+            np.sqrt(g_abs.random((n, 3)))
+            * r
+            * np.exp(2j * np.pi * g_arg.random((n, 3)))
+        )
+        scale = 10.0 ** g_scale.uniform(-6, 0, (n, 3))
+        at = a + scale * r * np.exp(2j * np.pi * g_step.random((n, 3)))
+        m = np.abs(at)
+        out = m > r
+        at[out] *= r / m[out]
+        dmax = np.abs(at - a).max(axis=1)
+        ok = dmax > 0
+        ratio = (spectral_norm_2x2(_three_step_difference(a, at, z)[ok])
+                 / (bound * dmax[ok]))
+        max_ratio = np.maximum(max_ratio, ratio.max(initial=0.0))
+        violations += int((ratio > 1.0).sum())
+        used += int(ok.sum())
     return LipschitzValidation(
         r=r,
         bound=bound,
-        samples=int(ok.sum()),
-        max_ratio=float(ratio.max()) if ratio.size else 0.0,
-        violations=int((ratio > 1.0).sum()),
+        samples=used,
+        max_ratio=float(max_ratio),
+        violations=violations,
     )
 
 

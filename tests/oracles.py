@@ -17,7 +17,9 @@ pair (x', y') with two divisions by rho per block, and the CSV tables
 that ``qpcmv.artifacts`` now joins itself are written row by row through
 the csv module.  The golden mean is rounded by mpmath, which the package
 replaced with an integer square root.  The smallest enclosing circle is
-found by trying every circle on two or three of the points.
+found by trying every circle on two or three of the points.  The
+Lipschitz validation draws all its samples in one go from ``default_rng``
+and reduces them at once, as it did before it was streamed in chunks.
 """
 
 import cmath
@@ -40,7 +42,13 @@ from qpcmv.sampling import (
     TubeFunction,
     VerblunskySequence,
 )
-from qpcmv.transfer import min_max_over_unit_vectors
+from qpcmv.transfer import (
+    LipschitzValidation,
+    _three_step_difference,
+    min_max_over_unit_vectors,
+    spectral_norm_2x2,
+    three_step_lipschitz,
+)
 
 
 def mpmath_golden_mean(bits: int) -> Fraction:
@@ -176,6 +184,36 @@ def mpmath_three_blocks(seq, zs, q: int) -> np.ndarray:
                       mpmath_block_product(seq, z, -q, 0) ** -1)
             out.append([np.array(b.tolist(), dtype=complex) for b in blocks])
     return np.array(out)
+
+
+def one_shot_lipschitz_validation(r: float, samples: int,
+                                  seed: int) -> LipschitzValidation:
+    """``validate_three_step_lipschitz`` with every draw made at full size
+    from one ``default_rng(seed)`` and the ratios reduced in one go."""
+    bound = three_step_lipschitz(r)
+    rng = np.random.default_rng(seed)
+    z = np.exp(2j * np.pi * rng.random(samples))
+    a = (
+        np.sqrt(rng.random((samples, 3)))
+        * r
+        * np.exp(2j * np.pi * rng.random((samples, 3)))
+    )
+    scale = 10.0 ** rng.uniform(-6, 0, (samples, 3))
+    step = scale * r * np.exp(2j * np.pi * rng.random((samples, 3)))
+    at = a + step
+    m = np.abs(at)
+    at = np.where(m > r, at * (r / np.where(m == 0, 1.0, m)), at)
+    diff = _three_step_difference(a, at, z)
+    dmax = np.abs(at - a).max(axis=1)
+    ok = dmax > 0
+    ratio = spectral_norm_2x2(diff[ok]) / (bound * dmax[ok])
+    return LipschitzValidation(
+        r=r,
+        bound=bound,
+        samples=int(ok.sum()),
+        max_ratio=float(ratio.max()) if ratio.size else 0.0,
+        violations=int((ratio > 1.0).sum()),
+    )
 
 
 def validate_periodic_floor(samples: int = 10_000, seed: int = 20240601,
