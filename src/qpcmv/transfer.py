@@ -196,10 +196,10 @@ def _three_step_difference(a: np.ndarray, at: np.ndarray, z: np.ndarray):
 
 def _draw_streams(seed: int, samples: int):
     """Generators over the five parts of the PCG64 stream of
-    ``default_rng(seed)`` that one-shot draws of ``samples`` samples read
-    in turn: z (samples numbers), |a|, arg a, the scale exponent and
-    arg step (3 samples each).  Drawing from them chunk by chunk reads
-    exactly the numbers of the one-shot draws."""
+    ``default_rng(seed)`` that one-shot draws for ``samples`` samples
+    read in turn: z (``samples`` numbers), then |a|, arg a, the scale
+    exponent and arg step (3 * ``samples`` numbers each).  Drawing from
+    them chunk by chunk reads exactly the numbers of the one-shot draws."""
     streams = []
     for offset in (0, 1, 4, 7, 10):
         bits = np.random.PCG64(seed)

@@ -364,7 +364,7 @@ def test_streamed_lipschitz_validation_equals_the_one_shot_draw(samples):
 
 def test_lipschitz_validation_memory_does_not_grow_with_samples():
     # the draws and differences of one chunk are all that is held; drawn
-    # at full size they took about 9.5 MB at 20 000 samples and 93 MB at
+    # at full size they peaked at 9.5 MiB at 20 000 samples and 93 MiB at
     # 200 000
     validate_three_step_lipschitz(0.5, 64, 7)
     peaks = []
