@@ -8,7 +8,10 @@ every step of the four benchmark workloads at SEED (default 1), with the
 inputs built by HEAD/perfbench/workloads.py (imported, never written to),
 then two ``orbit`` searches at SEED whose windows pass the full-scan cap,
 so that their certificates are spot-scanned and their orbit tables are
-scanned anew, a path that no config or workload step takes.
+scanned anew, then ``cmv --eig --profile all`` on the harmonic |alpha| =
+0.9 window of 600 sites, whose two Rayleigh-Ritz runs of 79 angles are
+each wider than a block of the spectrum: paths that no config or
+workload step takes.
 Every path the commands see is relative to OUT, so two trees that compute
 the same thing write the same bytes; each step's label, exit
 code and standard output go to OUT/exits.txt.  Compare two runs with
@@ -56,6 +59,16 @@ def main(tree: Path, head: Path, out: Path, seed: int) -> None:
                ["orbit", *flags, "--seed", str(seed),
                 "--out", f"orbit-spot-scan/{kind}"])
               for kind, flags in spot_scans.items()]
+    window = "--window=-300:299"
+    steps += [
+        ("sample-harmonic-0.9",
+         ["sample", "--family", "harmonic", "--params", "0.9,0", window,
+          "--seed", str(seed), "--out", "wide-runs/sample"]),
+        ("cmv-harmonic-0.9",
+         ["cmv", "--seq-file", "wide-runs/sample/verblunsky.csv", window,
+          "--eig", "--profile", "all", "--seed", str(seed),
+          "--out", "wide-runs/cmv"]),
+    ]
 
     with open("exits.txt", "w") as log:
         for label, argv in steps:

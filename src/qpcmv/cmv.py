@@ -63,9 +63,10 @@ _PEAK_RTOL = 1e-9
 # a longer step means the phase there is not resolved; the angle is then
 # kept, and the residual gate sees the result.
 _NEWTON_MAX = 1e-6
-# Columns per vectorised pass over a set of eigenvectors (the residuals of
-# ``_checked``, the profiles of ``eigenvector_profile``): a few N x _BLOCK
-# temporaries instead of N x N ones.
+# Columns per vectorised pass over a set of eigenvectors (every pass of
+# ``spectrum`` after the twist walks, the profiles of
+# ``eigenvector_profile``): a few N x _BLOCK temporaries instead of N x N
+# ones.
 _BLOCK = 64
 
 
@@ -461,7 +462,9 @@ def _twists(chain: _Chain, theta: np.ndarray, groups=()):
         slope, t = t, slope
     _join(V[n - 1], r, slope, S[n - 1], c)
     np.abs(V.real, out=S)
-    k = np.argmin(S, axis=0)
+    k = np.empty(K, dtype=np.intp)
+    for j in range(0, K, _BLOCK):  # argmin over axis 0 copies its input
+        k[j : j + _BLOCK] = np.argmin(S[:, j : j + _BLOCK], axis=0)
     for g in groups:
         d = S[:, g.start]
         low = np.flatnonzero(np.r_[True, d[1:] <= d[:-1]] & np.r_[d[:-1] <= d[1:], True])
@@ -479,12 +482,15 @@ def _twisted_vectors(chain: _Chain, z: np.ndarray, k: np.ndarray) -> np.ndarray:
     Row p + 1 holds u_(p+1) / u_p: from the walk from the left, n / rho (M
     block) or w / (rho r) (L block); past k, from the walk from the right,
     their inverses rho / n or rho r / w.  The vector is the running product
-    of the rows, taken in log scale.  Only the result and one float array
-    are alive.
+    of the rows, taken in log scale ``_BLOCK`` columns at a time, so that
+    only the result and N x _BLOCK arrays are alive.  The blocks share one
+    float buffer: a lone last column is then a strided view, whose squares
+    einsum sums row by row as it does every other column's (a contiguous
+    one it sums in SIMD lanes, which rounds differently).
     """
     n, K = len(chain.blocks) + 1, z.size
     V = np.empty((n, K), dtype=complex)
-    S = np.empty((n, K))
+    S = np.empty((n, min(K, _BLOCK)))
     last, first = int(k.max()), int(k.min())
     V[0] = 1.0
     for p, in_l, inv_rho, w, x, r in chain.walk(z):
@@ -505,17 +511,19 @@ def _twisted_vectors(chain: _Chain, z: np.ndarray, k: np.ndarray) -> np.ndarray:
         else:
             np.divide(1.0 / inv_rho, x, out=t)
         np.copyto(V[p + 1], t, where=p >= k)
-    np.abs(V, out=S)
-    V.real /= S
-    V.imag /= S
-    np.log(S, out=S)
-    np.cumsum(S, axis=0, out=S)
-    S -= S.max(axis=0)
-    np.cumprod(V, axis=0, out=V)
-    np.exp(S, out=S)
-    S /= np.sqrt(np.einsum("ij,ij->j", S, S))
-    V.real *= S
-    V.imag *= S
+    for j in range(0, K, _BLOCK):
+        B = V[:, j : j + _BLOCK]
+        s = np.abs(B, out=S[:, : B.shape[1]])
+        B.real /= s
+        B.imag /= s
+        np.log(s, out=s)
+        np.cumsum(s, axis=0, out=s)
+        s -= s.max(axis=0)
+        np.cumprod(B, axis=0, out=B)
+        np.exp(s, out=s)
+        s /= np.sqrt(np.einsum("ij,ij->j", s, s))
+        B.real *= s
+        B.imag *= s
     return V
 
 
@@ -549,25 +557,29 @@ def _band_spectrum(op: CMVOperator):
         raise EigensolverError(int(bad[0]), float(rises[bad[0]]), float(sizes[bad[0]]),
                                quantity="count rise")
     theta = _counted(angles, starts, rises)
-    # (iii) vectors, each read back as v* E v
+    # (iii) vectors, each read back as v* E v with its residual
     k, theta = _twists(chain, theta, _runs(np.diff(theta) > _DEGENERATE_GAP))
     V = _twisted_vectors(chain, np.exp(1j * theta), k)
-    lam = _rayleigh(band, V)
-    clusters = _runs(np.diff(theta) >= _CLUSTER_GAP)
-    if clusters:
-        # Rayleigh-Ritz on each run of close angles: orthonormalise it, then
-        # a small complex Schur of Q* E Q (one banded product for all runs)
-        for c in clusters:
+    lam, res = _rayleigh(band, V)
+    # Rayleigh-Ritz on each run of close angles: orthonormalise it, then a
+    # small complex Schur of Q* E Q.  Whole runs go in batches of at most
+    # _BLOCK columns (a wider run alone), one banded product per batch, and
+    # the rotated columns get their residuals anew
+    for batch in _batches(_runs(np.diff(theta) >= _CLUSTER_GAP)):
+        cols = batch[0] if len(batch) == 1 else np.r_[
+            tuple(np.arange(c.start, c.stop) for c in batch)]
+        for c in batch:
             V[:, c] = np.linalg.qr(V[:, c])[0]
-        cols = np.r_[tuple(np.arange(c.start, c.stop) for c in clusters)]
         EQ = _band_matvec(band, V[:, cols])
         j = 0
-        for c in clusters:
+        for c in batch:
             m = c.stop - c.start
             T, Z = sla.schur(V[:, c].conj().T @ EQ[:, j : j + m], output="complex")
             V[:, c] = V[:, c] @ Z
             lam[c] = np.diag(T)
             j += m
+        del EQ  # N x m for a run wider than a block: freed before its residuals
+        res[cols] = _rayleigh(band, V[:, cols], lam[cols])[1]
     # the gate: between consecutive eigenvalues the count rises by one
     found = np.searchsorted(np.sort(np.mod(np.angle(lam) - cut, 2 * np.pi)),
                             samples - cut)
@@ -576,7 +588,21 @@ def _band_spectrum(op: CMVOperator):
         j = int(bad[0])
         raise EigensolverError(j, float(abs(found[j] - below[j])), 0.0,
                                quantity="count mismatch")
-    return lam, V
+    return lam, V, res
+
+
+def _batches(runs):
+    """Consecutive runs grouped while their columns total at most
+    ``_BLOCK``; a wider run is a batch on its own."""
+    batch, width = [], 0
+    for c in runs:
+        if batch and width + c.stop - c.start > _BLOCK:
+            yield batch
+            batch, width = [], 0
+        batch.append(c)
+        width += c.stop - c.start
+    if batch:
+        yield batch
 
 
 def _counted(angles: np.ndarray, starts: np.ndarray, rises: np.ndarray):
@@ -586,13 +612,31 @@ def _counted(angles: np.ndarray, starts: np.ndarray, rises: np.ndarray):
     return angles[rank < np.repeat(rises, sizes)]
 
 
-def _rayleigh(band: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """v* E v for each column v of V, from real and imaginary parts (no
-    conjugate copy of V)."""
-    EV = _band_matvec(band, V)
-    re = np.einsum("ij,ij->j", V.real, EV.real) + np.einsum("ij,ij->j", V.imag, EV.imag)
-    im = np.einsum("ij,ij->j", V.real, EV.imag) - np.einsum("ij,ij->j", V.imag, EV.real)
-    return re + 1j * im
+def _rayleigh(band: np.ndarray, V: np.ndarray, lam=None):
+    """v* E v for each column v of V, unless ``lam`` gives the eigenvalues,
+    and the residuals ||E v - lambda v||, from one banded product per
+    ``_BLOCK`` columns.
+
+    v* E v is taken from real and imaginary parts (no conjugate copy of V).
+    The squares of a residual are summed row by row at every block width,
+    so a column's residual does not depend on its block (np.linalg.norm
+    sums a lone column pairwise).
+    """
+    K = V.shape[1]
+    quotient = lam is None
+    if quotient:
+        lam = np.empty(K, dtype=complex)
+    res = np.empty(K)
+    for j in range(0, K, _BLOCK):
+        B = V[:, j : j + _BLOCK]
+        EB = _band_matvec(band, B)
+        if quotient:
+            re = np.einsum("ij,ij->j", B.real, EB.real) + np.einsum("ij,ij->j", B.imag, EB.imag)
+            im = np.einsum("ij,ij->j", B.real, EB.imag) - np.einsum("ij,ij->j", B.imag, EB.real)
+            lam[j : j + _BLOCK] = re + 1j * im
+        EB -= B * lam[j : j + _BLOCK]
+        res[j : j + _BLOCK] = np.sqrt(np.einsum("ij->j", (EB.conj() * EB).real))
+    return lam, res
 
 
 def _schur_spectrum(matrix: np.ndarray):
@@ -601,29 +645,29 @@ def _schur_spectrum(matrix: np.ndarray):
     return np.diag(T).copy(), Z
 
 
-def _checked(band: np.ndarray, lam: np.ndarray, V: np.ndarray, tol: float,
+def _checked(band: np.ndarray, lam: np.ndarray, V: np.ndarray,
+             res: np.ndarray, tol: float,
              fallback: bool) -> SpectralDecomposition:
     """Sort by angle, fix the basis of degenerate eigenspaces, check.
 
-    The fix works in place on V's unsorted columns, so V is permuted once,
-    by the sort before the fix composed with the one after it.  Residuals
-    are taken ``_BLOCK`` columns at a time."""
+    ``res`` holds the residual of each column of V; the columns the fix
+    rotates get theirs anew, the others keep theirs.  The fix works in
+    place on V's unsorted columns, so V is permuted once, by the sort
+    before the fix composed with the one after it, in place and
+    ``_BLOCK`` rows at a time."""
     order = np.argsort(np.angle(lam))
-    lam = lam[order]
+    lam, res = lam[order], res[order]
     position = np.arange(V.shape[0])
     for c in _runs(np.abs(np.diff(lam)) > _DEGENERATE_GAP):
         cols = order[c]
         W = V[:, cols]
         _, Y = np.linalg.eigh(W.conj().T @ (position[:, None] * W))
         V[:, cols] = W = W @ Y
-        lam[c] = _rayleigh(band, W)
+        lam[c], res[c] = _rayleigh(band, W)
     resort = np.argsort(np.angle(lam))
-    lam, V = lam[resort], V[:, order[resort]]
-    res = np.empty(lam.size)
-    for j in range(0, lam.size, _BLOCK):
-        B = V[:, j:j + _BLOCK]
-        res[j:j + _BLOCK] = np.linalg.norm(
-            _band_matvec(band, B) - B * lam[j:j + _BLOCK], axis=0)
+    lam, res, perm = lam[resort], res[resort], order[resort]
+    for i in range(0, V.shape[0], _BLOCK):
+        V[i : i + _BLOCK] = V[i : i + _BLOCK, perm]
     worst = int(np.argmax(res))
     if res[worst] > tol:
         raise EigensolverError(worst, float(res[worst]), tol)
@@ -664,9 +708,11 @@ def spectrum(op: CMVOperator) -> SpectralDecomposition:
     share one eigenspace at working precision, whose basis is then the one
     diagonalising position.
 
-    Residuals ||E v - lambda v|| (banded matvec) and moduli |lambda| are
-    checked against ``_EIG_TOL``, read at call time.  If the gate or
-    either check fails, the dense complex Schur decomposition (diagonal
+    One banded product per ``_BLOCK`` columns gives both v* E v and the
+    residual ||E v - lambda v||; only the columns that a Rayleigh-Ritz run
+    or the degenerate basis rotates get another.  Residuals and moduli
+    |lambda| are checked against ``_EIG_TOL``, read at call time.  If the
+    gate or either check fails, the dense complex Schur decomposition (diagonal
     for a normal matrix) is checked in its place, and only its failure is
     raised, so no silently wrong pairs are returned.  ``fallback``
     records which path produced the result.
@@ -674,8 +720,9 @@ def spectrum(op: CMVOperator) -> SpectralDecomposition:
     try:
         return _checked(op.band, *_band_spectrum(op), _EIG_TOL, fallback=False)
     except EigensolverError:
-        return _checked(op.band, *_schur_spectrum(op.matrix), _EIG_TOL,
-                        fallback=True)
+        lam, Z = _schur_spectrum(op.matrix)
+        return _checked(op.band, lam, Z, _rayleigh(op.band, Z, lam)[1],
+                        _EIG_TOL, fallback=True)
 
 
 @dataclass(frozen=True)

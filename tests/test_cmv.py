@@ -1,6 +1,7 @@
 import cmath
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from oracles import (
 )
 from qpcmv import artifacts
 from qpcmv.cmv import assemble, eigenvector_profile, spectrum
+from qpcmv.dynamics import Rotation, TorusPoint
 from qpcmv.errors import DomainError, EigensolverError, WindowError
-from qpcmv.sampling import VerblunskySequence
+from qpcmv.frequency import parse_frequency
+from qpcmv.sampling import HarmonicFunction, VerblunskySequence, verblunsky_window
 from test_acceptance import Budget
 
 
@@ -479,7 +482,8 @@ def test_spectrum_matches_hermitian_band_oracle(N, radius, real):
     # to 1e-12 and, vector by vector, the same peak and participation ratio
     op = seeded_window(N + 11, N, radius, real)
     dec = spectrum(op)
-    ref = cmv._checked(op.band, *hermitian_band_spectrum(op.band), 1e-10, False)
+    lam, V = hermitian_band_spectrum(op.band)
+    ref = cmv._checked(op.band, lam, V, cmv._rayleigh(op.band, V, lam)[1], 1e-10, False)
     assert not dec.fallback
     assert angle_distance(dec.eigenvalues, ref.eigenvalues) <= 1e-12
     assert np.abs(dec.eigenvalues - ref.eigenvalues).max() <= 1e-12
@@ -540,9 +544,7 @@ def test_degenerate_edge_states_get_the_localized_basis(monkeypatch):
     # rounding, so the solver alone would return an arbitrary basis of the
     # pair
     N = 60
-    vals = 0.5 * np.array([-1, -1j, 1, 1j])[np.arange(N + 2) % 4]
-    seq = VerblunskySequence(-31, 30, vals)
-    op = assemble(seq, -30, 29)
+    op = edge_pair_window()
 
     def edge_profiles(dec):
         idx = np.flatnonzero(np.abs(dec.eigenvalues + 1j) <= 1e-12)
@@ -557,7 +559,8 @@ def test_degenerate_edge_states_get_the_localized_basis(monkeypatch):
     # the Schur path, whose basis of the pair differs, lands on the same one
     monkeypatch.setattr(
         cmv, "_band_spectrum",
-        lambda band: (np.zeros(N, dtype=complex), np.eye(N, dtype=complex)),
+        lambda band: (np.zeros(N, dtype=complex), np.eye(N, dtype=complex),
+                      np.zeros(N)),
     )
     dec = spectrum(op)
     assert dec.fallback
@@ -671,6 +674,84 @@ def test_accuracy_sweep():
         assert not dec.fallback, case
         assert dec.residuals.max() <= 2e-14, case
         assert orthonormality(dec.vectors) <= 5.2e-13, case
+
+
+def harmonic_window(modulus, N):
+    """The window of N sites around 0 that ``sample --family harmonic
+    --params MODULUS,0`` writes (golden rotation from omega = 0)."""
+    lo, hi = -(N // 2), N - N // 2 - 1
+    rotation = Rotation([parse_frequency("golden").value])
+    seq = verblunsky_window(HarmonicFunction(modulus), rotation, TorusPoint.exact(0),
+                            lo, hi)
+    return assemble(seq, lo, hi)
+
+
+def cluster_runs(dec):
+    """Widths of the runs of eigenvalue angles closer than _CLUSTER_GAP."""
+    ang = np.angle(dec.eigenvalues)
+    return [c.stop - c.start for c in cmv._runs(np.diff(ang) >= cmv._CLUSTER_GAP)]
+
+
+@pytest.mark.parametrize("modulus,runs", [(0.5, [21, 22]), (0.9, [79, 79])])
+def test_spectrum_holds_little_beside_its_eigenvectors(modulus, runs):
+    # the cmv-dense window (|alpha| = 0.5) and one whose two Rayleigh-Ritz
+    # runs are each wider than a block.  Past the twist walks every pass
+    # over the vectors takes _BLOCK columns at a time, so the walks' (V, S)
+    # pair, 1.5 times the result, is the only full-size array beside it:
+    # 1.61 times the result on both.  Forming E V whole, twice, and
+    # permuting V by a copy held 2.24 times it
+    op = harmonic_window(modulus, 600)
+    spectrum(op)  # scipy.linalg is imported outside the trace
+    tracemalloc.start()
+    try:
+        dec = spectrum(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not dec.fallback
+    assert sorted(cluster_runs(dec)) == runs
+    assert peak <= 1.75 * dec.vectors.nbytes
+
+
+def edge_pair_window():
+    """N = 60 sites of period 4: one edge state at each end, both at -i."""
+    vals = 0.5 * np.array([-1, -1j, 1, 1j])[np.arange(62) % 4]
+    return assemble(VerblunskySequence(-31, 30, vals), -30, 29)
+
+
+RESIDUAL_WINDOWS = {
+    # 94 runs of close angles, 200 columns: several batches
+    "runs-in-batches": (lambda: seeded_window(0, 600, 0.5, False),
+                        lambda dec: sum(cluster_runs(dec)) > 3 * cmv._BLOCK),
+    "runs-wider-than-a-block": (lambda: harmonic_window(0.9, 600),
+                                lambda dec: min(cluster_runs(dec)) > cmv._BLOCK),
+    # N = 65: the last block holds one column, which np.linalg.norm would
+    # sum pairwise and einsum sums row by row like every other
+    "lone-last-column": (lambda: seeded_window(65991, 65, 0.99, True),
+                         lambda dec: dec.eigenvalues.size % cmv._BLOCK == 1),
+    "degenerate-pair": (edge_pair_window,
+                        lambda dec: np.abs(np.diff(dec.eigenvalues)).min() <= 1e-12),
+    # seed 106 of the centred flat-band windows falls back to Schur
+    "schur-fallback": (lambda: flat_band_window(106, 300, False),
+                       lambda dec: dec.fallback),
+}
+
+
+@pytest.mark.parametrize("name", RESIDUAL_WINDOWS)
+def test_every_residual_is_fresh(name):
+    # a residual is taken with v* E v from one product, and again only for
+    # the columns that a Rayleigh-Ritz batch or the degenerate fix rotates,
+    # or for every column of the Schur fallback.  One product over the
+    # final vectors must give each of them bit for bit, so that no column
+    # keeps the residual of a vector it no longer holds
+    window, shape = RESIDUAL_WINDOWS[name]
+    op = window()
+    dec = spectrum(op)
+    assert shape(dec)
+    assert dec.fallback == (name == "schur-fallback")
+    V, lam = dec.vectors, dec.eigenvalues
+    fresh = np.linalg.norm(cmv._band_matvec(op.band, V) - V * lam, axis=0)
+    assert np.array_equal(dec.residuals, fresh)
 
 
 def flat_band_window(seed, N, seeded_boundary):
