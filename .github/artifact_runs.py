@@ -10,7 +10,9 @@ then two ``orbit`` searches at SEED whose windows pass the full-scan cap,
 so that their certificates are spot-scanned and their orbit tables are
 scanned anew, then ``cmv --eig --profile all`` on the harmonic |alpha| =
 0.9 window of 600 sites, whose two Rayleigh-Ritz runs of 79 angles are
-each wider than a block of the spectrum: paths that no config or
+each wider than a block of the spectrum, and ``gordon --q 8 --z-grid 389``
+on the same window, whose 389 evidence rows fill three blocks of the
+three-block solver and end 5 rows into a fourth: paths that no config or
 workload step takes.
 Every path the commands see is relative to OUT, so two trees that compute
 the same thing write the same bytes; each step's label, exit
@@ -68,6 +70,10 @@ def main(tree: Path, head: Path, out: Path, seed: int) -> None:
          ["cmv", "--seq-file", "wide-runs/sample/verblunsky.csv", window,
           "--eig", "--profile", "all", "--seed", str(seed),
           "--out", "wide-runs/cmv"]),
+        ("gordon-harmonic-0.9-q8",
+         ["gordon", "--seq-file", "wide-runs/sample/verblunsky.csv",
+          "--q", "8", "--z-grid", "389", "--seed", str(seed),
+          "--out", "wide-runs/gordon"]),
     ]
 
     with open("exits.txt", "w") as log:

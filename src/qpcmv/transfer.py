@@ -27,6 +27,7 @@ from .errors import DomainError
 EVIDENCE_PASS_THRESHOLD = 0.25  # half of the periodic-case floor 1/2
 _UNDERFLOW_LOG10 = -300.0
 _CHUNK = 2048  # Lipschitz samples drawn, differenced and reduced per block
+_ROWS = 128  # evidence rows whose c and block norms are computed per block
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +381,17 @@ def certify_gordon(
 
 
 def _unit(x: np.ndarray) -> np.ndarray:
-    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+    """x / |x| along the last axis, with |x|^2 summed left to right as
+    ``np.linalg.norm`` sums it."""
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    return x / np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)[..., None]
+
+
+def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.cross`` of two (B, 3) stacks, component by component."""
+    (x0, x1, x2), (y0, y1, y2) = x.T, y.T
+    return np.stack(
+        [x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0], axis=-1)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -405,15 +416,15 @@ def _bloch_candidates(beta: np.ndarray, a: np.ndarray) -> np.ndarray:
         dd = _dot(d, d)
         centre, radius = h / dd * d, np.sqrt(1.0 - h * h / dd)
         axis = np.eye(3)[np.argmin(np.abs(d), axis=-1)]
-        for w in (a[:, i], np.cross(d, axis)):
+        for w in (a[:, i], _cross(d, axis)):
             u = _unit(w - _dot(w, d) / dd * d)
             out.append((centre - radius * u)[:, None])
     for i, j, m in combinations(range(K), 3):
         d1, h1 = a[:, i] - a[:, j], (beta[:, j] - beta[:, i])[:, None]
         d2, h2 = a[:, i] - a[:, m], (beta[:, m] - beta[:, i])[:, None]
-        e = np.cross(d1, d2)
+        e = _cross(d1, d2)
         ee = _dot(e, e)
-        foot = (h1 * np.cross(d2, e) + h2 * np.cross(e, d1)) / ee
+        foot = (h1 * _cross(d2, e) + h2 * _cross(e, d1)) / ee
         s = np.sqrt((1.0 - _dot(foot, foot)) / ee)
         out += [(foot + s * e)[:, None], (foot - s * e)[:, None]]
     return np.concatenate(out, axis=1)
@@ -436,8 +447,9 @@ def min_max_over_unit_vectors(
     overflow; a row with a non-finite entry gives inf and NaN angles.
 
     Returns (value, t, p) per batch element, v = (cos t, e^(i p) sin t).
-    ``grid`` and ``rounds`` are accepted and ignored, for callers that still
-    pass or inspect them.
+    Each row is computed from that row alone, so a batch split into row
+    blocks gives the same bits as one call.  ``grid`` and ``rounds`` are
+    accepted and ignored, for callers that still pass or inspect them.
     """
     mats = np.asarray(mats, dtype=complex)
     finite = np.isfinite(mats).all(axis=(1, 2, 3))
@@ -454,7 +466,12 @@ def min_max_over_unit_vectors(
         p = np.arctan2(n[..., 1], n[..., 0])
         v = np.stack([np.cos(t), np.exp(1j * p) * np.sin(t)], axis=-1)
         Mv = np.einsum("bkij,bcj->bcki", M, v)
-        vals = np.sqrt((Mv.real**2 + Mv.imag**2).sum(axis=-1).max(axis=-1))
+        sq = Mv.real**2 + Mv.imag**2
+        norms2 = sq[..., 0] + sq[..., 1]
+        vals = norms2[..., 0]
+        for k in range(1, mats.shape[1]):
+            vals = np.maximum(vals, norms2[..., k])
+        vals = np.sqrt(vals)
     idx = np.where(np.isnan(vals), np.inf, vals).argmin(axis=1)
     rows = np.arange(mats.shape[0])
     best = np.where(finite, vals[rows, idx] * scale, np.inf)
@@ -526,6 +543,9 @@ def no_point_spectrum_evidence(
 
     Verdict is PASS when every row is finite and the minimum stays at or
     above 1/4, half the periodic-case constant; FAIL otherwise.
+
+    c and the block norms are computed ``_ROWS`` rows at a time, so the
+    working memory beyond the table itself does not grow with ``z_grid``.
     """
     if certificate is not None:
         level = certificate.largest_passing()
@@ -549,8 +569,12 @@ def no_point_spectrum_evidence(
     angles.extend(float(a) for a in extra_angles)
     zs = np.exp(1j * np.array(angles))
     mats = _three_blocks(seq, zs, q_use)
-    cs, _, _ = min_max_over_unit_vectors(mats)
-    norms = spectral_norm_2x2(mats)
+    cs = np.empty(len(zs))
+    norms = np.empty((len(zs), 3))
+    for i in range(0, len(zs), _ROWS):
+        block = mats[i:i + _ROWS]
+        cs[i:i + _ROWS] = min_max_over_unit_vectors(block)[0]
+        norms[i:i + _ROWS] = spectral_norm_2x2(block)
     finite = np.isfinite(norms).all(axis=1)
     rows = tuple(
         EvidenceRow(float(a), float(c), *map(float, n))

@@ -20,6 +20,10 @@ replaced with an integer square root.  The smallest enclosing circle is
 found by trying every circle on two or three of the points.  The
 Lipschitz validation draws all its samples in one go from ``default_rng``
 and reduces them at once, as it did before it was streamed in chunks.
+The three-block min-max is solved over a whole batch in one call, with
+``np.cross``, ``np.linalg.norm`` and axis reductions, and the evidence
+table takes c and the block norms of all its rows in one call each, as
+they did before the table was solved in row blocks.
 """
 
 import cmath
@@ -43,7 +47,11 @@ from qpcmv.sampling import (
     VerblunskySequence,
 )
 from qpcmv.transfer import (
+    EVIDENCE_PASS_THRESHOLD,
+    EvidenceRow,
+    EvidenceTable,
     LipschitzValidation,
+    _three_blocks,
     _three_step_difference,
     min_max_over_unit_vectors,
     spectral_norm_2x2,
@@ -213,6 +221,122 @@ def one_shot_lipschitz_validation(r: float, samples: int,
         samples=int(ok.sum()),
         max_ratio=float(ratio.max()) if ratio.size else 0.0,
         violations=int((ratio > 1.0).sum()),
+    )
+
+
+def one_shot_min_max(
+    mats: np.ndarray, grid: int = 32, rounds: int = 6
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """min over unit v in C^2 of max_k ||mats[b, k] v|| for each b, exactly,
+    for a (B, K, 2, 2) stack.
+
+    With H_k = M_k* M_k and v v* = (I + n.sigma)/2, ||M_k v||^2 =
+    beta_k + a_k . n for beta_k = tr H_k / 2 and a_k = (Re H_k[0,1],
+    -Im H_k[0,1], (H_k[0,0] - H_k[1,1]) / 2): a min over the Bloch sphere
+    of a max of affine functions, whose minimiser is among the candidates
+    of ``_bloch_candidates`` (a complete set for K <= 3 matrices).  The
+    value is evaluated on the matrices at each candidate spinor, so it is
+    attained and never undercuts the true minimum beyond rounding.  Rows
+    are scaled by their largest entry first, so finite input does not
+    overflow; a row with a non-finite entry gives inf and NaN angles.
+
+    Returns (value, t, p) per batch element, v = (cos t, e^(i p) sin t).
+    ``grid`` and ``rounds`` are accepted and ignored, for callers that still
+    pass or inspect them.
+    """
+    def _unit(x: np.ndarray) -> np.ndarray:
+        return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+    def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.einsum("bx,bx->b", x, y)[:, None]
+
+    def _bloch_candidates(beta: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """Candidate minimisers (B, C, 3) of max_k f_k(n) = beta_k + a_k . n
+        over |n| = 1, for beta (B, K) and a (B, K, 3).
+
+        One, two or three f_k are active at the minimiser, so it is one of:
+        -a_k/|a_k|; on each circle {f_i = f_j}, the minimiser of f_i, or any
+        point when f_i is constant there; the points where the line
+        {f_i = f_j = f_m} meets the sphere (these also end every arc of a
+        circle on which f_i is constant and a third f_m lies below it); an
+        axis, when every a_k vanishes.  Missing intersections come out as NaN.
+        """
+        B, K = beta.shape
+        out = [-a, np.broadcast_to(np.vstack([np.eye(3), -np.eye(3)]),
+                                   (B, 6, 3))]
+        for i, j in combinations(range(K), 2):
+            d, h = a[:, i] - a[:, j], (beta[:, j] - beta[:, i])[:, None]
+            dd = _dot(d, d)
+            centre, radius = h / dd * d, np.sqrt(1.0 - h * h / dd)
+            axis = np.eye(3)[np.argmin(np.abs(d), axis=-1)]
+            for w in (a[:, i], np.cross(d, axis)):
+                u = _unit(w - _dot(w, d) / dd * d)
+                out.append((centre - radius * u)[:, None])
+        for i, j, m in combinations(range(K), 3):
+            d1, h1 = a[:, i] - a[:, j], (beta[:, j] - beta[:, i])[:, None]
+            d2, h2 = a[:, i] - a[:, m], (beta[:, m] - beta[:, i])[:, None]
+            e = np.cross(d1, d2)
+            ee = _dot(e, e)
+            foot = (h1 * np.cross(d2, e) + h2 * np.cross(e, d1)) / ee
+            s = np.sqrt((1.0 - _dot(foot, foot)) / ee)
+            out += [(foot + s * e)[:, None], (foot - s * e)[:, None]]
+        return np.concatenate(out, axis=1)
+
+    mats = np.asarray(mats, dtype=complex)
+    finite = np.isfinite(mats).all(axis=(1, 2, 3))
+    M = np.where(finite[:, None, None, None], mats, 0.0)
+    scale = np.abs(M).max(axis=(1, 2, 3))
+    scale = np.where(scale > 0, scale, 1.0)
+    M = M / scale[:, None, None, None]
+    H = np.einsum("bkji,bkjl->bkil", M.conj(), M)
+    h00, h01, h11 = H[..., 0, 0].real, H[..., 0, 1], H[..., 1, 1].real
+    a = np.stack([h01.real, -h01.imag, (h00 - h11) / 2], axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        n = _unit(_bloch_candidates((h00 + h11) / 2, a))
+        t = np.arccos(np.clip(n[..., 2], -1.0, 1.0)) / 2
+        p = np.arctan2(n[..., 1], n[..., 0])
+        v = np.stack([np.cos(t), np.exp(1j * p) * np.sin(t)], axis=-1)
+        Mv = np.einsum("bkij,bcj->bcki", M, v)
+        vals = np.sqrt((Mv.real**2 + Mv.imag**2).sum(axis=-1).max(axis=-1))
+    idx = np.where(np.isnan(vals), np.inf, vals).argmin(axis=1)
+    rows = np.arange(mats.shape[0])
+    best = np.where(finite, vals[rows, idx] * scale, np.inf)
+    bt = np.where(finite, t[rows, idx], np.nan)
+    bp = np.where(finite, p[rows, idx], np.nan)
+    return best, bt, bp
+
+
+def one_shot_evidence(seq, q: int, z_grid: int,
+                      extra_angles=()) -> EvidenceTable:
+    """``no_point_spectrum_evidence`` at an explicit q, with c and the
+    block norms of every row computed in one call each."""
+    angles = list(2.0 * math.pi * np.arange(z_grid) / z_grid)
+    angles.extend(float(a) for a in extra_angles)
+    zs = np.exp(1j * np.array(angles))
+    mats = _three_blocks(seq, zs, q)
+    cs, _, _ = one_shot_min_max(mats)
+    norms = spectral_norm_2x2(mats)
+    finite = np.isfinite(norms).all(axis=1)
+    rows = tuple(
+        EvidenceRow(float(a), float(c), *map(float, n))
+        for a, c, n in zip(angles, cs, norms)
+    )
+    min_c = argmin_angle = max_log10_norm = None
+    if finite.any():
+        imin = int(np.argmin(np.where(finite, cs, np.inf)))
+        min_c, argmin_angle = float(cs[imin]), float(angles[imin])
+        max_log10_norm = float(np.log10(norms[finite].max()))
+    passed = finite.all() and min_c >= EVIDENCE_PASS_THRESHOLD
+    return EvidenceTable(
+        q=q,
+        source="explicit",
+        rows=rows,
+        min_c=min_c,
+        argmin_angle=argmin_angle,
+        threshold=EVIDENCE_PASS_THRESHOLD,
+        verdict="PASS" if passed else "FAIL",
+        nonfinite_rows=int((~finite).sum()),
+        max_log10_norm=max_log10_norm,
     )
 
 

@@ -13,7 +13,9 @@ from oracles import (
     matmul_three_step_difference,
     mpmath_block_product,
     mpmath_three_blocks,
+    one_shot_evidence,
     one_shot_lipschitz_validation,
+    one_shot_min_max,
     szego_batch,
     validate_periodic_floor,
 )
@@ -32,6 +34,7 @@ from qpcmv.sampling import (
 )
 from qpcmv.transfer import (
     _CHUNK,
+    _ROWS,
     _inv_rho,
     _szego,
     _szego_step,
@@ -712,6 +715,60 @@ def test_min_max_non_finite_rows_are_inf():
     assert np.isfinite(vals[2]) and vals[2] >= 0.5e300
 
 
+def awkward_batch(rng, B, K):
+    """B random stacks of K complex 2x2 matrices spread over 60 decades;
+    among them rows scaled to largest entry 1e-300 and 1e300, all-zero
+    rows, rows of K equal matrices or of identities, and rows holding inf,
+    -inf or NaN."""
+    mats = rng.normal(size=(B, K, 2, 2)) + 1j * rng.normal(size=(B, K, 2, 2))
+    mats *= 10.0 ** rng.uniform(-30, 30, (B, K, 1, 1))
+    peak = np.abs(mats).max(axis=(1, 2, 3))[:, None, None, None]
+    for i in range(1, B):
+        kind = i % 9
+        if kind == 1:
+            mats[i] = mats[i] / peak[i] * 1e-300
+        elif kind == 2:
+            mats[i] = mats[i] / peak[i] * 1e300
+        elif kind == 3:
+            mats[i] = 0.0
+        elif kind == 4:
+            mats[i] = mats[i, 0]
+        elif kind == 5:
+            mats[i] = np.eye(2)
+        elif kind == 6:
+            mats[i, -1, 0, 1] = np.inf
+        elif kind == 7:
+            mats[i, 0, 1, 0] = complex(1.0, -np.inf)
+        elif kind == 8:
+            mats[i, i % K, 1, 1] = np.nan
+    return mats
+
+
+def assert_same_bits(got, ref):
+    for g, r in zip(got, ref, strict=True):
+        assert g.dtype == r.dtype and g.shape == r.shape
+        assert np.array_equal(np.isnan(g), np.isnan(r))
+        assert g.tobytes() == r.tobytes()
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize(
+    "B", [0, 1, _ROWS - 1, _ROWS, _ROWS + 1, 3 * _ROWS + 5])
+def test_min_max_equals_the_one_shot_solver(B, K):
+    # the explicit cross products, norms, sums and maxima round as
+    # np.cross, np.linalg.norm and the axis reductions did, so the solver
+    # returns the same bits whole or block by block
+    mats = awkward_batch(np.random.default_rng(100 * B + K), B, K)
+    ref = one_shot_min_max(mats)
+    assert_same_bits(min_max_over_unit_vectors(mats), ref)
+    blocks = [min_max_over_unit_vectors(mats[i:i + _ROWS])
+              for i in range(0, B, _ROWS)]
+    if blocks:
+        assert_same_bits([np.concatenate(x) for x in zip(*blocks)], ref)
+    if B > 8:
+        assert np.isinf(ref[0][6::9]).all() and np.isnan(ref[1][8::9]).all()
+
+
 def single_point_row(seq, q, theta):
     """The evidence row at the angle theta alone (row 0 is angle 0)."""
     return no_point_spectrum_evidence(
@@ -886,6 +943,41 @@ def test_evidence_max_log10_norm():
     norms = [max(r.norm_forward, r.norm_double, r.norm_backward)
              for r in table.rows]
     assert table.max_log10_norm == float(np.log10(max(norms)))
+
+
+@pytest.mark.parametrize(
+    "z_grid", [1, _ROWS - 1, _ROWS, _ROWS + 1, 3 * _ROWS + 5])
+@pytest.mark.parametrize("extra", [(), (0.3, 1.7, 4.0)])
+def test_evidence_table_equals_the_one_shot_table(z_grid, extra):
+    # every row and summary field, on a q = 8 window and on a q = 256
+    # window whose products overflow in the gap, with grids that end on
+    # either side of a block edge
+    windows = [(random_seq(np.random.default_rng(z_grid), -8, 16), 8),
+               (VerblunskySequence.constant(0.9, -256, 512), 256)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seq, q in windows:
+            table = no_point_spectrum_evidence(
+                seq, q=q, z_grid=z_grid, extra_angles=extra)
+            assert repr(table) == repr(
+                one_shot_evidence(seq, q, z_grid, extra))
+
+
+def test_evidence_memory_grows_by_its_table_alone():
+    # the solver holds one block of rows at a time, so what grows with
+    # z_grid is the table: about 470 bytes a row, 0.84 MiB at 512 rows;
+    # solved in one call, 5.0 KiB a row and 2.5 MiB at 512 rows
+    seq = random_seq(np.random.default_rng(8), -8, 16)
+    no_point_spectrum_evidence(seq, q=8, z_grid=64)
+    peaks = []
+    for z_grid in (512, 8192):
+        tracemalloc.start()
+        try:
+            no_point_spectrum_evidence(seq, q=8, z_grid=z_grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 1024 * (8192 - 512)
+    assert peaks[0] <= 1.25 * 2**20
 
 
 @pytest.mark.parametrize("q", [8, 64, 256, 512])
