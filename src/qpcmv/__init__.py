@@ -35,11 +35,9 @@ _SUBMODULE = {
                   "QpcmvError WindowError",
         "frequency": "Frequency badly_approximable_score continued_fraction "
                      "golden_mean liouville_frequency",
-        "sampling": "ConstantFunction HarmonicFunction PerturbedFunction "
-                    "TentBump TubeFunction VerblunskySequence ball_radius "
-                    "distance_to_tubes min_enclosing_circle "
-                    "periodic_defect_maxima tube_function "
-                    "tube_tolerance_verdict verblunsky_window",
+        "sampling": "ConstantFunction HarmonicFunction TubeFunction "
+                    "VerblunskySequence ball_radius periodic_defect_maxima "
+                    "tube_function verblunsky_window",
         "transfer": "EvidenceTable GordonCertificate certify_gordon "
                     "coefficient_tolerance min_max_over_unit_vectors "
                     "no_point_spectrum_evidence spectral_norm_2x2 "

@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -106,45 +106,6 @@ class HarmonicFunction(_ResidueEvaluated):
         # int / int is correctly rounded, as float(Fraction) is
         phase = float(p[0] / d)
         return self.coefficient * cmath.exp(2j * math.pi * phase)
-
-
-class TentBump(_ResidueEvaluated):
-    """h * max(0, 1 - dist(x, x0)/radius): a tent supported on a ball."""
-
-    def __init__(self, center: TorusPoint, radius, amplitude: complex):
-        self.center = center
-        self.radius = as_fraction(radius)
-        self.amplitude = complex(amplitude)
-        if self.radius <= 0:
-            raise DomainError("bump radius must be positive")
-
-    def at_residues(self, p, d: int) -> complex:
-        if len(p) != self.center.dim:
-            raise DomainError("dimension mismatch")
-        # d * dist and d * radius, exact; their ratio is dist / radius
-        k = residue_dist(p, [scaled(c, d) for c in self.center.coords], d)
-        r = scaled(self.radius, d)
-        if k >= r:
-            return 0j
-        return self.amplitude * (1.0 - float(k / r))
-
-
-class PerturbedFunction(_ResidueEvaluated):
-    """base + bump, with the triangle-inequality norm bound."""
-
-    def __init__(self, base, bump: TentBump):
-        self.base = base
-        self.bump = bump
-        self.sup_norm = base.sup_norm + abs(bump.amplitude)
-        if not self.sup_norm < 1:
-            raise DomainError("perturbation pushes the range onto the circle")
-
-    def denominator(self, d0: int) -> int:
-        # the bump is exact over any denominator
-        return self.base.denominator(d0)
-
-    def at_residues(self, p, d: int) -> complex:
-        return self.base.at_residues(p, d) + self.bump.at_residues(p, d)
 
 
 # ---------------------------------------------------------------------------
@@ -670,9 +631,15 @@ class VerblunskySequence:
         if header[:3] != ["n", "re_alpha", "im_alpha"]:
             raise DomainError("coefficient csv must start with n,re_alpha,im_alpha")
         ns, vals = [], []
-        for row in rows:
-            ns.append(int(row[0]))
-            vals.append(complex(float(row[1]), float(row[2])))
+        for i, row in enumerate(rows, start=1):
+            # columns past the third are not read (``to_csv`` adds rho)
+            try:
+                ns.append(int(row[0]))
+                vals.append(complex(float(row[1]), float(row[2])))
+            except (IndexError, ValueError):
+                raise DomainError(
+                    f"coefficient csv row {i} expects n,re_alpha,im_alpha "
+                    f"as numbers, got {','.join(row)!r}") from None
         if not ns:
             raise WindowError("coefficient csv has no rows")
         if ns != list(range(ns[0], ns[0] + len(ns))):
@@ -705,103 +672,6 @@ def verblunsky_window(
     p = tuple(scaled(x, d) for x in omega.coords)
     vals = [f.at_residues(x, d) for x in integer_orbit(system, d, p, n_min, n_max)]
     return VerblunskySequence(n_min, n_max, np.array(vals, dtype=complex))
-
-
-# ---------------------------------------------------------------------------
-# Distance to the tube class (Chebyshev radii of value sets)
-# ---------------------------------------------------------------------------
-
-
-def _circumcircle(a: complex, b: complex, c: complex):
-    d = 2 * (a.real * (b.imag - c.imag) + b.real * (c.imag - a.imag)
-             + c.real * (a.imag - b.imag))
-    if abs(d) < 1e-30:
-        return None
-    ux = (abs(a) ** 2 * (b.imag - c.imag) + abs(b) ** 2 * (c.imag - a.imag)
-          + abs(c) ** 2 * (a.imag - b.imag)) / d
-    uy = (abs(a) ** 2 * (c.real - b.real) + abs(b) ** 2 * (a.real - c.real)
-          + abs(c) ** 2 * (b.real - a.real)) / d
-    ctr = complex(ux, uy)
-    return ctr, abs(a - ctr)
-
-
-def min_enclosing_circle(points: Sequence[complex]) -> tuple[complex, float]:
-    """Smallest circle containing the points (Welzl, "Smallest enclosing
-    disks", 1991): three passes over the points in their given order.  A
-    point p outside restarts the circle on p, the next pass keeps p on the
-    boundary and the innermost keeps p and s there."""
-    pts = [complex(p) for p in points]
-    if not pts:
-        raise DomainError("no points")
-
-    def contains(c, r, p):
-        return abs(p - c) <= r + 1e-12 * (1 + r)
-
-    c, r = pts[0], 0.0
-    for i, p in enumerate(pts):
-        if contains(c, r, p):
-            continue
-        c, r = p, 0.0
-        for j, s in enumerate(pts[:i]):
-            if contains(c, r, s):
-                continue
-            c, r = (p + s) / 2, abs(p - s) / 2
-            for t in pts[:j]:
-                if not contains(c, r, t):
-                    c, r = _circumcircle(p, s, t)
-    return c, r
-
-
-def tube_sample_points(tubes: TubeFunction, j: int, grid: int) -> list[TorusPoint]:
-    """Grid of points inside the closed balls of tube j."""
-    offs = _grid(tubes.radius, grid)
-    return [
-        TorusPoint([x + t for x, t in zip(c.coords, off)])
-        for c in tubes.tube_balls(j)
-        for off in product(offs, repeat=c.dim)
-    ]
-
-
-@dataclass(frozen=True)
-class TubeDistanceReport:
-    distance: float
-    per_tube: tuple[float, ...]
-    grid: int
-
-
-def distance_to_tubes(f, tubes: TubeFunction, grid: int = 5) -> TubeDistanceReport:
-    """Sup-distance from f to the tube-constant class, estimated from below.
-
-    The nearest constant-on-tubes function can match f exactly off the
-    tubes, so the distance is the worst Chebyshev radius of f's value set
-    over a single tube.  Only a sample grid of each tube is read, and a
-    subset's radius is at most the whole set's: never an upper bound.
-    """
-    if grid < 1:
-        raise DomainError("grid must be >= 1")
-    radii = []
-    for j in range(1, tubes.q + 1):
-        vals = [f(p) for p in tube_sample_points(tubes, j, grid)]
-        _, r = min_enclosing_circle(vals)
-        radii.append(r)
-    return TubeDistanceReport(
-        distance=max(radii), per_tube=tuple(radii), grid=grid
-    )
-
-
-def tube_tolerance_verdict(f, tubes: TubeFunction, k: int, grid: int = 5):
-    """Is f within half of (tolerance/4) of the tube-constant class?
-
-    The tolerance is the coefficient perturbation budget from the transfer
-    module at level k, period q, radius sup|f|.  The distance is sampled
-    from below (``distance_to_tubes``), so "inside" is not a proof.
-    """
-    from .transfer import coefficient_tolerance
-
-    report = distance_to_tubes(f, tubes, grid)
-    tol = coefficient_tolerance(k, tubes.q, f.sup_norm)
-    threshold = 0.5 * (tol.value / 4.0)
-    return report, tol, report.distance < threshold
 
 
 def periodic_defect_maxima(f, system: TorusDynamics, omega: TorusPoint,

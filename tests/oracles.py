@@ -16,10 +16,9 @@ The transfer walk and count that ``qpcmv.cmv._Chain`` replaced carry the
 pair (x', y') with two divisions by rho per block, and the CSV tables
 that ``qpcmv.artifacts`` now joins itself are written row by row through
 the csv module.  The golden mean is rounded by mpmath, which the package
-replaced with an integer square root.  The smallest enclosing circle is
-found by trying every circle on two or three of the points.  The
-Lipschitz validation draws all its samples in one go from ``default_rng``
-and reduces them at once, as it did before it was streamed in chunks.
+replaced with an integer square root.  The Lipschitz validation draws
+all its samples in one go from ``default_rng`` and reduces them at once,
+as it did before it was streamed in chunks.
 The three-block min-max is solved over a whole batch in one call, with
 ``np.cross``, ``np.linalg.norm`` and axis reductions, and the evidence
 table takes c and the block norms of all its rows in one call each, as
@@ -41,8 +40,6 @@ from qpcmv.dynamics import Rotation, iterate
 from qpcmv.sampling import (
     ConstantFunction,
     HarmonicFunction,
-    PerturbedFunction,
-    TentBump,
     TubeFunction,
     VerblunskySequence,
 )
@@ -105,13 +102,6 @@ def fraction_window(f, system, omega, n_min, n_max) -> np.ndarray:
         if isinstance(g, HarmonicFunction):
             phase = float(point.coords[0])
             return g.coefficient * cmath.exp(2j * math.pi * phase)
-        if isinstance(g, TentBump):
-            d = point.dist(g.center)
-            if d >= g.radius:
-                return 0j
-            return g.amplitude * (1.0 - float(d / g.radius))
-        if isinstance(g, PerturbedFunction):
-            return value(g.base, point) + value(g.bump, point)
         if isinstance(g, TubeFunction):
             return oracle_value(g, point)[1]
 
@@ -373,26 +363,6 @@ def rho_at(seq: VerblunskySequence, n: int) -> float:
     ``VerblunskySequence.rho``."""
     a = abs(seq.alpha(n))
     return math.sqrt((1.0 - a) * (1.0 + a))
-
-
-def enclosing_radius_brute_force(points) -> float:
-    """Radius of the smallest circle holding n <= 12 points: the smallest
-    of the circles through one point, on two as a diameter, or through
-    three that holds them all (the smallest circle is one of them), each
-    point held within 1e-14 (1 + r).  Circumcentres are taken by the
-    complex formula, not by ``sampling._circumcircle``'s coordinates."""
-    pts = [complex(p) for p in points]
-    assert 1 <= len(pts) <= 12
-    circles = [(pts[0], 0.0)]
-    circles += [((a + b) / 2, abs(a - b) / 2) for a, b in combinations(pts, 2)]
-    for a, b, c in combinations(pts, 3):
-        u, v = b - a, c - a
-        den = u.conjugate() * v - u * v.conjugate()
-        if den != 0:
-            z = (abs(u) ** 2 * v - abs(v) ** 2 * u) / den
-            circles.append((a + z, abs(z)))
-    return min(r for c, r in circles
-               if all(abs(p - c) <= r + 1e-14 * (1 + r) for p in pts))
 
 
 def theta_block(alpha: complex) -> np.ndarray:

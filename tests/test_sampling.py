@@ -3,11 +3,11 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 from oracles import (
-    enclosing_radius_brute_force,
     fraction_window,
     oracle_value,
     pairwise_circle_diameter,
@@ -42,24 +42,17 @@ from qpcmv.frequency import golden_mean
 from qpcmv.sampling import (
     ConstantFunction,
     HarmonicFunction,
-    PerturbedFunction,
-    TentBump,
     TubeFunction,
     VerblunskySequence,
     _BallCentres,
     _boundary_offsets,
     _tube_spreads,
     ball_radius,
-    distance_to_tubes,
-    min_enclosing_circle,
     periodic_defect_maxima,
     tube_function,
-    tube_sample_points,
-    tube_tolerance_verdict,
     verblunsky_window,
     verify_ball,
 )
-from qpcmv.transfer import certify_gordon, coefficient_tolerance
 
 GOLDEN = golden_mean()
 ROT = Rotation([GOLDEN.value])
@@ -166,9 +159,6 @@ def test_sampling_families_reject_values_off_the_open_disk(value):
         ConstantFunction(value)
     with pytest.raises(DomainError, match="coefficient must lie"):
         HarmonicFunction(value)
-    bump = TentBump(ORIGIN, Fraction(1, 10), value)
-    with pytest.raises(DomainError, match="perturbation pushes"):
-        PerturbedFunction(ConstantFunction(0.1), bump)
     with pytest.raises(ConstructionError, match="tube values must lie"):
         TubeFunction(ROT, ORIGIN, 2, Fraction(1, 1000), [0.1, value])
 
@@ -200,7 +190,7 @@ def _window_cases():
     from its Gordon point, with and without an offset off its 1/D grid,
     over [-2q + 1, 3q] and over windows reaching past it on both sides
     (so the rotation's float blend and the skew-shift's exact blend run);
-    harmonic, constant and perturbed functions."""
+    harmonic and constant functions."""
     rng = random.Random(20261018)
     a = golden_mean(bits=256).value
     cases = []
@@ -218,9 +208,6 @@ def _window_cases():
                                  (-40, -2 * q), (3 * q + 1, 50)):
                 cases.append((f"tube-{kind}-{label}", f, f.system, w,
                               n_min, n_max))
-        bump = TentBump(f.tube_balls(1)[1], r, 0.05)
-        cases.append((f"perturbed-tube-{kind}", PerturbedFunction(f, bump),
-                      f.system, f.gordon_point(offset), -2 * q - 5, 3 * q + 7))
     w1 = TorusPoint([Fraction(rng.randrange(10**9 + 7), 10**9 + 7)])
     w2 = TorusPoint.exact("1/3", "2/7")
     rot, skew = Rotation([a]), SkewShift(a)
@@ -229,17 +216,13 @@ def _window_cases():
         ("harmonic-rotation", harmonic, rot, w1, -300, 300),
         ("harmonic-skew", harmonic, skew, w2, -100, 100),
         ("constant", ConstantFunction(0.3 - 0.4j), rot, w1, -20, 20),
-        ("perturbed-harmonic",
-         PerturbedFunction(HarmonicFunction(0.5),
-                           TentBump(TorusPoint.exact("1/7"), "1/50", 0.2)),
-         rot, w1, -200, 200),
     ]
     return cases
 
 
 def test_residue_window_matches_fraction_window():
     cases = _window_cases()
-    assert len(cases) == 3 * (2 * 4 + 1) + 4
+    assert len(cases) == 3 * (2 * 4) + 3
     for label, f, system, omega, n_min, n_max in cases:
         seq = verblunsky_window(f, system, omega, n_min, n_max)
         expected = fraction_window(f, system, omega, n_min, n_max)
@@ -869,11 +852,15 @@ def test_constant_values_blend_to_constant():
 
 
 def test_prescribed_tube_values():
+    # the centre, the boundary and the corners of each closed ball
     f, _, _ = build_tubes(k=2)
+    r = f.radius
     for j in range(1, f.q + 1):
-        for p in tube_sample_points(f, j, 3):
-            assert f(p) == f.values[j - 1]
-            assert (f.ball_index(p) - 1) % f.q + 1 == j
+        for c in f.tube_balls(j):
+            for off in product((-r, 0, r), repeat=c.dim):
+                p = TorusPoint([x + t for x, t in zip(c.coords, off)])
+                assert f(p) == f.values[j - 1]
+                assert (f.ball_index(p) - 1) % f.q + 1 == j
 
 
 def test_tube_function_periodic_window():
@@ -1057,114 +1044,6 @@ def test_tube_overlap_rejected():
 
 
 # ---------------------------------------------------------------------------
-# distance to the tube class
-# ---------------------------------------------------------------------------
-
-
-def brute_force_chebyshev_radius(points, steps=80):
-    pts = np.asarray(points)
-    re = np.linspace(pts.real.min(), pts.real.max(), steps)
-    im = np.linspace(pts.imag.min(), pts.imag.max(), steps)
-    best = np.inf
-    for r in re:
-        cand = r + 1j * im
-        d = np.abs(pts[None, :] - cand[:, None]).max(axis=1)
-        best = min(best, d.min())
-    return best
-
-
-def test_min_enclosing_circle_against_oracle():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        n = rng.integers(2, 40)
-        pts = rng.normal(size=n) + 1j * rng.normal(size=n)
-        c, r = min_enclosing_circle(pts)
-        assert np.abs(pts - c).max() <= r + 1e-9
-        oracle = brute_force_chebyshev_radius(pts)
-        assert r <= oracle + 1e-3
-        assert oracle <= r * (1 + 2e-2) + 1e-3
-
-
-def _enclosing_sets(rng):
-    """Seeded sets of 1 to 12 points: Gaussian, drawn with repeats from a
-    few points of a 1/3-grid, and collinear to 1e-13."""
-    for _ in range(150):
-        n = int(rng.integers(1, 13))
-        yield "gaussian", rng.normal(size=n) + 1j * rng.normal(size=n)
-        pool = (rng.integers(-3, 4, size=4) + 1j * rng.integers(-3, 4, size=4)) / 3
-        yield "repeated", rng.choice(pool, size=n)
-        t = rng.normal(size=n)
-        yield "collinear", (0.2 - 0.1j) + t * (0.6 + 0.8j) + 1e-13j * rng.normal(size=n)
-
-
-def test_min_enclosing_circle_is_the_exact_minimum():
-    rng = np.random.default_rng(24)
-    for kind, pts in _enclosing_sets(rng):
-        c, r = min_enclosing_circle(pts)
-        assert np.abs(pts - c).max() <= r + 1e-12 * (1 + r), kind
-        oracle = enclosing_radius_brute_force(pts)
-        assert abs(r - oracle) <= 1e-12 * oracle, (kind, r, oracle)
-
-
-def test_distance_zero_for_members():
-    f, _, _ = build_tubes(k=2)
-    rep = distance_to_tubes(f, f, grid=4)
-    assert rep.distance == 0.0
-
-
-def test_distance_harmonic_gradient_bound():
-    # tubes must be genuinely small for the arc bound, so build them at
-    # q = 8 (the golden rotation has <8a> ~ 0.0557 < 0.06)
-    eps = Fraction(6, 100)
-    br = ball_radius(ROT, ORIGIN, 8, eps)
-    f = tube_function(ROT, ORIGIN, 8, br.radius,
-                      [0.3] * 8)
-    g = HarmonicFunction(0.5)
-    rep = distance_to_tubes(g, f, grid=7)
-    # sup |g'| = 2 pi 0.5; a tube of diameter d maps into an arc whose
-    # enclosing radius is at most (sup gradient) d / 2
-    for j in range(1, 9):
-        pts = tube_sample_points(f, j, 7)
-        diam = max(
-            float(a.dist(b)) for ai, a in enumerate(pts) for b in pts[ai + 1:]
-        )
-        assert rep.per_tube[j - 1] <= (2 * math.pi * 0.5) * diam / 2 + 1e-12
-    # oracle on a denser sampling
-    worst = 0.0
-    for j in range(1, f.q + 1):
-        vals = [g(p) for p in tube_sample_points(f, j, 21)]
-        worst = max(worst, brute_force_chebyshev_radius(vals, steps=60))
-    assert rep.distance <= worst * (1 + 0.05) + 1e-6
-    assert worst <= rep.distance * (1 + 0.30) + 1e-6
-
-
-def test_perturbed_member_distance_bracket():
-    f, _, _ = build_tubes(k=2)
-    h = 1e-3
-    ball = f.tube_balls(1)[2]
-    bump = TentBump(ball, f.radius, h)
-    g = PerturbedFunction(f, bump)
-    rep = distance_to_tubes(g, f, grid=9)
-    assert h / 2 - 1e-9 <= rep.distance <= h + 1e-9
-
-
-def test_bump_rejects_a_point_of_another_dimension():
-    bump = TentBump(TorusPoint.exact("1/3", "1/5"), "1/50", 0.1)
-    assert bump(TorusPoint.exact("1/3", "1/5")) == 0.1
-    with pytest.raises(DomainError, match="dimension"):
-        bump(TorusPoint.exact("1/3"))
-
-
-def test_tolerance_verdict_for_member_and_outsider():
-    f, _, _ = build_tubes(k=2)
-    rep, tol, ok = tube_tolerance_verdict(f, f, k=2)
-    assert ok and rep.distance == 0.0
-    g = HarmonicFunction(0.5)
-    _, _, ok_g = tube_tolerance_verdict(g, f, k=2, grid=5)
-    assert not ok_g
-
-
-# ---------------------------------------------------------------------------
 # the tube -> near-repetition mechanism (end to end at one level)
 # ---------------------------------------------------------------------------
 
@@ -1184,19 +1063,3 @@ def test_four_difference_maxima_reject_q_below_one(q):
     f, _, _ = build_tubes(k=1)
     with pytest.raises(DomainError, match=f"q must be >= 1, got {q}"):
         periodic_defect_maxima(f, ROT, f.gordon_point(), q)
-
-
-def test_perturbed_function_still_certifies():
-    f, _, _ = build_tubes(k=2)
-    q = f.q
-    tol = coefficient_tolerance(2, q, 0.6)
-    h = 0.4 * (tol.value / 4.0)
-    bump = TentBump(f.tube_balls(1)[0], f.radius, h)
-    g = PerturbedFunction(f, bump)
-    w0 = f.gordon_point()
-    seq = verblunsky_window(g, ROT, w0, -2 * q, 3 * q + 1)
-    cert = certify_gordon(seq, [(2, q)])
-    assert cert.all_passed
-    maxima = periodic_defect_maxima(g, ROT, w0, q)
-    assert max(maxima) <= 2 * h
-    assert max(maxima) < coefficient_tolerance(2, q, cert.levels[0].r).value / 4
